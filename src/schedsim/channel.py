@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 # The Hata-family formulas degenerate at very short range; distances below
 # this are clamped (with a warning) instead of extrapolated.
@@ -46,8 +46,14 @@ class ChannelParams:
     fast_fading_enabled: bool = True
 
     def validate(self) -> None:
-        if not math.isfinite(self.tx_power_dbm):
-            raise ConfigError("tx_power_dbm must be finite")
+        check_finite(
+            tx_power_dbm=self.tx_power_dbm,
+            bandwidth_hz=self.bandwidth_hz,
+            cell_radius_m=self.cell_radius_m,
+            shadowing_sigma_db=self.shadowing_sigma_db,
+            noise_figure_db=self.noise_figure_db,
+            slot_duration_s=self.slot_duration_s,
+        )
         if self.bandwidth_hz <= 0:
             raise ConfigError("bandwidth_hz must be > 0")
         if self.cell_radius_m <= 0:
@@ -98,15 +104,7 @@ def cost231_path_loss(distance_m: float, params: ChannelParams) -> float:
     """
     if distance_m <= 0:
         raise ConfigError("distance_m must be > 0")
-    if not 1500.0 <= params.carrier_freq_mhz <= 2000.0:
-        raise ConfigError(
-            "carrier_freq_mhz %g outside the COST-231 validity range [1500, 2000]"
-            % params.carrier_freq_mhz
-        )
-    if not 30.0 <= params.bs_height_m <= 200.0:
-        raise ConfigError("bs_height_m must be in [30, 200]")
-    if not 1.0 <= params.ue_height_m <= 10.0:
-        raise ConfigError("ue_height_m must be in [1, 10]")
+    params.validate()
 
     if distance_m < MIN_PATH_LOSS_DISTANCE_M:
         warnings.warn(
@@ -156,7 +154,14 @@ def snr(params: ChannelParams, link: UserLink, fading_gain: float = 1.0) -> floa
     """
     pl = cost231_path_loss(link.distance_m, params)
     rx_dbm = params.tx_power_dbm - pl + link.shadowing_db
-    return 10.0 ** ((rx_dbm - params.noise_dbm()) / 10.0) * fading_gain
+    margin_db = rx_dbm - params.noise_dbm()
+    try:
+        return 10.0 ** (margin_db / 10.0) * fading_gain
+    except OverflowError:
+        raise ConfigError(
+            "SNR overflows a float: tx_power_dbm %g puts the received power %g dB"
+            " above the noise floor" % (params.tx_power_dbm, margin_db)
+        ) from None
 
 
 def instantaneous_rate(snr_linear, params: ChannelParams):

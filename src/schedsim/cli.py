@@ -1,9 +1,10 @@
 """Command-line front end: flat key=value configs in, CSV tables and SVG
 charts out.
 
-Subcommands: ``run`` (one policy), ``compare`` (several policies over one
-shared channel trace, plus a summary table), ``figures`` (compare plus the
-four charts).  All outputs are byte-deterministic for a given config.
+Subcommands: ``run`` (one policy), ``compare`` (several policies, each
+redrawing the same channel trace from the shared seed, plus a summary
+table), ``figures`` (compare plus the four charts).  All outputs are
+byte-deterministic for a given config.
 """
 from __future__ import annotations
 
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
 
     for name, help_text in (
-        ("compare", "run several policies over one channel trace and summarize"),
+        ("compare", "run several policies over the same (redrawn) channel trace and summarize"),
         ("figures", "compare plus the four SVG charts"),
     ):
         p = sub.add_parser(name, help=help_text)

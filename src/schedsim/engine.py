@@ -22,15 +22,9 @@ from .channel import (
     place_users,
     snr,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .metrics import MetricsLog, jain_index
-from .sched import (
-    POLICIES,
-    DpfaParams,
-    VpfaParams,
-    VpfaScheduler,
-    make_scheduler,
-)
+from .sched import POLICIES, DpfaParams, VpfaParams, make_scheduler
 
 # "Cell edge" for the timer threshold default: the SNR a user would see at
 # this fraction of the cell radius with no shadowing and no fading.
@@ -64,6 +58,7 @@ class SimConfig:
             raise ConfigError("policy must be one of %s" % (POLICIES,))
         if self.tc_mode not in ("fixed", "growing"):
             raise ConfigError("tc_mode must be 'fixed' or 'growing'")
+        check_finite(tc_slots=self.tc_slots)
         if self.tc_mode == "fixed" and self.tc_slots < 1:
             raise ConfigError("tc_slots must be >= 1")
         self.dpfa.validate()
@@ -119,54 +114,41 @@ def resolved_config(config: SimConfig) -> SimConfig:
     return out
 
 
-def build_links(config: SimConfig, rng: np.random.Generator) -> list[UserLink]:
-    distances = place_users(config.n_users, config.channel.cell_radius_m, config.placement, rng)
-    shadows = draw_shadowing(rng, config.channel.shadowing_sigma_db, size=config.n_users)
-    return [UserLink(k, float(d), float(s)) for k, (d, s) in enumerate(zip(distances, shadows))]
-
-
-def channel_trace(config: SimConfig):
+def channel_trace(config: SimConfig, links: list[UserLink] | None = None):
     """Links plus the (slots x users) SNR and rate matrices for a config.
 
     Depends only on the channel parameters, the placement and the seed;
     running it for two configs that differ only in policy gives identical
-    matrices.
+    matrices.  Caller-supplied ``links`` (custom geometries) skip the
+    placement and shadowing draws, so their fading starts at the head of the
+    seed's stream.
     """
     rng = np.random.default_rng(config.seed)
-    links = build_links(config, rng)
-    return (links,) + _trace_for_links(config, links, rng)
-
-
-def _trace_for_links(config: SimConfig, links: list[UserLink], rng: np.random.Generator):
+    if links is None:
+        distances = place_users(config.n_users, config.channel.cell_radius_m, config.placement, rng)
+        shadows = draw_shadowing(rng, config.channel.shadowing_sigma_db, size=config.n_users)
+        links = [UserLink(k, float(d), float(s)) for k, (d, s) in enumerate(zip(distances, shadows))]
+    elif len(links) != config.n_users:
+        raise ConfigError("got %d links for n_users %d" % (len(links), config.n_users))
     base = np.array([snr(config.channel, link, 1.0) for link in links])
     if config.channel.fast_fading_enabled:
         gains = draw_fast_fading(rng, size=(config.total_slots, len(links)))
     else:
         gains = np.ones((config.total_slots, len(links)))
     snr_matrix = gains * base
-    rate_matrix = instantaneous_rate(snr_matrix, config.channel)
-    return snr_matrix, rate_matrix
+    return links, snr_matrix, instantaneous_rate(snr_matrix, config.channel)
 
 
-def run(config: SimConfig) -> SimResult:
-    """Execute one simulation; deterministic in (config, seed)."""
+def run(config: SimConfig, links: list[UserLink] | None = None) -> SimResult:
+    """Execute one simulation; deterministic in (config, seed, links).
+
+    ``links`` replaces the drawn geometry as in :func:`channel_trace`.
+    """
     config.validate()
-    rng = np.random.default_rng(config.seed)
-    links = build_links(config, rng)
-    return run_with_links(config, links, rng)
-
-
-def run_with_links(
-    config: SimConfig, links: list[UserLink], rng: np.random.Generator | None = None
-) -> SimResult:
-    """Like :func:`run` but over caller-built links (custom geometries)."""
-    if rng is None:
-        config.validate()
-        rng = np.random.default_rng(config.seed)
     cfg = resolved_config(config)
-    n = len(links)
+    links, snr_matrix, rate_matrix = channel_trace(cfg, links)
+    n = cfg.n_users
     total = cfg.total_slots
-    snr_matrix, rate_matrix = _trace_for_links(cfg, links, rng)
 
     scheduler = make_scheduler(
         cfg.policy, n, dpfa=cfg.dpfa, vpfa=cfg.vpfa, tc_mode=cfg.tc_mode, tc_slots=cfg.tc_slots
@@ -178,11 +160,10 @@ def run_with_links(
     warmup_bits = None
     counts_at_switch = None
     s_fi = cfg.vpfa.s_fi
-    is_vpfa = isinstance(scheduler, VpfaScheduler)
+    is_vpfa = cfg.policy == "vpfa"
 
     for t in range(total):
-        decision = scheduler.step(rate_matrix[t], snr_matrix[t])
-        chosen = decision.chosen_user
+        chosen = scheduler.step(rate_matrix[t], snr_matrix[t])
         decisions[t] = chosen
         log.record_slot(chosen, float(rate_matrix[t, chosen]))
 
@@ -242,7 +223,10 @@ def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
 
 
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
-    """Run several policies over one shared channel trace and tabulate them.
+    """Run several policies over the same channel trace and tabulate them.
+
+    Each policy's run redraws the trace from the shared seed, so every policy
+    sees identical links, SNRs and rates.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.

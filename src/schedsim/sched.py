@@ -13,14 +13,17 @@ user for the slot and applies the policy's state updates.
 * ``vpfa``  - proportional fair until the fairness index stops moving, then
   greedy equalization of cumulative delivered bits (or, in ``series`` mode,
   argmax of the sliding-window variance of per-slot deliveries).
+
+Each rule below is a vectorised function over all users; the
+:class:`Scheduler` holds a run's state and calls each rule from one place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .metrics import fi_stability_update
 
 # Cold-start floor for the average-throughput denominator, in bits/slot.
@@ -32,56 +35,8 @@ VARIANCE_MODES = ("deficit", "series")
 
 
 # ---------------------------------------------------------------------------
-# Priority and state-update primitives
+# Parameters
 # ---------------------------------------------------------------------------
-
-def pfa_priority(r: float, avg: float) -> float:
-    """Proportional-fair metric r / R with the cold-start floor on R."""
-    if r < 0 or avg < 0:
-        raise ValueError("rates must be non-negative")
-    return r / max(avg, EPS_RATE)
-
-
-def update_avg_throughput(avg_prev: float, r: float, scheduled: bool, t_c: float) -> float:
-    """EWMA average-throughput update, applied to every user every slot.
-
-    Scheduled user:   (1 - 1/T_c) * R + (1/T_c) * r
-    Everyone else:    (1 - 1/T_c) * R
-    """
-    if t_c < 1:
-        raise ConfigError("T_c must be >= 1")
-    decayed = (1.0 - 1.0 / t_c) * avg_prev
-    return decayed + r / t_c if scheduled else decayed
-
-
-def dpfa_priority(r: float, avg: float, alpha: float, beta: float) -> float:
-    """Generalized PF metric r^alpha / R^beta (alpha=beta=1 reduces to PF)."""
-    return r**alpha / max(avg, EPS_RATE) ** beta
-
-
-def update_timers(
-    a_prev: int, b_prev: int, gamma: float, delta: float, literal: bool = False
-) -> tuple[int, int]:
-    """Cell-edge (A) and cell-center (B) residence timers for one user.
-
-    Default semantics: SNR below the threshold counts consecutive edge slots
-    and zeroes the center timer; at or above the threshold the reverse.  The
-    ``literal`` mode keeps the published piecewise form instead, under which
-    B counts gamma <= delta slots (so both timers can run together below the
-    threshold).
-    """
-    if a_prev < 0 or b_prev < 0:
-        raise ValueError("timers must be non-negative")
-    if delta <= 0:
-        raise ConfigError("delta must be > 0")
-    if literal:
-        a_next = 0 if gamma >= delta else a_prev + 1
-        b_next = 0 if gamma > delta else b_prev + 1
-        return a_next, b_next
-    if gamma < delta:
-        return a_prev + 1, 0
-    return 0, b_prev + 1
-
 
 @dataclass
 class DpfaParams:
@@ -103,6 +58,11 @@ class DpfaParams:
     literal_timers: bool = False
 
     def validate(self) -> None:
+        check_finite(
+            dpfa_alpha=self.alpha,
+            dpfa_delta=self.delta,
+            dpfa_beta_override=self.beta_override,
+        )
         if self.alpha < 0:
             raise ConfigError("dpfa_alpha must be >= 0")
         if self.delta is not None and self.delta <= 0:
@@ -111,87 +71,6 @@ class DpfaParams:
             raise ConfigError("dpfa_theta must be >= 1")
         if not 0 < self.b <= 1:
             raise ConfigError("dpfa_b must be in (0, 1]")
-
-
-def update_beta(a: int, b_timer: int, gamma: float, params: DpfaParams) -> float:
-    """Per-user denominator exponent.
-
-    The neutral branch (beta = 1) wins whenever the user has been at the
-    edge at least theta slots or at the center no more than theta slots;
-    only a long-time center user is re-weighted to max(gamma/delta, b).
-    """
-    if a >= params.theta or b_timer <= params.theta:
-        return 1.0
-    return max(gamma / params.delta, params.b)
-
-
-@dataclass
-class SchedulerDecision:
-    """Chosen user plus the per-user selection metric that produced it."""
-
-    chosen_user: int
-    priorities: np.ndarray
-
-
-def select(priorities) -> SchedulerDecision:
-    """Argmax over the per-user metric; ties go to the lowest user index."""
-    arr = np.asarray(priorities, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty priority list")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite priority; upstream state is corrupt")
-    return SchedulerDecision(int(np.argmax(arr)), arr)
-
-
-# ---------------------------------------------------------------------------
-# Policy state containers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PfaState:
-    """EWMA averages plus the time-constant bookkeeping shared by the PF family."""
-
-    n_users: int
-    time_constant_mode: str = "fixed"  # fixed | growing
-    tc_slots: float = 1000.0
-    avg_throughput: np.ndarray = field(init=False)
-    slots_elapsed: int = 0
-
-    def __post_init__(self):
-        if self.time_constant_mode not in ("fixed", "growing"):
-            raise ConfigError("tc_mode must be 'fixed' or 'growing'")
-        if self.time_constant_mode == "fixed" and self.tc_slots < 1:
-            raise ConfigError("tc_slots must be >= 1")
-        self.avg_throughput = np.full(self.n_users, EPS_RATE)
-
-    @property
-    def t_c(self) -> float:
-        # growing mode: the count starts at 0 and ticks every slot, so the
-        # update at elapsed-count k uses T_c = k + 1 (full replacement on
-        # the very first slot).
-        if self.time_constant_mode == "growing":
-            return float(self.slots_elapsed + 1)
-        return self.tc_slots
-
-    def apply_rate_update(self, rates: np.ndarray, chosen: int) -> None:
-        t_c = self.t_c
-        self.avg_throughput *= 1.0 - 1.0 / t_c
-        self.avg_throughput[chosen] += rates[chosen] / t_c
-        self.slots_elapsed += 1
-
-
-@dataclass
-class DpfaState:
-    pfa: PfaState
-    edge_slots: np.ndarray = field(init=False)    # A_k
-    center_slots: np.ndarray = field(init=False)  # B_k
-    beta: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        n = self.pfa.n_users
-        self.edge_slots = np.zeros(n, dtype=np.int64)
-        self.center_slots = np.zeros(n, dtype=np.int64)
-        self.beta = np.ones(n)
 
 
 @dataclass
@@ -219,216 +98,199 @@ class VpfaParams:
             raise ConfigError("vpfa_window must be >= 1")
 
 
-@dataclass
-class VpfaState:
-    pfa: PfaState
-    variance_mode: str = "deficit"
-    window_len: int = 500
-    phase: str = "pf_warmup"  # pf_warmup | variance
-    c_s: int = 0
-    last_fi: float | None = None
-    delivered_bits: np.ndarray = field(init=False)
-    window: np.ndarray | None = field(init=False)
-    _window_pos: int = 0
-    _window_count: int = 0
+# ---------------------------------------------------------------------------
+# Rules: one vectorised definition each, over all users at once
+# ---------------------------------------------------------------------------
 
-    def __post_init__(self):
-        n = self.pfa.n_users
-        self.delivered_bits = np.zeros(n)
-        self.window = (
-            np.zeros((self.window_len, n)) if self.variance_mode == "series" else None
-        )
+def pfa_priority(rates: np.ndarray, avg: np.ndarray) -> np.ndarray:
+    """Proportional-fair metric r / R with the cold-start floor on R."""
+    return rates / np.maximum(avg, EPS_RATE)
 
 
-def vpfa_score(state: VpfaState, user: int) -> float:
-    """Variance-phase selection metric for one user.
+def dpfa_priority(rates: np.ndarray, avg: np.ndarray, alpha: float, beta) -> np.ndarray:
+    """Generalized PF metric r^alpha / R^beta (alpha=beta=1 reduces to PF)."""
+    # beta can be large for strong center users; the overflowing
+    # denominator just drives the priority to 0, which is the intent.
+    with np.errstate(over="ignore"):
+        return np.power(rates, alpha) / np.power(np.maximum(avg, EPS_RATE), beta)
 
-    Deficit mode scores the shortfall of the user's cumulative bits below
-    the population mean (serving the top scorer is the greedy spread
-    reducer).  Series mode scores the variance of the user's per-slot
-    delivered bits over the sliding window.
+
+def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: float) -> None:
+    """EWMA average-throughput update of every user, in place.
+
+    Scheduled user:   (1 - 1/T_c) * R + (1/T_c) * r
+    Everyone else:    (1 - 1/T_c) * R
     """
-    if state.variance_mode == "deficit":
-        return float(state.delivered_bits.mean() - state.delivered_bits[user])
-    filled = state.window if state._window_count >= state.window_len else state.window[: state._window_count]
-    if filled.shape[0] == 0:
-        return 0.0
-    return float(filled[:, user].var())
+    avg *= 1.0 - 1.0 / t_c
+    avg[chosen] += rates[chosen] / t_c
+
+
+def update_timers(edge, center, snrs, delta: float, literal: bool):
+    """Cell-edge (A) and cell-center (B) residence timers; returns (A, B).
+
+    Default semantics: SNR below the threshold counts consecutive edge slots
+    and zeroes the center timer; at or above the threshold the reverse.  The
+    ``literal`` mode keeps the published piecewise form instead, under which
+    B counts gamma <= delta slots (so both timers can run together below the
+    threshold).
+    """
+    if literal:
+        return np.where(snrs >= delta, 0, edge + 1), np.where(snrs > delta, 0, center + 1)
+    at_edge = snrs < delta
+    return np.where(at_edge, edge + 1, 0), np.where(at_edge, 0, center + 1)
+
+
+def update_beta(edge, center, snrs, params: DpfaParams) -> np.ndarray:
+    """Per-user denominator exponent.
+
+    The neutral branch (beta = 1) wins whenever the user has been at the
+    edge at least theta slots or at the center no more than theta slots;
+    only a long-time center user is re-weighted to max(gamma/delta, b).
+    ``beta_override`` replaces the whole rule.
+    """
+    if params.beta_override is not None:
+        return np.full(len(snrs), params.beta_override, dtype=float)
+    neutral = (edge >= params.theta) | (center <= params.theta)
+    return np.where(neutral, 1.0, np.maximum(snrs / params.delta, params.b))
+
+
+def variance_scores(delivered: np.ndarray, window: np.ndarray | None) -> np.ndarray:
+    """Variance-phase selection metric of every user.
+
+    Deficit mode (``window`` None) scores the shortfall of each user's
+    cumulative bits below the population mean; serving the top scorer is the
+    greedy spread reducer.  Series mode scores the variance of each user's
+    per-slot delivered bits over ``window``, the filled rows of the sliding
+    window.
+    """
+    if window is None:
+        return delivered.mean() - delivered
+    if window.shape[0] == 0:
+        return np.zeros(delivered.shape)
+    return window.var(axis=0)
+
+
+def select(priorities) -> int:
+    """Argmax over the per-user metric; ties go to the lowest user index."""
+    arr = np.asarray(priorities, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empty priority list")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite priority; upstream state is corrupt")
+    return int(np.argmax(arr))
 
 
 # ---------------------------------------------------------------------------
-# Policies
+# Per-run state
 # ---------------------------------------------------------------------------
 
-class PfaScheduler:
-    name = "pfa"
+class Scheduler:
+    """One policy's state over one run.
 
-    def __init__(self, n_users: int, tc_mode: str = "fixed", tc_slots: float = 1000.0):
-        self.state = PfaState(n_users, tc_mode, tc_slots)
-
-    def step(self, rates, snrs) -> SchedulerDecision:
-        rates = np.asarray(rates, dtype=float)
-        _check_lengths(rates, snrs, self.state.n_users)
-        decision = select(rates / np.maximum(self.state.avg_throughput, EPS_RATE))
-        self.state.apply_rate_update(rates, decision.chosen_user)
-        return decision
-
-
-class DpfaScheduler:
-    name = "dpfa"
+    Holds the EWMA averages of the PF family, dpfa's timers and exponents,
+    and vpfa's ledger, window and phase machine.  For vpfa the driving loop
+    evaluates the fairness index every ``s_fi`` slots and feeds it to
+    :meth:`observe_fi`; when the stability counter reaches ``l_sc`` the
+    policy leaves its PF phase for good.
+    """
 
     def __init__(
         self,
+        policy: str,
         n_users: int,
-        params: DpfaParams,
-        tc_mode: str = "fixed",
-        tc_slots: float = 1000.0,
+        dpfa: DpfaParams,
+        vpfa: VpfaParams,
+        tc_mode: str,
+        tc_slots: float,
     ):
-        params.validate()
-        if params.delta is None:
-            raise ConfigError("dpfa_delta must be resolved before scheduling")
-        self.params = params
-        self.state = DpfaState(PfaState(n_users, tc_mode, tc_slots))
-
-    def step(self, rates, snrs) -> SchedulerDecision:
-        rates = np.asarray(rates, dtype=float)
-        snrs = np.asarray(snrs, dtype=float)
-        _check_lengths(rates, snrs, self.state.pfa.n_users)
-        p = self.params
-        st = self.state
-
-        edge = snrs < p.delta
-        if p.literal_timers:
-            st.edge_slots = np.where(snrs >= p.delta, 0, st.edge_slots + 1)
-            st.center_slots = np.where(snrs > p.delta, 0, st.center_slots + 1)
-        else:
-            st.edge_slots = np.where(edge, st.edge_slots + 1, 0)
-            st.center_slots = np.where(edge, 0, st.center_slots + 1)
-
-        if p.beta_override is not None:
-            st.beta = np.full_like(st.beta, p.beta_override)
-        else:
-            neutral = (st.edge_slots >= p.theta) | (st.center_slots <= p.theta)
-            st.beta = np.where(neutral, 1.0, np.maximum(snrs / p.delta, p.b))
-
-        denom = np.maximum(st.pfa.avg_throughput, EPS_RATE)
-        # beta can be large for strong center users; the overflowing
-        # denominator just drives the priority to 0, which is the intent.
-        with np.errstate(over="ignore"):
-            priorities = np.power(rates, p.alpha) / np.power(denom, st.beta)
-        decision = select(priorities)
-        st.pfa.apply_rate_update(rates, decision.chosen_user)
-        return decision
-
-
-class MaxCiScheduler:
-    name = "maxci"
-
-    def __init__(self, n_users: int):
+        self.name = policy
         self.n_users = n_users
+        self.dpfa = dpfa
+        self.vpfa = vpfa
+        self.tc_mode = tc_mode
+        self.tc_slots = tc_slots
+        self.slots_elapsed = 0
+        self.avg_throughput = np.full(n_users, EPS_RATE)
+        self.edge_slots = np.zeros(n_users, dtype=np.int64)    # A_k
+        self.center_slots = np.zeros(n_users, dtype=np.int64)  # B_k
+        self.beta = np.ones(n_users)
+        self.phase = "pf_warmup"  # pf_warmup | variance
+        self.c_s = 0
+        self.last_fi: float | None = None
+        self.delivered_bits = np.zeros(n_users)
+        series = policy == "vpfa" and vpfa.variance_mode == "series"
+        self.window = np.zeros((vpfa.window, n_users)) if series else None
+        self._choose = getattr(self, "_choose_" + policy)
 
-    def step(self, rates, snrs) -> SchedulerDecision:
+    @property
+    def t_c(self) -> float:
+        # growing mode: the count starts at 0 and ticks every slot, so the
+        # update at elapsed-count k uses T_c = k + 1 (full replacement on
+        # the very first slot).
+        if self.tc_mode == "growing":
+            return float(self.slots_elapsed + 1)
+        return self.tc_slots
+
+    def step(self, rates, snrs) -> int:
+        """Pick this slot's user and apply the policy's updates."""
         rates = np.asarray(rates, dtype=float)
-        _check_lengths(rates, snrs, self.n_users)
+        if len(rates) != self.n_users or len(snrs) != self.n_users:
+            raise ValueError(
+                "rates/snrs length mismatch: got %d/%d, expected %d"
+                % (len(rates), len(snrs), self.n_users)
+            )
+        chosen = self._choose(rates, snrs)
+        self.slots_elapsed += 1
+        return chosen
+
+    def _choose_pfa(self, rates, snrs) -> int:
+        chosen = select(pfa_priority(rates, self.avg_throughput))
+        update_avg_throughput(self.avg_throughput, rates, chosen, self.t_c)
+        return chosen
+
+    def _choose_dpfa(self, rates, snrs) -> int:
+        p = self.dpfa
+        snrs = np.asarray(snrs, dtype=float)
+        self.edge_slots, self.center_slots = update_timers(
+            self.edge_slots, self.center_slots, snrs, p.delta, p.literal_timers
+        )
+        self.beta = update_beta(self.edge_slots, self.center_slots, snrs, p)
+        chosen = select(dpfa_priority(rates, self.avg_throughput, p.alpha, self.beta))
+        update_avg_throughput(self.avg_throughput, rates, chosen, self.t_c)
+        return chosen
+
+    def _choose_maxci(self, rates, snrs) -> int:
         return select(rates)
 
+    def _choose_rr(self, rates, snrs) -> int:
+        return self.slots_elapsed % self.n_users
 
-class RoundRobinScheduler:
-    """Cyclic service: slot t goes to user t mod N, regardless of channel."""
-
-    name = "rr"
-
-    def __init__(self, n_users: int):
-        self.n_users = n_users
-        self.slots_elapsed = 0
-
-    def step(self, rates, snrs) -> SchedulerDecision:
-        rates = np.asarray(rates, dtype=float)
-        _check_lengths(rates, snrs, self.n_users)
-        chosen = self.slots_elapsed % self.n_users
-        self.slots_elapsed += 1
-        one_hot = np.zeros(self.n_users)
-        one_hot[chosen] = 1.0
-        return SchedulerDecision(chosen, one_hot)
-
-
-class VpfaScheduler:
-    """PF warm-up, then variance-driven equalization once the FI settles.
-
-    The driving loop evaluates the fairness index every ``s_fi`` slots and
-    feeds it to :meth:`observe_fi`; when the stability counter reaches
-    ``l_sc`` the policy leaves the PF phase for good.
-    """
-
-    name = "vpfa"
-
-    def __init__(
-        self,
-        n_users: int,
-        params: VpfaParams,
-        tc_mode: str = "fixed",
-        tc_slots: float = 1000.0,
-    ):
-        params.validate()
-        self.params = params
-        self.state = VpfaState(
-            PfaState(n_users, tc_mode, tc_slots),
-            variance_mode=params.variance_mode,
-            window_len=params.window,
-        )
-
-    def step(self, rates, snrs) -> SchedulerDecision:
-        rates = np.asarray(rates, dtype=float)
-        _check_lengths(rates, snrs, self.state.pfa.n_users)
-        st = self.state
-        if st.phase == "pf_warmup":
-            decision = select(rates / np.maximum(st.pfa.avg_throughput, EPS_RATE))
-            st.pfa.apply_rate_update(rates, decision.chosen_user)
+    def _choose_vpfa(self, rates, snrs) -> int:
+        # Every vpfa slot appends one window row, so the filled rows are the
+        # first min(slots_elapsed, window) ones.
+        if self.phase == "pf_warmup":
+            chosen = self._choose_pfa(rates, snrs)
         else:
-            if st.variance_mode == "deficit":
-                scores = st.delivered_bits.mean() - st.delivered_bits
-            else:
-                filled = (
-                    st.window
-                    if st._window_count >= st.window_len
-                    else st.window[: st._window_count]
-                )
-                scores = (
-                    filled.var(axis=0) if filled.shape[0] else np.zeros(st.pfa.n_users)
-                )
-            decision = select(scores)
-            st.pfa.slots_elapsed += 1
-
-        delivered = rates[decision.chosen_user]
-        st.delivered_bits[decision.chosen_user] += delivered
-        if st.window is not None:
-            row = np.zeros(st.pfa.n_users)
-            row[decision.chosen_user] = delivered
-            st.window[st._window_pos] = row
-            st._window_pos = (st._window_pos + 1) % st.window_len
-            st._window_count += 1
-        return decision
+            filled = None if self.window is None else self.window[: self.slots_elapsed]
+            chosen = select(variance_scores(self.delivered_bits, filled))
+        self.delivered_bits[chosen] += rates[chosen]
+        if self.window is not None:
+            row = self.window[self.slots_elapsed % len(self.window)]
+            row[:] = 0.0
+            row[chosen] = rates[chosen]
+        return chosen
 
     def observe_fi(self, fi: float) -> bool:
         """Feed one fairness-index evaluation; True when this one fires the phase switch."""
-        st = self.state
-        if st.phase != "pf_warmup":
+        if self.phase != "pf_warmup":
             return False
-        st.c_s, st.last_fi = fi_stability_update(
-            st.c_s, st.last_fi, fi, signed=self.params.signed_stability
+        self.c_s, self.last_fi = fi_stability_update(
+            self.c_s, self.last_fi, fi, signed=self.vpfa.signed_stability
         )
-        if st.c_s >= self.params.l_sc:
-            st.phase = "variance"
+        if self.c_s >= self.vpfa.l_sc:
+            self.phase = "variance"
             return True
         return False
-
-
-def _check_lengths(rates, snrs, n_users: int) -> None:
-    if len(rates) != n_users or len(snrs) != n_users:
-        raise ValueError(
-            "rates/snrs length mismatch: got %d/%d, expected %d"
-            % (len(rates), len(snrs), n_users)
-        )
 
 
 def make_scheduler(
@@ -438,15 +300,15 @@ def make_scheduler(
     vpfa: VpfaParams | None = None,
     tc_mode: str = "fixed",
     tc_slots: float = 1000.0,
-):
-    if policy == "pfa":
-        return PfaScheduler(n_users, tc_mode, tc_slots)
-    if policy == "dpfa":
-        return DpfaScheduler(n_users, dpfa or DpfaParams(), tc_mode, tc_slots)
-    if policy == "maxci":
-        return MaxCiScheduler(n_users)
-    if policy == "rr":
-        return RoundRobinScheduler(n_users)
-    if policy == "vpfa":
-        return VpfaScheduler(n_users, vpfa or VpfaParams(), tc_mode, tc_slots)
-    raise ConfigError("policy must be one of %s" % (POLICIES,))
+) -> Scheduler:
+    """Fresh state for one run of ``policy``.
+
+    Parameter ranges are checked by ``SimConfig.validate``; this only
+    rejects what a config cannot express.
+    """
+    if policy not in POLICIES:
+        raise ConfigError("policy must be one of %s" % (POLICIES,))
+    dpfa = dpfa or DpfaParams()
+    if policy == "dpfa" and dpfa.delta is None:
+        raise ConfigError("dpfa_delta must be resolved before scheduling")
+    return Scheduler(policy, n_users, dpfa, vpfa or VpfaParams(), tc_mode, tc_slots)

@@ -13,7 +13,7 @@ import pytest
 
 from schedsim.channel import ChannelParams, UserLink, cost231_path_loss
 from schedsim.cli import main
-from schedsim.engine import SimConfig, comparison_configs, run, run_comparison, run_with_links
+from schedsim.engine import SimConfig, comparison_configs, run, run_comparison
 from schedsim.metrics import jain_index
 from schedsim.sched import DpfaParams, VpfaParams
 
@@ -122,7 +122,7 @@ def test_criterion_03_equal_rate_pf_fairness():
         policy="pfa",
     )
     links = [UserLink(k, 600.0, 0.0) for k in range(n)]
-    res = run_with_links(cfg, links)
+    res = run(cfg, links=links)
     counts = res.metrics.schedule_counts
     dev = float(np.max(np.abs(counts - total / n)) / (total / n))
     ok = dev <= 0.02
@@ -246,7 +246,7 @@ def test_criterion_10_vpfa_phase_machine_trace():
         vpfa=VpfaParams(s_fi=1, l_sc=3),
     )
     links = [UserLink(0, 700.0, 0.0), UserLink(1, 700.0, 0.0)]
-    res = run_with_links(cfg, links)
+    res = run(cfg, links=links)
     ok = res.phase_switch_slot == 14
     _report(10, ok, "phase switch at slot %s (hand trace: 14)" % res.phase_switch_slot)
     assert ok

@@ -203,6 +203,11 @@ class TestParamsValidation:
             dict(carrier_freq_mhz=1200.0),
             dict(env_class="rural"),
             dict(tx_power_dbm=float("inf")),
+            dict(bandwidth_hz=float("nan")),
+            dict(noise_figure_db=float("nan")),
+            dict(slot_duration_s=float("nan")),
+            dict(shadowing_sigma_db=float("nan")),
+            dict(cell_radius_m=float("inf")),
         ],
     )
     def test_bad_params_rejected(self, kw):

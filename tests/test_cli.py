@@ -219,6 +219,36 @@ class TestMain:
         assert err.startswith("schedsim: error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("tc_slots", "nan"),
+            ("bandwidth_hz", "nan"),
+            ("noise_figure_db", "nan"),
+            ("slot_duration_s", "nan"),
+            ("shadowing_sigma_db", "nan"),
+            ("cell_radius_m", "inf"),
+            ("dpfa_alpha", "nan"),
+            ("dpfa_delta", "nan"),
+            ("dpfa_beta_override", "nan"),
+        ],
+    )
+    def test_non_finite_value_is_single_line_error(self, key, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--set", "%s=%s" % (key, value), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error: %s must be finite" % key)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_tx_power_is_single_line_error(self, tmp_path, capsys):
+        rc = main(["run", "--set", "tx_power_dbm=1e308", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error:") and "tx_power_dbm" in err
+        assert err.count("\n") == 1
+
     def test_bad_key_is_error_exit(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("policy = flying\n")

@@ -12,7 +12,6 @@ from schedsim.engine import (
     resolved_config,
     run,
     run_comparison,
-    run_with_links,
 )
 from schedsim.errors import ConfigError
 from schedsim.sched import VpfaParams
@@ -36,6 +35,10 @@ class TestValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigError):
             run(small_config(policy="flying"))
+
+    def test_link_count_must_match_n_users(self):
+        with pytest.raises(ConfigError, match="links"):
+            run(small_config(n_users=4), links=[UserLink(0, 500.0, 0.0)])
 
 
 class TestDeterminism:
@@ -80,7 +83,7 @@ class TestEqualRateFairness:
             policy="pfa",
         )
         links = [UserLink(k, 700.0, 0.0) for k in range(n)]
-        res = run_with_links(cfg, links)
+        res = run(cfg, links=links)
         counts = res.metrics.schedule_counts
         assert np.all(np.abs(counts - total / n) <= 0.02 * total / n)
 
@@ -148,13 +151,13 @@ class TestVpfaPhaseMachine:
     def test_immediate_switch_fires_on_first_evaluation(self):
         # L_sc=1, S_fi=1: the cold-start branch sets the counter to its
         # target at slot 1, so slot 2 is the first variance-phase slot
-        res = run_with_links(self.toy_config(1, 1), self.equal_links())
+        res = run(self.toy_config(1, 1), links=self.equal_links())
         assert res.phase_switch_slot == 2
 
     def test_switch_slot_matches_independent_replay(self):
         # replay the published control flow over the engine's own FI series
         s_fi, l_sc = 1, 3
-        res = run_with_links(self.toy_config(s_fi, l_sc), self.equal_links())
+        res = run(self.toy_config(s_fi, l_sc), links=self.equal_links())
         c_s, last = 0, None
         expected_switch = None
         for slot, fi in res.fi_series:

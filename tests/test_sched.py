@@ -1,16 +1,14 @@
+import statistics
+
 import numpy as np
 import pytest
 
+from schedsim.engine import SimConfig
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
     DpfaParams,
-    DpfaScheduler,
-    MaxCiScheduler,
-    PfaScheduler,
-    RoundRobinScheduler,
     VpfaParams,
-    VpfaScheduler,
     dpfa_priority,
     make_scheduler,
     pfa_priority,
@@ -18,7 +16,7 @@ from schedsim.sched import (
     update_avg_throughput,
     update_beta,
     update_timers,
-    vpfa_score,
+    variance_scores,
 )
 
 
@@ -30,153 +28,167 @@ def argmax_oracle(values):
     return best_i
 
 
+def arr(*values):
+    return np.array(values, dtype=float)
+
+
+def ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
 class TestPfaPriority:
     def test_equal_rate_and_average(self):
-        assert pfa_priority(150.0, 150.0) == 1.0
+        assert pfa_priority(arr(150.0), arr(150.0)).tolist() == [1.0]
 
     def test_direct_ratio(self):
-        assert pfa_priority(200.0, 100.0) == 2.0
+        assert pfa_priority(arr(200.0), arr(100.0)).tolist() == [2.0]
 
     def test_cold_start_floor(self):
-        assert pfa_priority(50.0, 0.0) == 50.0 / EPS_RATE
+        assert pfa_priority(arr(50.0), arr(0.0)).tolist() == [50.0 / EPS_RATE]
 
     def test_scaling_all_averages_keeps_argmax(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             r = rng.uniform(1.0, 1e5, size=10)
             avg = rng.uniform(10.0, 1e5, size=10)  # above the floor
-            base = argmax_oracle([pfa_priority(a, b) for a, b in zip(r, avg)])
+            base = argmax_oracle(pfa_priority(r, avg))
             for c in (0.5, 3.0, 100.0):
-                scaled = argmax_oracle([pfa_priority(a, c * b) for a, b in zip(r, avg)])
-                assert scaled == base
+                assert argmax_oracle(pfa_priority(r, c * avg)) == base
 
 
 class TestAvgThroughputUpdate:
     def test_tc_one_replaces(self):
-        assert update_avg_throughput(123.0, 55.0, True, 1.0) == 55.0
+        avg = arr(123.0, 40.0)
+        update_avg_throughput(avg, arr(55.0, 9.0), 0, 1.0)
+        assert avg.tolist() == [55.0, 0.0]
 
     def test_scheduled_ewma(self):
-        assert update_avg_throughput(100.0, 200.0, True, 100.0) == pytest.approx(101.0)
+        avg = arr(100.0, 100.0)
+        update_avg_throughput(avg, arr(200.0, 200.0), 0, 100.0)
+        assert avg[0] == pytest.approx(101.0)
 
     def test_unscheduled_decay(self):
-        assert update_avg_throughput(100.0, 200.0, False, 100.0) == pytest.approx(99.0)
+        avg = arr(100.0, 100.0)
+        update_avg_throughput(avg, arr(200.0, 200.0), 1, 100.0)
+        assert avg[0] == pytest.approx(99.0)
 
     def test_bad_time_constant(self):
-        with pytest.raises(ConfigError):
-            update_avg_throughput(1.0, 1.0, True, 0.5)
+        with pytest.raises(ConfigError, match="tc_slots"):
+            SimConfig(tc_slots=0.5).validate()
 
 
 class TestDpfaPriority:
     def test_unit_exponents_reduce_to_pf(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            r, avg = rng.uniform(0, 1e5), rng.uniform(0, 1e5)
-            assert dpfa_priority(r, avg, 1.0, 1.0) == pfa_priority(r, avg)
+        r, avg = rng.uniform(0, 1e5, size=100), rng.uniform(0, 1e5, size=100)
+        assert np.array_equal(dpfa_priority(r, avg, 1.0, 1.0), pfa_priority(r, avg))
 
     def test_zero_beta_is_max_ci(self):
-        assert dpfa_priority(777.0, 123.0, 1.0, 0.0) == 777.0
+        assert dpfa_priority(arr(777.0), arr(123.0), 1.0, 0.0).tolist() == [777.0]
 
     def test_zero_alpha_unit_beta_is_catch_up(self):
-        assert dpfa_priority(777.0, 4.0, 0.0, 1.0) == 1.0 / 4.0
+        assert dpfa_priority(arr(777.0), arr(4.0), 0.0, 1.0).tolist() == [1.0 / 4.0]
 
 
 class TestTimers:
+    def timers(self, a, b, gamma, delta, literal=False):
+        a_next, b_next = update_timers(ints(a), ints(b), arr(gamma), delta, literal)
+        return int(a_next[0]), int(b_next[0])
+
     def test_center_slot_resets_edge_timer(self):
         delta = 2.0
-        assert update_timers(5, 3, 2 * delta, delta) == (0, 4)
+        assert self.timers(5, 3, 2 * delta, delta) == (0, 4)
 
     def test_edge_slot_resets_center_timer(self):
         delta = 2.0
-        assert update_timers(0, 7, delta / 2, delta) == (1, 0)
+        assert self.timers(0, 7, delta / 2, delta) == (1, 0)
 
     def test_boundary_counts_as_center(self):
-        assert update_timers(4, 9, 2.0, 2.0) == (0, 10)
+        assert self.timers(4, 9, 2.0, 2.0) == (0, 10)
 
     def test_literal_mode_matches_printed_piecewise_form(self):
         delta = 2.0
-        assert update_timers(3, 5, 3.0, delta, literal=True) == (0, 0)
-        assert update_timers(3, 5, 2.0, delta, literal=True) == (0, 6)
-        assert update_timers(3, 5, 1.0, delta, literal=True) == (4, 6)
+        a, b = update_timers(ints(3, 3, 3), ints(5, 5, 5), arr(3.0, 2.0, 1.0), delta, True)
+        assert a.tolist() == [0, 0, 4]
+        assert b.tolist() == [0, 6, 6]
 
     def test_exclusivity_under_default_semantics(self):
         rng = np.random.default_rng(8)
-        a = b = 0
+        a = b = np.zeros(5, dtype=np.int64)
         for _ in range(500):
-            a, b = update_timers(a, b, float(rng.exponential(2.0)), 2.0)
-            assert a * b == 0
-            assert a >= 0 and b >= 0
+            a, b = update_timers(a, b, rng.exponential(2.0, size=5), 2.0, False)
+            assert np.all(a * b == 0)
+            assert np.all(a >= 0) and np.all(b >= 0)
 
     def test_bad_delta(self):
-        with pytest.raises(ConfigError):
-            update_timers(0, 0, 1.0, 0.0)
+        with pytest.raises(ConfigError, match="dpfa_delta"):
+            DpfaParams(delta=0.0).validate()
 
 
 class TestBetaUpdate:
     def params(self, theta=20, b=0.5, delta=2.0):
         return DpfaParams(delta=delta, theta=theta, b=b)
 
+    def beta(self, a, b_timer, gamma, p):
+        return update_beta(ints(*a), ints(*b_timer), arr(*gamma), p).tolist()
+
     def test_long_edge_user_is_neutral(self):
         p = self.params()
-        assert update_beta(p.theta, 999, 1.0, p) == 1.0
+        assert self.beta([p.theta], [999], [1.0], p) == [1.0]
 
     def test_long_center_user_is_reweighted(self):
         p = self.params()
-        assert update_beta(0, p.theta + 5, 2 * p.delta, p) == 2.0
+        assert self.beta([0], [p.theta + 5], [2 * p.delta], p) == [2.0]
 
     def test_floor_binds(self):
         p = self.params()
-        assert update_beta(0, p.theta + 5, 0.2 * p.delta, p) == 0.5
+        assert self.beta([0], [p.theta + 5], [0.2 * p.delta], p) == [0.5]
 
     def test_neutral_branch_has_precedence(self):
         # both branch conditions can hold at once; beta = 1 must win
         p = self.params()
-        assert update_beta(0, 0, 5 * p.delta, p) == 1.0
-        assert update_beta(0, p.theta, 5 * p.delta, p) == 1.0
+        assert self.beta([0, 0], [0, p.theta], [5 * p.delta, 5 * p.delta], p) == [1.0, 1.0]
 
 
 class TestVpfaScore:
-    def make_state(self, delivered, mode="deficit"):
-        s = VpfaScheduler(len(delivered), VpfaParams(variance_mode=mode)).state
-        s.delivered_bits = np.asarray(delivered, dtype=float)
-        return s
-
     def test_equal_ledgers_score_zero(self):
-        s = self.make_state([500.0, 500.0, 500.0])
-        assert all(vpfa_score(s, k) == 0.0 for k in range(3))
+        assert variance_scores(arr(500.0, 500.0, 500.0), None).tolist() == [0.0, 0.0, 0.0]
 
     def test_two_user_deficit(self):
-        s = self.make_state([100.0, 300.0])
-        assert vpfa_score(s, 0) == 100.0
-        assert vpfa_score(s, 1) == -100.0
-        assert select([vpfa_score(s, k) for k in range(2)]).chosen_user == 0
+        scores = variance_scores(arr(100.0, 300.0), None)
+        assert scores.tolist() == [100.0, -100.0]
+        assert select(scores) == 0
 
     def test_series_all_zero_window(self):
-        s = self.make_state([0.0, 0.0], mode="series")
-        assert vpfa_score(s, 0) == 0.0
+        assert variance_scores(arr(0.0, 0.0), np.zeros((0, 2))).tolist() == [0.0, 0.0]
 
     def test_series_variance_of_window(self):
-        sched = VpfaScheduler(2, VpfaParams(variance_mode="series", window=4))
-        sched.state.phase = "variance"
-        for r in ([100.0, 50.0], [100.0, 60.0], [100.0, 70.0]):
-            sched.step(np.array(r), np.array([1.0, 1.0]))
-        # user 0 was served every slot (ledger equal? no: deficit not used);
-        # the window rows are one-hot, so both users have nonzero variance
-        v0, v1 = vpfa_score(sched.state, 0), vpfa_score(sched.state, 1)
-        assert v0 >= 0 and v1 >= 0
+        # 6 PF-phase slots through a 4-row window: the filled window holds the
+        # last 4 one-hot delivery rows, and each score is that column's
+        # population variance
+        rates, snrs = random_stream(2, 6, 12)
+        sched = make_scheduler("vpfa", 2, vpfa=VpfaParams(variance_mode="series", window=4))
+        rows = []
+        for t in range(6):
+            chosen = sched.step(rates[t], snrs[t])
+            rows.append([rates[t][k] if k == chosen else 0.0 for k in range(2)])
+        scores = variance_scores(sched.delivered_bits, sched.window[: sched.slots_elapsed])
+        expected = [statistics.pvariance([row[k] for row in rows[-4:]]) for k in range(2)]
+        assert scores.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 class TestSelect:
     def test_unique_max(self):
-        assert select([1.0, 3.0, 2.0]).chosen_user == 1
+        assert select([1.0, 3.0, 2.0]) == 1
 
     def test_tie_breaks_low_index(self):
-        assert select([2.0, 2.0]).chosen_user == 0
+        assert select([2.0, 2.0]) == 0
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             v = rng.uniform(-10, 10, size=10)
-            assert select(v).chosen_user == argmax_oracle(v)
+            assert select(v) == argmax_oracle(v)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -204,21 +216,28 @@ def random_stream(n_users, n_slots, seed, lo=1e3, hi=2e5):
     return rates, snrs
 
 
+def dpfa(n_users, **kw):
+    return make_scheduler("dpfa", n_users, dpfa=DpfaParams(**kw))
+
+
+def vpfa(n_users, **kw):
+    return make_scheduler("vpfa", n_users, vpfa=VpfaParams(**kw))
+
+
 class TestStep:
     def test_pfa_cold_start_picks_best_rate(self):
-        sched = PfaScheduler(2)
-        assert sched.step(np.array([10.0, 20.0]), np.array([1.0, 1.0])).chosen_user == 1
+        sched = make_scheduler("pfa", 2)
+        assert sched.step(arr(10.0, 20.0), arr(1.0, 1.0)) == 1
 
     def test_round_robin_cycles(self):
-        sched = RoundRobinScheduler(3)
+        sched = make_scheduler("rr", 3)
         rates, snrs = random_stream(3, 6, 0)
-        seq = [sched.step(rates[t], snrs[t]).chosen_user for t in range(6)]
-        assert seq == [0, 1, 2, 0, 1, 2]
+        assert [sched.step(rates[t], snrs[t]) for t in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_length_mismatch_rejected(self):
-        sched = PfaScheduler(3)
+        sched = make_scheduler("pfa", 3)
         with pytest.raises(ValueError):
-            sched.step(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+            sched.step(arr(1.0, 2.0), arr(1.0, 2.0, 3.0))
 
     def test_exactly_one_user_per_slot(self):
         rates, snrs = random_stream(5, 400, 1)
@@ -226,136 +245,135 @@ class TestStep:
             sched = make_scheduler(name, 5, dpfa=DpfaParams(delta=3.0))
             counts = np.zeros(5, dtype=int)
             for t in range(400):
-                counts[sched.step(rates[t], snrs[t]).chosen_user] += 1
+                counts[sched.step(rates[t], snrs[t])] += 1
             assert counts.sum() == 400
 
     def test_ewma_conservation_matches_scalar_update(self):
-        # exactly one user receives the r-term; everyone decays; the
-        # vectorized in-policy update must agree with the scalar formula
-        sched = PfaScheduler(4, tc_slots=50.0)
+        # exactly one user receives the r-term and everyone decays: the
+        # in-policy update must agree with the per-user formula
+        sched = make_scheduler("pfa", 4, tc_slots=50.0)
         rates, snrs = random_stream(4, 100, 2)
         for t in range(100):
-            before = sched.state.avg_throughput.copy()
-            chosen = sched.step(rates[t], snrs[t]).chosen_user
-            expected = np.array(
-                [
-                    update_avg_throughput(before[k], rates[t][k], k == chosen, 50.0)
-                    for k in range(4)
-                ]
-            )
-            assert np.array_equal(sched.state.avg_throughput, expected)
+            before = sched.avg_throughput.copy()
+            chosen = sched.step(rates[t], snrs[t])
+            expected = []
+            for k in range(4):
+                decayed = (1.0 - 1.0 / 50.0) * before[k]
+                expected.append(decayed + rates[t][k] / 50.0 if k == chosen else decayed)
+            assert sched.avg_throughput.tolist() == expected
 
     def test_growing_time_constant(self):
-        sched = PfaScheduler(2, tc_mode="growing")
-        assert sched.state.t_c == 1.0
-        sched.step(np.array([5.0, 3.0]), np.array([1.0, 1.0]))
+        sched = make_scheduler("pfa", 2, tc_mode="growing")
+        assert sched.t_c == 1.0
+        sched.step(arr(5.0, 3.0), arr(1.0, 1.0))
         # first slot fully replaces the chosen user's average
-        assert sched.state.avg_throughput[0] == 5.0
-        assert sched.state.avg_throughput[1] == 0.0
-        assert sched.state.t_c == 2.0
+        assert sched.avg_throughput.tolist() == [5.0, 0.0]
+        assert sched.t_c == 2.0
 
     def test_dpfa_forced_unit_exponents_equals_pfa(self):
         rates, snrs = random_stream(6, 2000, 3)
-        pfa = PfaScheduler(6)
-        dpfa = DpfaScheduler(6, DpfaParams(delta=5.0, beta_override=1.0))
+        pfa = make_scheduler("pfa", 6)
+        forced = dpfa(6, delta=5.0, beta_override=1.0)
         for t in range(2000):
-            a = pfa.step(rates[t], snrs[t]).chosen_user
-            b = dpfa.step(rates[t], snrs[t]).chosen_user
-            assert a == b
-        assert np.array_equal(pfa.state.avg_throughput, dpfa.state.pfa.avg_throughput)
+            assert pfa.step(rates[t], snrs[t]) == forced.step(rates[t], snrs[t])
+        assert np.array_equal(pfa.avg_throughput, forced.avg_throughput)
 
     def test_dpfa_forced_zero_beta_equals_max_ci(self):
         rates, snrs = random_stream(6, 2000, 4)
-        maxci = MaxCiScheduler(6)
-        dpfa = DpfaScheduler(6, DpfaParams(delta=5.0, beta_override=0.0))
+        maxci = make_scheduler("maxci", 6)
+        forced = dpfa(6, delta=5.0, beta_override=0.0)
         for t in range(2000):
-            assert maxci.step(rates[t], snrs[t]).chosen_user == dpfa.step(rates[t], snrs[t]).chosen_user
+            assert maxci.step(rates[t], snrs[t]) == forced.step(rates[t], snrs[t])
 
     def test_dpfa_catch_up_form_matches_direct_oracle(self):
         # alpha=0, beta=1 forced: every slot must pick argmax 1/R_k with R_k
-        # replayed through the scalar update
+        # replayed through the per-user EWMA formula
         rates, snrs = random_stream(5, 2000, 5)
-        dpfa = DpfaScheduler(5, DpfaParams(alpha=0.0, delta=5.0, beta_override=1.0))
-        avg = np.full(5, EPS_RATE)
+        sched = dpfa(5, alpha=0.0, delta=5.0, beta_override=1.0)
+        avg = [EPS_RATE] * 5
         for t in range(2000):
             expected = argmax_oracle([1.0 / max(a, EPS_RATE) for a in avg])
-            chosen = dpfa.step(rates[t], snrs[t]).chosen_user
+            chosen = sched.step(rates[t], snrs[t])
             assert chosen == expected
-            avg = np.array(
-                [
-                    update_avg_throughput(avg[k], rates[t][k], k == chosen, 1000.0)
-                    for k in range(5)
-                ]
-            )
+            avg = [
+                (1.0 - 1.0 / 1000.0) * avg[k] + (rates[t][k] / 1000.0 if k == chosen else 0.0)
+                for k in range(5)
+            ]
 
     def test_dpfa_priorities_match_scalar_formula(self):
-        dpfa = DpfaScheduler(3, DpfaParams(alpha=1.5, delta=5.0, beta_override=0.7))
-        rates = np.array([2e4, 5e4, 9e4])
-        dec = dpfa.step(rates, np.array([1.0, 4.0, 9.0]))
-        expected = [dpfa_priority(r, EPS_RATE, 1.5, 0.7) for r in rates]
-        assert np.array_equal(dec.priorities, expected)
+        rates = arr(2e4, 5e4, 9e4)
+        avg = arr(0.5, 1e4, 8e4)
+        beta = arr(0.7, 1.0, 1.3)
+        expected = [r**1.5 / max(a, EPS_RATE) ** b for r, a, b in zip(rates, avg, beta)]
+        assert dpfa_priority(rates, avg, 1.5, beta).tolist() == pytest.approx(expected, rel=1e-14)
+        # and the policy serves the argmax of that formula every slot
+        stream, snrs = random_stream(3, 200, 13)
+        sched = dpfa(3, alpha=1.5, delta=5.0, beta_override=0.7)
+        for t in range(200):
+            want = [r**1.5 / max(a, EPS_RATE) ** 0.7 for r, a in zip(stream[t], sched.avg_throughput)]
+            assert sched.step(stream[t], snrs[t]) == argmax_oracle(want)
 
     def test_dpfa_requires_resolved_delta(self):
         with pytest.raises(ConfigError):
-            DpfaScheduler(3, DpfaParams(delta=None))
+            dpfa(3, delta=None)
 
     def test_dpfa_timers_stay_exclusive(self):
         rates, snrs = random_stream(4, 1000, 6)
-        dpfa = DpfaScheduler(4, DpfaParams(delta=5.0))
+        sched = dpfa(4, delta=5.0)
         for t in range(1000):
-            dpfa.step(rates[t], snrs[t])
-            assert np.all(dpfa.state.edge_slots * dpfa.state.center_slots == 0)
+            sched.step(rates[t], snrs[t])
+            assert np.all(sched.edge_slots * sched.center_slots == 0)
 
     def test_dpfa_beta_floor(self):
-        dpfa = DpfaScheduler(2, DpfaParams(delta=5.0, theta=2, b=0.5))
-        rates = np.array([1e4, 1e4])
+        sched = dpfa(2, delta=5.0, theta=2, b=0.5)
+        rates = arr(1e4, 1e4)
         # drive user snrs: user 0 stays center long enough to be reweighted
         for _ in range(5):
-            dpfa.step(rates, np.array([50.0, 1.0]))
-        assert dpfa.state.center_slots[0] == 5
-        assert dpfa.state.beta[0] == 10.0  # gamma/delta
+            sched.step(rates, arr(50.0, 1.0))
+        assert sched.center_slots[0] == 5
+        assert sched.beta[0] == 10.0  # gamma/delta
         for _ in range(3):
-            dpfa.step(rates, np.array([0.1, 1.0]))
+            sched.step(rates, arr(0.1, 1.0))
         # user 0 now at the edge: timer semantics reset B, grace restores beta=1
-        assert dpfa.state.beta[0] == 1.0
+        assert sched.beta[0] == 1.0
 
 
 class TestVpfaPhases:
     def test_warmup_is_decision_identical_to_pfa(self):
         rates, snrs = random_stream(5, 1500, 7)
-        pfa = PfaScheduler(5)
-        vpfa = VpfaScheduler(5, VpfaParams())
+        pfa = make_scheduler("pfa", 5)
+        sched = vpfa(5)
         for t in range(1500):
-            assert pfa.step(rates[t], snrs[t]).chosen_user == vpfa.step(rates[t], snrs[t]).chosen_user
+            assert pfa.step(rates[t], snrs[t]) == sched.step(rates[t], snrs[t])
 
     def test_signed_stability_flag_reaches_scheduler(self):
         # signed mode treats FI increases as stable, so a rising series
         # switches in the minimum number of evaluations
-        vpfa = VpfaScheduler(3, VpfaParams(l_sc=3, signed_stability=True))
-        assert not vpfa.observe_fi(0.50)  # cold start
-        assert not vpfa.observe_fi(0.60)  # +0.10, stable under signed test
-        assert vpfa.observe_fi(0.70)
-        unsigned = VpfaScheduler(3, VpfaParams(l_sc=3))
+        signed = vpfa(3, l_sc=3, signed_stability=True)
+        assert not signed.observe_fi(0.50)  # cold start
+        assert not signed.observe_fi(0.60)  # +0.10, stable under signed test
+        assert signed.observe_fi(0.70)
+        unsigned = vpfa(3, l_sc=3)
         assert not unsigned.observe_fi(0.50)
         assert not unsigned.observe_fi(0.60)  # |+0.10| resets
-        assert unsigned.state.c_s == 0
+        assert unsigned.c_s == 0
 
     def test_observe_fi_switches_once_and_never_back(self):
-        vpfa = VpfaScheduler(3, VpfaParams(l_sc=2))
-        assert not vpfa.observe_fi(0.5)   # cold start -> C_s = 1
-        assert vpfa.observe_fi(0.5005)    # stable -> C_s = 2 = L_sc
-        assert vpfa.state.phase == "variance"
-        assert not vpfa.observe_fi(0.9)   # no effect after the switch
-        assert vpfa.state.phase == "variance"
+        sched = vpfa(3, l_sc=2)
+        assert not sched.observe_fi(0.5)   # cold start -> C_s = 1
+        assert sched.observe_fi(0.5005)    # stable -> C_s = 2 = L_sc
+        assert sched.phase == "variance"
+        assert not sched.observe_fi(0.9)   # no effect after the switch
+        assert sched.phase == "variance"
 
     def test_variance_phase_never_selects_by_pf(self):
         rates, snrs = random_stream(3, 300, 8)
-        vpfa = VpfaScheduler(3, VpfaParams(l_sc=1))
-        vpfa.observe_fi(0.7)  # force the switch immediately
-        assert vpfa.state.phase == "variance"
+        sched = vpfa(3, l_sc=1)
+        sched.observe_fi(0.7)  # force the switch immediately
+        assert sched.phase == "variance"
         for t in range(300):
-            before = vpfa.state.delivered_bits.copy()
-            chosen = vpfa.step(rates[t], snrs[t]).chosen_user
+            before = sched.delivered_bits.copy()
+            chosen = sched.step(rates[t], snrs[t])
             # deficit mode: the chosen user is always a current minimum
             assert before[chosen] == before.min()
 
@@ -363,23 +381,23 @@ class TestVpfaPhases:
         # constant rates spread 10:1; after a long variance phase the ledger
         # spread is bounded by the largest single-slot delivery
         n = 4
-        rates = np.array([1e5, 5e4, 2e4, 1e4])
+        rates = arr(1e5, 5e4, 2e4, 1e4)
         snrs = np.ones(n)
-        vpfa = VpfaScheduler(n, VpfaParams(l_sc=1))
-        vpfa.observe_fi(0.5)
+        sched = vpfa(n, l_sc=1)
+        sched.observe_fi(0.5)
         for _ in range(20_000):
-            vpfa.step(rates, snrs)
-        led = vpfa.state.delivered_bits
+            sched.step(rates, snrs)
+        led = sched.delivered_bits
         assert led.max() - led.min() <= rates.max()
 
     def test_cumulative_ledger_is_nondecreasing(self):
         rates, snrs = random_stream(3, 200, 9)
-        vpfa = VpfaScheduler(3, VpfaParams())
-        prev = vpfa.state.delivered_bits.copy()
+        sched = vpfa(3)
+        prev = sched.delivered_bits.copy()
         for t in range(200):
-            vpfa.step(rates[t], snrs[t])
-            assert np.all(vpfa.state.delivered_bits >= prev)
-            prev = vpfa.state.delivered_bits.copy()
+            sched.step(rates[t], snrs[t])
+            assert np.all(sched.delivered_bits >= prev)
+            prev = sched.delivered_bits.copy()
 
 
 class TestFactory:
