@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from schedsim.channel import ChannelParams, UserLink
+from schedsim.channel import ChannelParams, UserLink, snr
 from schedsim.engine import (
     SimConfig,
     channel_trace,
@@ -66,6 +66,15 @@ class TestChannelIsolation:
         assert [l.shadowing_db for l in links_a] == [l.shadowing_db for l in links_b]
         assert np.array_equal(snr_a, snr_b)
         assert np.array_equal(rate_a, rate_b)
+
+    def test_caller_links_fading_starts_at_stream_head(self):
+        # no placement or shadowing draws precede the fading matrix
+        cfg = small_config()
+        links = [UserLink(k, 300.0 + 100.0 * k, 0.0) for k in range(4)]
+        _, snr_m, _ = channel_trace(cfg, links)
+        gains = np.random.default_rng(cfg.seed).exponential(1.0, size=(cfg.total_slots, 4))
+        base = np.array([snr(cfg.channel, link, 1.0) for link in links])
+        assert np.array_equal(snr_m, gains * base)
 
     def test_per_slot_snr_positive(self):
         _, snr_m, rate_m = channel_trace(small_config())
