@@ -173,7 +173,10 @@ def instantaneous_rate(snr_linear, params: ChannelParams):
     arr = np.asarray(snr_linear, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("SNR must be > 0")
-    rate = params.bandwidth_hz * np.log2(1.0 + arr) * params.slot_duration_s
+    rate = np.add(arr, 1.0, out=np.empty(arr.shape))  # one buffer, scaled in place
+    np.log2(rate, out=rate)
+    rate *= params.bandwidth_hz
+    rate *= params.slot_duration_s
     return float(rate) if np.isscalar(snr_linear) else rate
 
 

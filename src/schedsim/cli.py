@@ -1,9 +1,9 @@
 """Command-line front end: flat key=value configs in, CSV tables and SVG
 charts out.
 
-Subcommands: ``run`` (one policy), ``compare`` (several policies, each
-redrawing the same channel trace from the shared seed, plus a summary
-table), ``figures`` (compare plus the four charts).  All outputs are
+Subcommands: ``run`` (one policy), ``compare`` (several policies over one
+channel trace, drawn once from the shared seed, plus a summary table),
+``figures`` (compare plus the four charts).  All outputs are
 byte-deterministic for a given config.
 """
 from __future__ import annotations
@@ -171,26 +171,24 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError("cannot write %s: %s" % (path, exc)) from None
 
 
+def _write_all(out_dir: Path, files: dict[str, str]) -> list[Path]:
+    for name, text in files.items():
+        _write(out_dir / name, text)
+    return [out_dir / name for name in files]
+
+
 def _result_csvs(result: SimResult, out_dir: Path) -> list[Path]:
     rows = ["user_id,distance_m,schedule_count,cumulative_bits"]
-    for uid, dist, count, bits, _ in result.per_user_rows():
+    for uid, dist, count, bits in result.per_user_rows():
         rows.append("%d,%s,%d,%s" % (uid, _num(dist), count, _num(bits)))
     fi_rows = ["slot,fi"] + ["%d,%s" % (slot, _num(fi)) for slot, fi in result.fi_series]
-    sys_rows = ["slot,cumulative_bits"] + [
-        "%d,%s" % (slot, _num(bits)) for slot, bits in result.system_series
-    ]
-    files = {
+    sys_rows = ["slot,cumulative_bits"] + ["%d,%s" % (slot, _num(bits)) for slot, bits in result.system_series]
+    return _write_all(out_dir, {
         "per_user.csv": "\n".join(rows) + "\n",
         "fi_series.csv": "\n".join(fi_rows) + "\n",
         "system.csv": "\n".join(sys_rows) + "\n",
         "config.txt": render_config(result.config),
-    }
-    written = []
-    for name, text in files.items():
-        path = out_dir / name
-        _write(path, text)
-        written.append(path)
-    return written
+    })
 
 
 def emit_csv(result_or_comparison, out_dir) -> list[Path]:
@@ -204,14 +202,8 @@ def emit_csv(result_or_comparison, out_dir) -> list[Path]:
         written += _result_csvs(result, out / policy)
     rows = ["policy,fi,system_bits,drop_pct_vs_reference"]
     for row in comp.summary:
-        rows.append(
-            "%s,%s,%s,%s"
-            % (row.policy, _num(row.fi), _num(row.system_bits), _num(row.drop_pct_vs_reference))
-        )
-    path = out / "summary.csv"
-    _write(path, "\n".join(rows) + "\n")
-    written.append(path)
-    return written
+        rows.append("%s,%s,%s,%s" % (row.policy, _num(row.fi), _num(row.system_bits), _num(row.drop_pct_vs_reference)))
+    return written + _write_all(out, {"summary.csv": "\n".join(rows) + "\n"})
 
 
 def emit_figures(comp: ComparisonResult, out_dir) -> list[Path]:
@@ -228,26 +220,16 @@ def emit_figures(comp: ComparisonResult, out_dir) -> list[Path]:
     system = {p: [(float(s), float(b)) for s, b in r.system_series] for p, r in comp.results.items()}
     fi = {p: [(float(s), float(v)) for s, v in r.fi_series] for p, r in comp.results.items()}
 
-    charts = {
+    return _write_all(out, {
         "schedule_counts.svg": grouped_bar_chart(
             "Times each user was scheduled", "user", "slots scheduled", users, counts
         ),
-        "per_user_throughput.svg": grouped_bar_chart(
-            "Cumulative bits per user", "user", "bits", users, bits
-        ),
-        "system_throughput.svg": line_chart(
-            "System throughput over time", "slot", "cumulative bits", system
-        ),
+        "per_user_throughput.svg": grouped_bar_chart("Cumulative bits per user", "user", "bits", users, bits),
+        "system_throughput.svg": line_chart("System throughput over time", "slot", "cumulative bits", system),
         "fi.svg": line_chart(
             "Fairness index over time", "slot", "fairness index", fi, y_range=(0.0, 1.0)
         ),
-    }
-    written = []
-    for name, text in charts.items():
-        path = out / name
-        _write(path, text)
-        written.append(path)
-    return written
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +269,15 @@ def _cmd_compare(args, figures: bool = False) -> int:
     if figures:
         files += emit_figures(comp, args.out)
     for row in comp.summary:
-        print(
-            "policy %s: fi %s, system bits %s, drop vs %s %s%%"
-            % (row.policy, _num(row.fi), _num(row.system_bits), comp.reference, _num(row.drop_pct_vs_reference))
-        )
+        print("policy %s: fi %s, system bits %s, drop vs %s %s%%"
+              % (row.policy, _num(row.fi), _num(row.system_bits), comp.reference, _num(row.drop_pct_vs_reference)))
     print("wrote %d files to %s" % (len(files), args.out))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="schedsim",
-        description="Deterministic single-cell downlink scheduler comparison simulator",
+        prog="schedsim", description="Deterministic single-cell downlink scheduler comparison simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     default_out = os.environ.get(OUT_DIR_ENV_VAR, DEFAULT_OUT_DIR)
@@ -306,28 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key = value config file (defaults when omitted)")
         p.add_argument("--out", default=default_out, help="output directory (default: %(default)s)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
 
     p_run = sub.add_parser("run", help="run a single policy and write its CSV tables")
     common(p_run)
 
     for name, help_text in (
-        ("compare", "run several policies over the same (redrawn) channel trace and summarize"),
+        ("compare", "run several policies over one shared channel trace and summarize"),
         ("figures", "compare plus the four SVG charts"),
     ):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        p.add_argument(
-            "--policies",
-            default=DEFAULT_COMPARE_POLICIES,
-            help="comma-separated policies (default: %(default)s)",
-        )
+        p.add_argument("--policies", default=DEFAULT_COMPARE_POLICIES,
+                       help="comma-separated policies (default: %(default)s)")
         p.add_argument("--reference", default="pfa", help="reference policy for drop%% (default: %(default)s)")
 
     return parser

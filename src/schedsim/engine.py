@@ -1,9 +1,10 @@
-"""Slot-by-slot driver: channel traces in, scheduler decisions and metrics out.
+"""Block driver: channel traces in, scheduler decisions and metrics out.
 
 A run is a pure function of its :class:`SimConfig` (the seed included): user
 placement, shadowing and the whole per-slot fading matrix are drawn up front
 in a fixed order from one generator, so the rate trace never depends on the
-policy under test.
+policy under test and a comparison draws it once.  The run walks the trace
+in segments ending at the fairness-index evaluations, one call per segment.
 """
 from __future__ import annotations
 
@@ -25,6 +26,12 @@ from .channel import (
 from .errors import ConfigError, check_finite
 from .metrics import MetricsLog, jain_index
 from .sched import POLICIES, DpfaParams, VpfaParams, make_scheduler
+
+# A segment holds at most this many (slot, user) trace elements, or one slot.
+BLOCK_ELEMENTS = 32768
+
+# A trace's placement when caller links replaced the drawn geometry; no config has it.
+CALLER_LINKS = "caller links"
 
 # "Cell edge" for the timer threshold default: the SNR a user would see at
 # this fraction of the cell radius with no shadowing and no fading.
@@ -78,20 +85,35 @@ class SimResult:
     phase_switch_slot: int | None  # first variance-phase slot (vpfa only)
     vpfa_warmup_bits: np.ndarray | None = None      # per-user bits at the switch
     vpfa_variance_counts: np.ndarray | None = None  # schedule counts after it
-    mean_rates: np.ndarray | None = None            # time-average offered rate
 
     def per_user_rows(self):
-        """(user_id, distance_m, schedule_count, cumulative_bits, mean_rate) per user."""
-        return [
-            (
-                link.user_id,
-                link.distance_m,
-                int(self.metrics.schedule_counts[k]),
-                float(self.metrics.per_user_bits[k]),
-                float(self.mean_rates[k]) if self.mean_rates is not None else 0.0,
-            )
-            for k, link in enumerate(self.links)
-        ]
+        """(user_id, distance_m, schedule_count, cumulative_bits) per user."""
+        counts, bits = self.metrics.schedule_counts, self.metrics.per_user_bits
+        return [(l.user_id, l.distance_m, int(counts[k]), float(bits[k])) for k, l in enumerate(self.links)]
+
+
+TRACE_FIELDS = ("channel", "n_users", "placement", "seed", "total_slots")
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelTrace:
+    """One drawn channel trace and the config fields it was drawn for."""
+
+    channel: ChannelParams
+    n_users: int
+    placement: str  # or CALLER_LINKS
+    seed: int
+    total_slots: int
+    links: list[UserLink]
+    snrs: np.ndarray   # (slots x users) linear SNR
+    rates: np.ndarray  # (slots x users) bits per slot
+
+    def check(self, config: SimConfig) -> None:
+        """Reject a config this trace was not drawn for."""
+        for name in TRACE_FIELDS:
+            drawn, wanted = getattr(self, name), getattr(config, name)
+            if drawn != wanted:
+                raise ConfigError("trace was drawn for %s %r, not %r" % (name, drawn, wanted))
 
 
 def resolve_delta(channel: ChannelParams) -> float:
@@ -114,16 +136,16 @@ def resolved_config(config: SimConfig) -> SimConfig:
     return out
 
 
-def channel_trace(config: SimConfig, links: list[UserLink] | None = None):
+def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> ChannelTrace:
     """Links plus the (slots x users) SNR and rate matrices for a config.
 
-    Depends only on the channel parameters, the placement and the seed;
-    running it for two configs that differ only in policy gives identical
-    matrices.  Caller-supplied ``links`` (custom geometries) skip the
-    placement and shadowing draws, so their fading starts at the head of the
-    seed's stream.
+    Depends only on the fields in ``TRACE_FIELDS``; running it for two
+    configs that differ only in policy gives identical matrices.
+    Caller-supplied ``links`` (custom geometries) skip the placement and
+    shadowing draws, so their fading starts at the head of the seed's stream.
     """
     rng = np.random.default_rng(config.seed)
+    placement = config.placement if links is None else CALLER_LINKS
     if links is None:
         distances = place_users(config.n_users, config.channel.cell_radius_m, config.placement, rng)
         shadows = draw_shadowing(rng, config.channel.shadowing_sigma_db, size=config.n_users)
@@ -132,74 +154,68 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None):
         raise ConfigError("got %d links for n_users %d" % (len(links), config.n_users))
     base = np.array([snr(config.channel, link, 1.0) for link in links])
     if config.channel.fast_fading_enabled:
-        gains = draw_fast_fading(rng, size=(config.total_slots, len(links)))
+        snrs = draw_fast_fading(rng, size=(config.total_slots, len(links)))
     else:
-        gains = np.ones((config.total_slots, len(links)))
-    snr_matrix = gains * base
-    return links, snr_matrix, instantaneous_rate(snr_matrix, config.channel)
+        snrs = np.ones((config.total_slots, len(links)))
+    snrs *= base
+    return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
+                        config.total_slots, links, snrs, instantaneous_rate(snrs, config.channel))
 
 
-def run(config: SimConfig, links: list[UserLink] | None = None) -> SimResult:
+def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTrace | None = None) -> SimResult:
     """Execute one simulation; deterministic in (config, seed, links).
 
     ``links`` replaces the drawn geometry as in :func:`channel_trace`.
+    ``trace`` is one already drawn for this config; any other is rejected.
     """
     config.validate()
     cfg = resolved_config(config)
-    links, snr_matrix, rate_matrix = channel_trace(cfg, links)
-    n = cfg.n_users
-    total = cfg.total_slots
+    if trace is None:
+        trace = channel_trace(cfg, links)
+    elif links is not None:
+        raise ConfigError("pass links or a trace, not both")
+    else:
+        trace.check(cfg)
+    n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
+    block = max(1, min(s_fi, BLOCK_ELEMENTS // n))
 
-    scheduler = make_scheduler(
-        cfg.policy, n, dpfa=cfg.dpfa, vpfa=cfg.vpfa, tc_mode=cfg.tc_mode, tc_slots=cfg.tc_slots
-    )
+    scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
     log = MetricsLog(n)
     decisions = np.empty(total, dtype=np.int32)
+    fi_series: list[tuple[int, float]] = []
     system_series: list[tuple[int, float]] = []
-    phase_switch_slot = None
-    warmup_bits = None
-    counts_at_switch = None
-    s_fi = cfg.vpfa.s_fi
-    is_vpfa = cfg.policy == "vpfa"
+    phase_switch_slot = warmup_bits = counts_at_switch = None
 
-    for t in range(total):
-        chosen = scheduler.step(rate_matrix[t], snr_matrix[t])
-        decisions[t] = chosen
-        log.record_slot(chosen, float(rate_matrix[t, chosen]))
+    start = 0
+    while start < total:
+        # no segment crosses an FI evaluation, so vpfa switches on a segment edge
+        stop = min(start + block, (start // s_fi + 1) * s_fi, total)
+        chosen = scheduler.step(trace.rates[start:stop], trace.snrs[start:stop])
+        decisions[start:stop] = chosen
+        log.record_slot(chosen, trace.rates[np.arange(start, stop), chosen])
+        start = stop
 
-        slot_no = t + 1
-        on_cadence = slot_no % s_fi == 0
-        if on_cadence or slot_no == total:
+        on_cadence = stop % s_fi == 0
+        if on_cadence or stop == total:
             fi = jain_index(log.per_user_bits)
-            log.record_fi(slot_no, fi)
-            system_series.append((slot_no, log.system_bits))
-            if is_vpfa and on_cadence and scheduler.observe_fi(fi):
-                phase_switch_slot = slot_no + 1
+            fi_series.append((stop, fi))
+            system_series.append((stop, log.system_bits))
+            if cfg.policy == "vpfa" and on_cadence and scheduler.observe_fi(fi):
+                phase_switch_slot = stop + 1
                 warmup_bits = log.per_user_bits.copy()
                 counts_at_switch = log.schedule_counts.copy()
 
-    variance_counts = (
-        log.schedule_counts - counts_at_switch if counts_at_switch is not None else None
-    )
-    return SimResult(
-        config=cfg,
-        links=links,
-        decisions=decisions,
-        metrics=log,
-        fi_series=list(log.fi_series),
-        system_series=system_series,
-        phase_switch_slot=phase_switch_slot,
-        vpfa_warmup_bits=warmup_bits,
-        vpfa_variance_counts=variance_counts,
-        mean_rates=rate_matrix.mean(axis=0),
-    )
+    variance_counts = None if counts_at_switch is None else log.schedule_counts - counts_at_switch
+    return SimResult(config=cfg, links=trace.links, decisions=decisions, metrics=log, fi_series=fi_series,
+                     system_series=system_series, phase_switch_slot=phase_switch_slot,
+                     vpfa_warmup_bits=warmup_bits, vpfa_variance_counts=variance_counts)
 
 
 # ---------------------------------------------------------------------------
 # Policy comparisons
 # ---------------------------------------------------------------------------
 
-SHARED_FIELDS = ("n_users", "placement", "seed", "total_slots", "tc_mode", "tc_slots")
+SHARED_FIELDS = TRACE_FIELDS + ("tc_mode", "tc_slots")
 
 
 @dataclass
@@ -223,10 +239,10 @@ def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
 
 
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
-    """Run several policies over the same channel trace and tabulate them.
+    """Run several policies over one channel trace and tabulate them.
 
-    Each policy's run redraws the trace from the shared seed, so every policy
-    sees identical links, SNRs and rates.
+    The trace is drawn once from the shared seed and passed to each policy's
+    :func:`run`, so every policy sees identical links, SNRs and rates.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.
@@ -235,8 +251,6 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
         raise ConfigError("no configs to compare")
     first = configs[0]
     for cfg in configs[1:]:
-        if cfg.channel != first.channel:
-            raise ConfigError("compared configs must share the channel parameters")
         for name in SHARED_FIELDS:
             if getattr(cfg, name) != getattr(first, name):
                 raise ConfigError("compared configs must share %r" % name)
@@ -246,15 +260,12 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     if reference not in policies:
         raise ConfigError("reference policy %r not among %s" % (reference, policies))
 
-    results = {cfg.policy: run(cfg) for cfg in configs}
+    first.validate()
+    trace = channel_trace(first)
+    results = {cfg.policy: run(cfg, trace=trace) for cfg in configs}
     ref_bits = results[reference].metrics.system_bits
     summary = [
-        SummaryRow(
-            policy=p,
-            fi=results[p].metrics.jain(),
-            system_bits=results[p].metrics.system_bits,
-            drop_pct_vs_reference=(ref_bits - results[p].metrics.system_bits) / ref_bits * 100.0,
-        )
-        for p in policies
+        SummaryRow(p, r.metrics.jain(), r.metrics.system_bits, (ref_bits - r.metrics.system_bits) / ref_bits * 100.0)
+        for p, r in results.items()
     ]
     return ComparisonResult(reference=reference, results=results, summary=summary)

@@ -59,7 +59,6 @@ class MetricsLog:
     schedule_counts: np.ndarray = field(init=False)
     system_bits: float = 0.0
     slots: int = 0
-    fi_series: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.n_users < 1:
@@ -67,19 +66,21 @@ class MetricsLog:
         self.per_user_bits = np.zeros(self.n_users)
         self.schedule_counts = np.zeros(self.n_users, dtype=np.int64)
 
-    def record_slot(self, chosen: int, delivered_bits: float) -> None:
-        """Credit one scheduled slot's delivered bits to ``chosen``."""
-        if not 0 <= chosen < self.n_users:
-            raise IndexError("chosen user %d out of range" % chosen)
-        if delivered_bits < 0:
+    def record_slot(self, chosen, delivered_bits) -> None:
+        """Credit one slot, or a run of consecutive slots, to the chosen users;
+        every sum accumulates in slot order, as a running ``+=`` would."""
+        chosen = np.atleast_1d(chosen)
+        bits = np.atleast_1d(np.asarray(delivered_bits, dtype=float))
+        if chosen.size and not (0 <= chosen.min() and chosen.max() < self.n_users):
+            raise IndexError("chosen user out of range [0, %d)" % self.n_users)
+        if bits.shape != chosen.shape:
+            raise ValueError("%d delivered_bits values for %d slots" % (bits.size, chosen.size))
+        if np.any(bits < 0):
             raise ValueError("delivered_bits must be >= 0")
-        self.per_user_bits[chosen] += delivered_bits
-        self.schedule_counts[chosen] += 1
-        self.system_bits += delivered_bits
-        self.slots += 1
-
-    def record_fi(self, slot: int, fi: float) -> None:
-        self.fi_series.append((slot, fi))
+        np.add.at(self.per_user_bits, chosen, bits)
+        self.schedule_counts += np.bincount(chosen, minlength=self.n_users)
+        self.system_bits = float(np.cumsum(np.concatenate(([self.system_bits], bits)))[-1])
+        self.slots += chosen.size
 
     def jain(self) -> float:
         return jain_index(self.per_user_bits)

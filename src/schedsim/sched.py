@@ -1,7 +1,9 @@
-"""Per-slot scheduling policies.
+"""Scheduling policies, decided a block of slots at a time.
 
-Five policies share one interface: ``step(rates, snrs)`` picks exactly one
-user for the slot and applies the policy's state updates.
+Five policies share one interface: ``step(rates, snrs)`` takes a
+(slots x users) block, picks exactly one user per slot in slot order,
+applies the policy's state updates and returns the block's decisions.
+State carries across calls, so any split of a trace gives the same result.
 
 * ``pfa``   - proportional fair: argmax r_k / R_k, with R_k the EWMA of the
   served rate.
@@ -14,8 +16,11 @@ user for the slot and applies the policy's state updates.
   greedy equalization of cumulative delivered bits (or, in ``series`` mode,
   argmax of the sliding-window variance of per-slot deliveries).
 
-Each rule below is a vectorised function over all users; the
-:class:`Scheduler` holds a run's state and calls each rule from one place.
+Only what depends on earlier decisions runs slot by slot: the PF family's
+EWMA and vpfa's variance-phase ledger.  dpfa's timers and exponents are
+computed per block; ``maxci`` and ``rr`` decide a block at once.  Each rule
+below is a vectorised function; the :class:`Scheduler` holds a run's state
+and calls each rule from one place.
 """
 from __future__ import annotations
 
@@ -58,11 +63,7 @@ class DpfaParams:
     literal_timers: bool = False
 
     def validate(self) -> None:
-        check_finite(
-            dpfa_alpha=self.alpha,
-            dpfa_delta=self.delta,
-            dpfa_beta_override=self.beta_override,
-        )
+        check_finite(dpfa_alpha=self.alpha, dpfa_delta=self.delta, dpfa_beta_override=self.beta_override)
         if self.alpha < 0:
             raise ConfigError("dpfa_alpha must be >= 0")
         if self.delta is not None and self.delta <= 0:
@@ -108,11 +109,12 @@ def pfa_priority(rates: np.ndarray, avg: np.ndarray) -> np.ndarray:
 
 
 def dpfa_priority(rates: np.ndarray, avg: np.ndarray, alpha: float, beta) -> np.ndarray:
-    """Generalized PF metric r^alpha / R^beta (alpha=beta=1 reduces to PF)."""
-    # beta can be large for strong center users; the overflowing
-    # denominator just drives the priority to 0, which is the intent.
-    with np.errstate(over="ignore"):
-        return np.power(rates, alpha) / np.power(np.maximum(avg, EPS_RATE), beta)
+    """Generalized PF metric r^alpha / R^beta (alpha=beta=1 reduces to PF).
+
+    A large beta overflows the denominator, driving the priority to 0 as
+    intended; callers hold ``np.errstate(over="ignore")`` around a block.
+    """
+    return np.power(rates, alpha) / np.power(np.maximum(avg, EPS_RATE), beta)
 
 
 def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: float) -> None:
@@ -126,7 +128,8 @@ def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: 
 
 
 def update_timers(edge, center, snrs, delta: float, literal: bool):
-    """Cell-edge (A) and cell-center (B) residence timers; returns (A, B).
+    """Cell-edge (A) and cell-center (B) residence timers after each slot of
+    a (slots x users) SNR block, continuing ``edge`` and ``center``.
 
     Default semantics: SNR below the threshold counts consecutive edge slots
     and zeroes the center timer; at or above the threshold the reverse.  The
@@ -134,10 +137,16 @@ def update_timers(edge, center, snrs, delta: float, literal: bool):
     B counts gamma <= delta slots (so both timers can run together below the
     threshold).
     """
-    if literal:
-        return np.where(snrs >= delta, 0, edge + 1), np.where(snrs > delta, 0, center + 1)
     at_edge = snrs < delta
-    return np.where(at_edge, edge + 1, 0), np.where(at_edge, 0, center + 1)
+    at_center = snrs <= delta if literal else ~at_edge
+    return _run_lengths(edge, at_edge), _run_lengths(center, at_center)
+
+
+def _run_lengths(carry, counting):
+    """Per column, the run of ``counting`` rows ending at each row, continuing ``carry``."""
+    slot = np.arange(1, len(counting) + 1, dtype=np.int32)[:, None]
+    last_reset = np.maximum.accumulate(slot * ~counting, axis=0)
+    return np.where(last_reset == 0, carry + slot, slot - last_reset)
 
 
 def update_beta(edge, center, snrs, params: DpfaParams) -> np.ndarray:
@@ -149,7 +158,7 @@ def update_beta(edge, center, snrs, params: DpfaParams) -> np.ndarray:
     ``beta_override`` replaces the whole rule.
     """
     if params.beta_override is not None:
-        return np.full(len(snrs), params.beta_override, dtype=float)
+        return np.full(np.shape(snrs), params.beta_override, dtype=float)
     neutral = (edge >= params.theta) | (center <= params.theta)
     return np.where(neutral, 1.0, np.maximum(snrs / params.delta, params.b))
 
@@ -160,11 +169,11 @@ def variance_scores(delivered: np.ndarray, window: np.ndarray | None) -> np.ndar
     Deficit mode (``window`` None) scores the shortfall of each user's
     cumulative bits below the population mean; serving the top scorer is the
     greedy spread reducer.  Series mode scores the variance of each user's
-    per-slot delivered bits over ``window``, the filled rows of the sliding
-    window.
+    per-slot delivered bits over ``window``, the sliding window's filled rows.
     """
     if window is None:
-        return delivered.mean() - delivered
+        # sum / size is how ndarray.mean computes it, without its overhead
+        return delivered.sum() / delivered.size - delivered
     if window.shape[0] == 0:
         return np.zeros(delivered.shape)
     return window.var(axis=0)
@@ -175,9 +184,10 @@ def select(priorities) -> int:
     arr = np.asarray(priorities, dtype=float)
     if arr.size == 0:
         raise ValueError("empty priority list")
-    if not np.all(np.isfinite(arr)):
+    finite = np.isfinite(arr)
+    if not finite[finite.argmin()]:  # the first non-finite entry, if any; cheaper than .all()
         raise ValueError("non-finite priority; upstream state is corrupt")
-    return int(np.argmax(arr))
+    return int(arr.argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +199,13 @@ class Scheduler:
 
     Holds the EWMA averages of the PF family, dpfa's timers and exponents,
     and vpfa's ledger, window and phase machine.  For vpfa the driving loop
-    evaluates the fairness index every ``s_fi`` slots and feeds it to
-    :meth:`observe_fi`; when the stability counter reaches ``l_sc`` the
-    policy leaves its PF phase for good.
+    evaluates the fairness index every ``s_fi`` slots, at a block edge, and
+    feeds it to :meth:`observe_fi`; when the stability counter reaches
+    ``l_sc`` the policy leaves its PF phase for good.
     """
 
-    def __init__(
-        self,
-        policy: str,
-        n_users: int,
-        dpfa: DpfaParams,
-        vpfa: VpfaParams,
-        tc_mode: str,
-        tc_slots: float,
-    ):
+    def __init__(self, policy: str, n_users: int, dpfa: DpfaParams, vpfa: VpfaParams,
+                 tc_mode: str, tc_slots: float):
         self.name = policy
         self.n_users = n_users
         self.dpfa = dpfa
@@ -224,61 +227,79 @@ class Scheduler:
 
     @property
     def t_c(self) -> float:
-        # growing mode: the count starts at 0 and ticks every slot, so the
-        # update at elapsed-count k uses T_c = k + 1 (full replacement on
-        # the very first slot).
-        if self.tc_mode == "growing":
-            return float(self.slots_elapsed + 1)
-        return self.tc_slots
+        """T_c of the next slot.  Growing mode uses k + 1 after k slots (full
+        replacement on the very first slot)."""
+        return float(self.slots_elapsed + 1) if self.tc_mode == "growing" else self.tc_slots
 
-    def step(self, rates, snrs) -> int:
-        """Pick this slot's user and apply the policy's updates."""
+    def step(self, rates, snrs) -> np.ndarray:
+        """Decide a (slots x users) block in slot order and return its
+        decisions; every piece of state carries over to the next call."""
         rates = np.asarray(rates, dtype=float)
-        if len(rates) != self.n_users or len(snrs) != self.n_users:
-            raise ValueError(
-                "rates/snrs length mismatch: got %d/%d, expected %d"
-                % (len(rates), len(snrs), self.n_users)
-            )
-        chosen = self._choose(rates, snrs)
-        self.slots_elapsed += 1
-        return chosen
-
-    def _choose_pfa(self, rates, snrs) -> int:
-        chosen = select(pfa_priority(rates, self.avg_throughput))
-        update_avg_throughput(self.avg_throughput, rates, chosen, self.t_c)
-        return chosen
-
-    def _choose_dpfa(self, rates, snrs) -> int:
-        p = self.dpfa
         snrs = np.asarray(snrs, dtype=float)
-        self.edge_slots, self.center_slots = update_timers(
-            self.edge_slots, self.center_slots, snrs, p.delta, p.literal_timers
-        )
-        self.beta = update_beta(self.edge_slots, self.center_slots, snrs, p)
-        chosen = select(dpfa_priority(rates, self.avg_throughput, p.alpha, self.beta))
-        update_avg_throughput(self.avg_throughput, rates, chosen, self.t_c)
+        if rates.ndim != 2 or rates.shape[1] != self.n_users or snrs.shape != rates.shape:
+            raise ValueError("rates/snrs must be (slots, %d) blocks, got %s/%s"
+                             % (self.n_users, rates.shape, snrs.shape))
+        if not len(rates):
+            return np.empty(0, dtype=np.int64)
+        chosen = self._choose(rates, snrs)
+        self.slots_elapsed += len(rates)
         return chosen
 
-    def _choose_maxci(self, rates, snrs) -> int:
-        return select(rates)
+    def _pf_loop(self, rates, priority) -> np.ndarray:
+        """Serve each slot's argmax of ``priority(t, row)``, then update the EWMA."""
+        avg = self.avg_throughput
+        first_t_c = self.t_c if self.tc_mode == "growing" else None
+        out = np.empty(len(rates), dtype=np.int64)
+        for t, row in enumerate(rates):
+            out[t] = chosen = select(priority(t, row))
+            update_avg_throughput(avg, row, chosen, self.tc_slots if first_t_c is None else first_t_c + t)
+        return out
 
-    def _choose_rr(self, rates, snrs) -> int:
-        return self.slots_elapsed % self.n_users
+    def _choose_pfa(self, rates, snrs) -> np.ndarray:
+        avg = self.avg_throughput
+        return self._pf_loop(rates, lambda t, row: pfa_priority(row, avg))
 
-    def _choose_vpfa(self, rates, snrs) -> int:
-        # Every vpfa slot appends one window row, so the filled rows are the
-        # first min(slots_elapsed, window) ones.
+    def _choose_dpfa(self, rates, snrs) -> np.ndarray:
+        p = self.dpfa
+        edge, center = update_timers(self.edge_slots, self.center_slots, snrs, p.delta, p.literal_timers)
+        beta = update_beta(edge, center, snrs, p)
+        self.edge_slots, self.center_slots, self.beta = edge[-1], center[-1], beta[-1]
+        avg = self.avg_throughput
+        with np.errstate(over="ignore"):
+            return self._pf_loop(rates, lambda t, row: dpfa_priority(row, avg, p.alpha, beta[t]))
+
+    def _choose_maxci(self, rates, snrs) -> np.ndarray:
+        return np.argmax(rates, axis=1)
+
+    def _choose_rr(self, rates, snrs) -> np.ndarray:
+        return (self.slots_elapsed + np.arange(len(rates))) % self.n_users
+
+    def _choose_vpfa(self, rates, snrs) -> np.ndarray:
+        # observe_fi runs between blocks, so no block spans the phase switch
         if self.phase == "pf_warmup":
             chosen = self._choose_pfa(rates, snrs)
-        else:
-            filled = None if self.window is None else self.window[: self.slots_elapsed]
-            chosen = select(variance_scores(self.delivered_bits, filled))
-        self.delivered_bits[chosen] += rates[chosen]
-        if self.window is not None:
-            row = self.window[self.slots_elapsed % len(self.window)]
-            row[:] = 0.0
-            row[chosen] = rates[chosen]
+            np.add.at(self.delivered_bits, chosen, rates[np.arange(len(rates)), chosen])
+            self._fill_window(self.slots_elapsed, rates, chosen)
+            return chosen
+        chosen = np.empty(len(rates), dtype=np.int64)
+        for t, row in enumerate(rates):
+            # one window row per vpfa slot: the first min(slots, window) rows are filled
+            filled = None if self.window is None else self.window[: self.slots_elapsed + t]
+            chosen[t] = c = select(variance_scores(self.delivered_bits, filled))
+            self.delivered_bits[c] += row[c]
+            if filled is not None:
+                self._fill_window(self.slots_elapsed + t, rates[t : t + 1], chosen[t : t + 1])
         return chosen
+
+    def _fill_window(self, first_slot: int, rates, chosen) -> None:
+        """Write a block's per-slot deliveries into the series-mode ring buffer."""
+        if self.window is None:
+            return
+        slots = np.arange(len(chosen))
+        rows = np.zeros(rates.shape)
+        rows[slots, chosen] = rates[slots, chosen]
+        keep = len(self.window)
+        self.window[(first_slot + slots[-keep:]) % keep] = rows[-keep:]
 
     def observe_fi(self, fi: float) -> bool:
         """Feed one fairness-index evaluation; True when this one fires the phase switch."""
@@ -289,18 +310,11 @@ class Scheduler:
         )
         if self.c_s >= self.vpfa.l_sc:
             self.phase = "variance"
-            return True
-        return False
+        return self.phase == "variance"
 
 
-def make_scheduler(
-    policy: str,
-    n_users: int,
-    dpfa: DpfaParams | None = None,
-    vpfa: VpfaParams | None = None,
-    tc_mode: str = "fixed",
-    tc_slots: float = 1000.0,
-) -> Scheduler:
+def make_scheduler(policy: str, n_users: int, dpfa: DpfaParams | None = None, vpfa: VpfaParams | None = None,
+                   tc_mode: str = "fixed", tc_slots: float = 1000.0) -> Scheduler:
     """Fresh state for one run of ``policy``.
 
     Parameter ranges are checked by ``SimConfig.validate``; this only

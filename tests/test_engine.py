@@ -60,26 +60,93 @@ class TestChannelIsolation:
     def test_rate_matrix_is_policy_independent(self):
         base = small_config(policy="pfa")
         other = dataclasses.replace(base, policy="maxci")
-        links_a, snr_a, rate_a = channel_trace(base)
-        links_b, snr_b, rate_b = channel_trace(other)
-        assert [l.distance_m for l in links_a] == [l.distance_m for l in links_b]
-        assert [l.shadowing_db for l in links_a] == [l.shadowing_db for l in links_b]
-        assert np.array_equal(snr_a, snr_b)
-        assert np.array_equal(rate_a, rate_b)
+        a, b = channel_trace(base), channel_trace(other)
+        assert [l.distance_m for l in a.links] == [l.distance_m for l in b.links]
+        assert [l.shadowing_db for l in a.links] == [l.shadowing_db for l in b.links]
+        assert np.array_equal(a.snrs, b.snrs)
+        assert np.array_equal(a.rates, b.rates)
 
     def test_caller_links_fading_starts_at_stream_head(self):
         # no placement or shadowing draws precede the fading matrix
         cfg = small_config()
         links = [UserLink(k, 300.0 + 100.0 * k, 0.0) for k in range(4)]
-        _, snr_m, _ = channel_trace(cfg, links)
+        trace = channel_trace(cfg, links)
         gains = np.random.default_rng(cfg.seed).exponential(1.0, size=(cfg.total_slots, 4))
         base = np.array([snr(cfg.channel, link, 1.0) for link in links])
-        assert np.array_equal(snr_m, gains * base)
+        assert np.array_equal(trace.snrs, gains * base)
+
+    @pytest.mark.parametrize("fading", [True, False])
+    def test_matrices_match_out_of_place_formulas(self, fading):
+        # the trace is built in place; it must equal the plain expressions
+        cfg = small_config(channel=ChannelParams(fast_fading_enabled=fading))
+        trace = channel_trace(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        rng.normal(0.0, 8.0, size=4)  # the shadowing draws (equal_spacing draws no placement)
+        gains = rng.exponential(1.0, size=(500, 4)) if fading else np.ones((500, 4))
+        base = np.array([snr(cfg.channel, link, 1.0) for link in trace.links])
+        ch = cfg.channel
+        assert np.array_equal(trace.snrs, gains * base)
+        assert np.array_equal(
+            trace.rates, ch.bandwidth_hz * np.log2(1.0 + gains * base) * ch.slot_duration_s
+        )
 
     def test_per_slot_snr_positive(self):
-        _, snr_m, rate_m = channel_trace(small_config())
-        assert np.all(snr_m > 0)
-        assert np.all(rate_m > 0)
+        trace = channel_trace(small_config())
+        assert np.all(trace.snrs > 0)
+        assert np.all(trace.rates > 0)
+
+
+class TestSharedTrace:
+    def test_trace_reproduces_own_draw(self):
+        cfg = small_config(policy="dpfa")
+        a, b = run(cfg), run(cfg, trace=channel_trace(cfg))
+        assert np.array_equal(a.decisions, b.decisions)
+        assert np.array_equal(a.metrics.per_user_bits, b.metrics.per_user_bits)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", 4),
+            ("n_users", 5),
+            ("total_slots", 499),
+            ("placement", "uniform_ring"),
+            ("channel", ChannelParams(tx_power_dbm=40.0)),
+        ],
+    )
+    def test_mismatched_trace_rejected(self, field, value):
+        trace = channel_trace(small_config())
+        with pytest.raises(ConfigError, match="trace was drawn for %s" % field):
+            run(small_config(**{field: value}), trace=trace)
+
+    def test_caller_links_trace_matches_no_config(self):
+        links = [UserLink(k, 300.0 + 100.0 * k, 0.0) for k in range(4)]
+        trace = channel_trace(small_config(), links)
+        with pytest.raises(ConfigError, match="placement"):
+            run(small_config(), trace=trace)
+
+    def test_links_and_trace_together_rejected(self):
+        cfg = small_config()
+        links = [UserLink(k, 500.0, 0.0) for k in range(4)]
+        with pytest.raises(ConfigError, match="not both"):
+            run(cfg, links=links, trace=channel_trace(cfg))
+
+    def test_trace_fields_are_frozen(self):
+        trace = channel_trace(small_config())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.seed = 4
+
+    def test_comparison_draws_the_trace_once(self, monkeypatch):
+        import schedsim.engine as engine
+
+        drawn = []
+        original = engine.channel_trace
+        monkeypatch.setattr(engine, "channel_trace", lambda *a: drawn.append(a) or original(*a))
+        comp = run_comparison(comparison_configs(small_config(), ["pfa", "dpfa", "rr"]))
+        assert len(drawn) == 1
+        for policy in ("pfa", "dpfa", "rr"):
+            alone = run(small_config(policy=policy))
+            assert np.array_equal(comp.results[policy].decisions, alone.decisions)
+            assert comp.results[policy].system_series == alone.system_series
 
 
 class TestEqualRateFairness:
@@ -116,8 +183,8 @@ class TestAccounting:
         res = run(small_config())
         rows = res.per_user_rows()
         assert len(rows) == 4
-        uid, dist, count, bits, mean_rate = rows[0]
-        assert uid == 0 and dist > 0 and count >= 0 and bits >= 0 and mean_rate > 0
+        uid, dist, count, bits = rows[0]
+        assert uid == 0 and dist > 0 and count >= 0 and bits >= 0
 
 
 class TestResolvedConfig:

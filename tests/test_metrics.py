@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from schedsim.engine import SimConfig, channel_trace, run
 from schedsim.metrics import MetricsLog, fi_stability_update, jain_index
+from schedsim.sched import VpfaParams
 
 
 def jain_oracle(values):
@@ -133,3 +135,73 @@ class TestMetricsLog:
         log.record_slot(0, 4.0)
         log.record_slot(1, 2.0)
         assert log.jain() == pytest.approx(0.9, rel=1e-12)
+
+    def test_block_out_of_range_user_rejected(self):
+        log = MetricsLog(3)
+        with pytest.raises(IndexError):
+            log.record_slot(np.array([0, 3, 1]), np.ones(3))
+        with pytest.raises(IndexError):
+            log.record_slot(np.array([0, -1]), np.ones(2))
+        assert log.slots == 0 and log.system_bits == 0.0
+
+    def test_negative_bits_rejected(self):
+        log = MetricsLog(3)
+        with pytest.raises(ValueError):
+            log.record_slot(0, -1.0)
+        with pytest.raises(ValueError):
+            log.record_slot(np.array([0, 1]), np.array([5.0, -0.5]))
+        assert not log.per_user_bits.any()
+
+    def test_bits_count_must_match_slots(self):
+        log = MetricsLog(3)
+        with pytest.raises(ValueError):
+            log.record_slot(np.array([0, 1, 2]), 5.0)
+
+
+def per_slot_reference(n, chosen, bits, cadence):
+    """Running += per slot, in plain Python floats; system bits sampled at
+    each slot number in ``cadence``."""
+    per_user, counts, system, samples = [0.0] * n, [0] * n, 0.0, []
+    for t, (c, b) in enumerate(zip(chosen, bits), start=1):
+        per_user[c] += float(b)
+        counts[c] += 1
+        system += float(b)
+        if t in cadence:
+            samples.append(system)
+    return per_user, counts, system, samples
+
+
+class TestRecordSlotBlocks:
+    @pytest.mark.parametrize("total,s_fi", [(1000, 100), (1037, 100), (50, 7), (5, 9)])
+    def test_segments_match_per_slot_reference(self, total, s_fi):
+        rng = np.random.default_rng(total)
+        chosen = rng.integers(0, 6, size=total)
+        bits = rng.uniform(0.0, 1e5, size=total)
+        log = MetricsLog(6)
+        samples = []
+        for start in range(0, total, s_fi):
+            stop = min(start + s_fi, total)
+            log.record_slot(chosen[start:stop], bits[start:stop])
+            samples.append(log.system_bits)
+        cadence = set(range(s_fi, total + 1, s_fi)) | {total}
+        per_user, counts, system, ref_samples = per_slot_reference(6, chosen, bits, cadence)
+        assert log.per_user_bits.tolist() == per_user
+        assert log.schedule_counts.tolist() == counts
+        assert log.system_bits == system
+        assert samples == ref_samples
+        assert log.slots == total
+
+    @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr", "vpfa"])
+    def test_run_accounting_matches_per_slot_reference(self, policy):
+        # 1037 slots: the last FI segment is a partial one
+        cfg = SimConfig(policy=policy, n_users=6, total_slots=1037, seed=2, vpfa=VpfaParams(s_fi=50))
+        res = run(cfg)
+        rates = channel_trace(cfg).rates
+        bits = rates[np.arange(cfg.total_slots), res.decisions]
+        cadence = set(range(50, 1038, 50)) | {1037}
+        per_user, counts, system, samples = per_slot_reference(6, res.decisions, bits, cadence)
+        assert res.metrics.per_user_bits.tolist() == per_user
+        assert res.metrics.schedule_counts.tolist() == counts
+        assert res.metrics.system_bits == system
+        assert [b for _, b in res.system_series] == samples
+        assert [s for s, _ in res.system_series] == sorted(cadence)

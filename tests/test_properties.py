@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
 from schedsim.engine import SimConfig, run
-from schedsim.sched import POLICIES, VARIANCE_MODES, DpfaParams, VpfaParams
+from schedsim.sched import POLICIES, VARIANCE_MODES, DpfaParams, VpfaParams, make_scheduler
 
 channels = st.builds(
     ChannelParams,
@@ -82,3 +82,64 @@ def test_same_config_same_decisions(config):
 @given(configs)
 def test_config_file_round_trip(config):
     assert parse_config(render_config(config)) == config
+
+
+STATE = ("avg_throughput", "edge_slots", "center_slots", "beta", "delivered_bits", "window")
+
+
+def decide(sched, rates, snrs, cuts, switch_at):
+    """Decide the trace in blocks ending at ``cuts``; force vpfa's phase
+    switch (l_sc = 1) once ``switch_at`` slots are decided."""
+    edges = sorted({0, switch_at, len(rates), *cuts})
+    out = []
+    for start, stop in zip(edges, edges[1:]):
+        if start == switch_at:
+            sched.observe_fi(0.5)
+        out.append(sched.step(rates[start:stop], snrs[start:stop]))
+    if switch_at == len(rates):
+        sched.observe_fi(0.5)
+    return np.concatenate(out)
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(1, 6))
+    total = draw(st.integers(1, 120))
+    cuts = draw(st.lists(st.integers(1, total), max_size=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    policy = draw(st.sampled_from(POLICIES))
+    dpfa = DpfaParams(
+        delta=1.0,
+        theta=draw(st.integers(1, 6)),  # short: timers cross block edges
+        literal_timers=draw(st.booleans()),
+        alpha=draw(st.sampled_from([1.0, 0.8])),
+    )
+    vpfa = VpfaParams(
+        l_sc=1,
+        variance_mode=draw(st.sampled_from(VARIANCE_MODES)),
+        window=draw(st.integers(1, 16)),
+    )
+    tc_mode = draw(st.sampled_from(("fixed", "growing")))
+    switch_at = draw(st.integers(0, total))
+    return n, total, cuts, seed, policy, dpfa, vpfa, tc_mode, switch_at
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(block_cases())
+def test_block_splits_give_equal_decisions_and_state(case):
+    n, total, cuts, seed, policy, dpfa, vpfa, tc_mode, switch_at = case
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(1e3, 2e5, size=(total, n))
+    snrs = rng.exponential(1.0, size=(total, n))
+    splits = {"one block": [], "random splits": cuts, "row by row": range(1, total)}
+    runs = {}
+    for name, split in splits.items():
+        sched = make_scheduler(policy, n, dpfa=dpfa, vpfa=vpfa, tc_mode=tc_mode, tc_slots=7.0)
+        runs[name] = (decide(sched, rates, snrs, split, switch_at), sched)
+    ref_decisions, ref = runs["one block"]
+    for name, (decisions, sched) in runs.items():
+        assert np.array_equal(decisions, ref_decisions), name
+        assert (sched.slots_elapsed, sched.phase) == (ref.slots_elapsed, ref.phase)
+        for attr in STATE:
+            a, b = getattr(sched, attr), getattr(ref, attr)
+            assert (a is None and b is None) or np.array_equal(a, b), (name, attr)

@@ -28,6 +28,11 @@ def argmax_oracle(values):
     return best_i
 
 
+def step1(sched, rates, snrs) -> int:
+    """Decide one slot through the block interface."""
+    return int(sched.step(np.atleast_2d(rates), np.atleast_2d(snrs))[0])
+
+
 def arr(*values):
     return np.array(values, dtype=float)
 
@@ -92,8 +97,8 @@ class TestDpfaPriority:
 
 class TestTimers:
     def timers(self, a, b, gamma, delta, literal=False):
-        a_next, b_next = update_timers(ints(a), ints(b), arr(gamma), delta, literal)
-        return int(a_next[0]), int(b_next[0])
+        a_next, b_next = update_timers(ints(a), ints(b), arr(gamma)[None], delta, literal)
+        return int(a_next[0, 0]), int(b_next[0, 0])
 
     def test_center_slot_resets_edge_timer(self):
         delta = 2.0
@@ -108,17 +113,31 @@ class TestTimers:
 
     def test_literal_mode_matches_printed_piecewise_form(self):
         delta = 2.0
-        a, b = update_timers(ints(3, 3, 3), ints(5, 5, 5), arr(3.0, 2.0, 1.0), delta, True)
-        assert a.tolist() == [0, 0, 4]
-        assert b.tolist() == [0, 6, 6]
+        a, b = update_timers(ints(3, 3, 3), ints(5, 5, 5), arr(3.0, 2.0, 1.0)[None], delta, True)
+        assert a.tolist() == [[0, 0, 4]]
+        assert b.tolist() == [[0, 6, 6]]
 
     def test_exclusivity_under_default_semantics(self):
         rng = np.random.default_rng(8)
-        a = b = np.zeros(5, dtype=np.int64)
-        for _ in range(500):
-            a, b = update_timers(a, b, rng.exponential(2.0, size=5), 2.0, False)
-            assert np.all(a * b == 0)
-            assert np.all(a >= 0) and np.all(b >= 0)
+        zeros = np.zeros(5, dtype=np.int64)
+        a, b = update_timers(zeros, zeros, rng.exponential(2.0, size=(500, 5)), 2.0, False)
+        assert np.all(a * b == 0)
+        assert np.all(a >= 0) and np.all(b >= 0)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_block_matches_slot_by_slot_reference(self, literal):
+        # the per-slot piecewise update, applied row by row from non-zero
+        # carried timers, against the closed form over the whole block
+        rng = np.random.default_rng(11)
+        snrs = rng.exponential(2.0, size=(300, 6))
+        edge, center = ints(0, 3, 7, 0, 1, 40), ints(9, 0, 0, 2, 0, 0)
+        a_block, b_block = update_timers(edge, center, snrs, 2.0, literal)
+        a, b = edge, center
+        for t, gamma in enumerate(snrs):
+            a = np.where(gamma >= 2.0, 0, a + 1)
+            b = np.where(gamma > 2.0, 0, b + 1) if literal else np.where(gamma < 2.0, 0, b + 1)
+            assert a_block[t].tolist() == a.tolist()
+            assert b_block[t].tolist() == b.tolist()
 
     def test_bad_delta(self):
         with pytest.raises(ConfigError, match="dpfa_delta"):
@@ -163,15 +182,15 @@ class TestVpfaScore:
         assert variance_scores(arr(0.0, 0.0), np.zeros((0, 2))).tolist() == [0.0, 0.0]
 
     def test_series_variance_of_window(self):
-        # 6 PF-phase slots through a 4-row window: the filled window holds the
-        # last 4 one-hot delivery rows, and each score is that column's
-        # population variance
+        # 6 PF-phase slots, in one block, through a 4-row window: the filled
+        # window holds the last 4 one-hot delivery rows, and each score is
+        # that column's population variance
         rates, snrs = random_stream(2, 6, 12)
         sched = make_scheduler("vpfa", 2, vpfa=VpfaParams(variance_mode="series", window=4))
-        rows = []
-        for t in range(6):
-            chosen = sched.step(rates[t], snrs[t])
-            rows.append([rates[t][k] if k == chosen else 0.0 for k in range(2)])
+        rows = [
+            [rates[t][k] if k == chosen else 0.0 for k in range(2)]
+            for t, chosen in enumerate(sched.step(rates, snrs))
+        ]
         scores = variance_scores(sched.delivered_bits, sched.window[: sched.slots_elapsed])
         expected = [statistics.pvariance([row[k] for row in rows[-4:]]) for k in range(2)]
         assert scores.tolist() == pytest.approx(expected, rel=1e-12)
@@ -227,17 +246,22 @@ def vpfa(n_users, **kw):
 class TestStep:
     def test_pfa_cold_start_picks_best_rate(self):
         sched = make_scheduler("pfa", 2)
-        assert sched.step(arr(10.0, 20.0), arr(1.0, 1.0)) == 1
+        assert step1(sched, arr(10.0, 20.0), arr(1.0, 1.0)) == 1
 
     def test_round_robin_cycles(self):
         sched = make_scheduler("rr", 3)
         rates, snrs = random_stream(3, 6, 0)
-        assert [sched.step(rates[t], snrs[t]) for t in range(6)] == [0, 1, 2, 0, 1, 2]
+        assert sched.step(rates[:4], snrs[:4]).tolist() == [0, 1, 2, 0]
+        assert sched.step(rates[4:], snrs[4:]).tolist() == [1, 2]
 
     def test_length_mismatch_rejected(self):
         sched = make_scheduler("pfa", 3)
         with pytest.raises(ValueError):
-            sched.step(arr(1.0, 2.0), arr(1.0, 2.0, 3.0))
+            sched.step(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            sched.step(np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            sched.step(arr(1.0, 2.0, 3.0), arr(1.0, 2.0, 3.0))
 
     def test_exactly_one_user_per_slot(self):
         rates, snrs = random_stream(5, 400, 1)
@@ -245,7 +269,7 @@ class TestStep:
             sched = make_scheduler(name, 5, dpfa=DpfaParams(delta=3.0))
             counts = np.zeros(5, dtype=int)
             for t in range(400):
-                counts[sched.step(rates[t], snrs[t])] += 1
+                counts[step1(sched, rates[t], snrs[t])] += 1
             assert counts.sum() == 400
 
     def test_ewma_conservation_matches_scalar_update(self):
@@ -255,7 +279,7 @@ class TestStep:
         rates, snrs = random_stream(4, 100, 2)
         for t in range(100):
             before = sched.avg_throughput.copy()
-            chosen = sched.step(rates[t], snrs[t])
+            chosen = step1(sched, rates[t], snrs[t])
             expected = []
             for k in range(4):
                 decayed = (1.0 - 1.0 / 50.0) * before[k]
@@ -265,7 +289,7 @@ class TestStep:
     def test_growing_time_constant(self):
         sched = make_scheduler("pfa", 2, tc_mode="growing")
         assert sched.t_c == 1.0
-        sched.step(arr(5.0, 3.0), arr(1.0, 1.0))
+        step1(sched, arr(5.0, 3.0), arr(1.0, 1.0))
         # first slot fully replaces the chosen user's average
         assert sched.avg_throughput.tolist() == [5.0, 0.0]
         assert sched.t_c == 2.0
@@ -275,7 +299,7 @@ class TestStep:
         pfa = make_scheduler("pfa", 6)
         forced = dpfa(6, delta=5.0, beta_override=1.0)
         for t in range(2000):
-            assert pfa.step(rates[t], snrs[t]) == forced.step(rates[t], snrs[t])
+            assert step1(pfa, rates[t], snrs[t]) == step1(forced, rates[t], snrs[t])
         assert np.array_equal(pfa.avg_throughput, forced.avg_throughput)
 
     def test_dpfa_forced_zero_beta_equals_max_ci(self):
@@ -283,7 +307,7 @@ class TestStep:
         maxci = make_scheduler("maxci", 6)
         forced = dpfa(6, delta=5.0, beta_override=0.0)
         for t in range(2000):
-            assert maxci.step(rates[t], snrs[t]) == forced.step(rates[t], snrs[t])
+            assert step1(maxci, rates[t], snrs[t]) == step1(forced, rates[t], snrs[t])
 
     def test_dpfa_catch_up_form_matches_direct_oracle(self):
         # alpha=0, beta=1 forced: every slot must pick argmax 1/R_k with R_k
@@ -293,7 +317,7 @@ class TestStep:
         avg = [EPS_RATE] * 5
         for t in range(2000):
             expected = argmax_oracle([1.0 / max(a, EPS_RATE) for a in avg])
-            chosen = sched.step(rates[t], snrs[t])
+            chosen = step1(sched, rates[t], snrs[t])
             assert chosen == expected
             avg = [
                 (1.0 - 1.0 / 1000.0) * avg[k] + (rates[t][k] / 1000.0 if k == chosen else 0.0)
@@ -311,7 +335,7 @@ class TestStep:
         sched = dpfa(3, alpha=1.5, delta=5.0, beta_override=0.7)
         for t in range(200):
             want = [r**1.5 / max(a, EPS_RATE) ** 0.7 for r, a in zip(stream[t], sched.avg_throughput)]
-            assert sched.step(stream[t], snrs[t]) == argmax_oracle(want)
+            assert step1(sched, stream[t], snrs[t]) == argmax_oracle(want)
 
     def test_dpfa_requires_resolved_delta(self):
         with pytest.raises(ConfigError):
@@ -321,7 +345,7 @@ class TestStep:
         rates, snrs = random_stream(4, 1000, 6)
         sched = dpfa(4, delta=5.0)
         for t in range(1000):
-            sched.step(rates[t], snrs[t])
+            step1(sched, rates[t], snrs[t])
             assert np.all(sched.edge_slots * sched.center_slots == 0)
 
     def test_dpfa_beta_floor(self):
@@ -329,11 +353,11 @@ class TestStep:
         rates = arr(1e4, 1e4)
         # drive user snrs: user 0 stays center long enough to be reweighted
         for _ in range(5):
-            sched.step(rates, arr(50.0, 1.0))
+            step1(sched, rates, arr(50.0, 1.0))
         assert sched.center_slots[0] == 5
         assert sched.beta[0] == 10.0  # gamma/delta
         for _ in range(3):
-            sched.step(rates, arr(0.1, 1.0))
+            step1(sched, rates, arr(0.1, 1.0))
         # user 0 now at the edge: timer semantics reset B, grace restores beta=1
         assert sched.beta[0] == 1.0
 
@@ -344,7 +368,7 @@ class TestVpfaPhases:
         pfa = make_scheduler("pfa", 5)
         sched = vpfa(5)
         for t in range(1500):
-            assert pfa.step(rates[t], snrs[t]) == sched.step(rates[t], snrs[t])
+            assert step1(pfa, rates[t], snrs[t]) == step1(sched, rates[t], snrs[t])
 
     def test_signed_stability_flag_reaches_scheduler(self):
         # signed mode treats FI increases as stable, so a rising series
@@ -373,7 +397,7 @@ class TestVpfaPhases:
         assert sched.phase == "variance"
         for t in range(300):
             before = sched.delivered_bits.copy()
-            chosen = sched.step(rates[t], snrs[t])
+            chosen = step1(sched, rates[t], snrs[t])
             # deficit mode: the chosen user is always a current minimum
             assert before[chosen] == before.min()
 
@@ -386,7 +410,7 @@ class TestVpfaPhases:
         sched = vpfa(n, l_sc=1)
         sched.observe_fi(0.5)
         for _ in range(20_000):
-            sched.step(rates, snrs)
+            step1(sched, rates, snrs)
         led = sched.delivered_bits
         assert led.max() - led.min() <= rates.max()
 
@@ -395,7 +419,7 @@ class TestVpfaPhases:
         sched = vpfa(3)
         prev = sched.delivered_bits.copy()
         for t in range(200):
-            sched.step(rates[t], snrs[t])
+            step1(sched, rates[t], snrs[t])
             assert np.all(sched.delivered_bits >= prev)
             prev = sched.delivered_bits.copy()
 
