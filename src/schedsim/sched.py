@@ -279,7 +279,8 @@ class Scheduler:
         if self.phase == "pf_warmup":
             chosen = self._choose_pfa(rates, snrs)
             np.add.at(self.delivered_bits, chosen, rates[np.arange(len(rates)), chosen])
-            self._fill_window(self.slots_elapsed, rates, chosen)
+            if self.window is not None:
+                self._fill_window(self.slots_elapsed, rates, chosen)
             return chosen
         chosen = np.empty(len(rates), dtype=np.int64)
         for t, row in enumerate(rates):
@@ -293,8 +294,6 @@ class Scheduler:
 
     def _fill_window(self, first_slot: int, rates, chosen) -> None:
         """Write a block's per-slot deliveries into the series-mode ring buffer."""
-        if self.window is None:
-            return
         slots = np.arange(len(chosen))
         rows = np.zeros(rates.shape)
         rows[slots, chosen] = rates[slots, chosen]

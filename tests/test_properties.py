@@ -1,4 +1,5 @@
-"""Invariants of whole runs over random small configs (N <= 8, T <= 400)."""
+"""Invariants of whole runs over random small configs (N <= 8, T <= 400), and
+of deciding one trace in different block splits."""
 import math
 
 import numpy as np

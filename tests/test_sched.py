@@ -263,6 +263,14 @@ class TestStep:
         with pytest.raises(ValueError):
             sched.step(arr(1.0, 2.0, 3.0), arr(1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr", "vpfa"])
+    def test_empty_block_changes_nothing(self, policy):
+        sched = make_scheduler(policy, 3, dpfa=DpfaParams(delta=3.0))
+        assert sched.step(np.empty((0, 3)), np.empty((0, 3))).tolist() == []
+        assert sched.slots_elapsed == 0
+        rates, snrs = random_stream(3, 1, 0)
+        assert sched.step(rates, snrs).shape == (1,)
+
     def test_exactly_one_user_per_slot(self):
         rates, snrs = random_stream(5, 400, 1)
         for name in ("pfa", "maxci", "rr"):
