@@ -23,7 +23,7 @@ from .engine import (
     run_comparison,
 )
 from .errors import ConfigError
-from .sched import POLICIES, VARIANCE_MODES
+from .sched import POLICIES
 from .svgplot import grouped_bar_chart, line_chart
 
 OUT_DIR_ENV_VAR = "SCHEDSIM_OUT"
@@ -61,7 +61,18 @@ def _parse_optional_float(sentinel):
     return parse
 
 
-# key -> (section, attribute, parser)
+def _removed(fixed: str):
+    """Entry of a removed key.  Every config.txt written so far carries it, so
+    it is still written and parsed, but only at ``fixed``."""
+    def parse(s: str):
+        if s != fixed:
+            raise ValueError("this key was removed; only '%s' is accepted, got %r" % (fixed, s))
+
+    return (None, fixed, parse)
+
+
+# key -> (section, attribute, parser); a section of None is a removed key
+# whose attribute slot holds its fixed text
 CONFIG_KEYS = {
     "tx_power_dbm": ("channel", "tx_power_dbm", float),
     "carrier_freq_mhz": ("channel", "carrier_freq_mhz", float),
@@ -86,17 +97,18 @@ CONFIG_KEYS = {
     "dpfa_theta": ("dpfa", "theta", int),
     "dpfa_b": ("dpfa", "b", float),
     "dpfa_beta_override": ("dpfa", "beta_override", _parse_optional_float("none")),
-    "dpfa_literal_timers": ("dpfa", "literal_timers", _parse_bool),
+    "dpfa_literal_timers": _removed("false"),
     "vpfa_s_fi": ("vpfa", "s_fi", int),
     "vpfa_l_sc": ("vpfa", "l_sc", int),
-    "vpfa_variance_mode": ("vpfa", "variance_mode", _parse_enum(VARIANCE_MODES)),
-    "vpfa_window": ("vpfa", "window", int),
+    "vpfa_variance_mode": _removed("deficit"),
+    "vpfa_window": _removed("500"),
     "vpfa_signed_stability": ("vpfa", "signed_stability", _parse_bool),
 }
 
 
 def _parse_items(text: str, where: str):
-    """Yield (key, parsed_value) from flat key = value lines; '#' comments."""
+    """Yield (key, parsed_value) from flat key = value lines; '#' comments.
+    A removed key is checked against its fixed value, then skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,7 +124,8 @@ def _parse_items(text: str, where: str):
             parsed = parse(value)
         except ValueError as exc:
             raise ConfigError("%s line %d: key '%s': %s" % (where, lineno, key, exc)) from None
-        yield key, (section, attr, parsed)
+        if section is not None:
+            yield key, (section, attr, parsed)
 
 
 def parse_config(text: str, where: str = "config", overrides: list[str] | None = None) -> SimConfig:
@@ -146,6 +159,9 @@ def render_config(config: SimConfig) -> str:
     sections = {"channel": config.channel, "sim": config, "dpfa": config.dpfa, "vpfa": config.vpfa}
     lines = []
     for key, (section, attr, _) in CONFIG_KEYS.items():
+        if section is None:
+            lines.append("%s = %s" % (key, attr))
+            continue
         value = getattr(sections[section], attr)
         if key == "dpfa_beta_override" and value is None:
             lines.append("%s = none" % key)
@@ -206,11 +222,15 @@ def emit_csv(result_or_comparison, out_dir) -> list[Path]:
     return written + _write_all(out, {"summary.csv": "\n".join(rows) + "\n"})
 
 
+def _check_figure_policies(n_policies: int) -> None:
+    if n_policies < 2:
+        raise ConfigError("figures need a comparison over at least 2 policies")
+
+
 def emit_figures(comp: ComparisonResult, out_dir) -> list[Path]:
     """Four SVG charts: per-user schedule counts and throughput (grouped
     bars), system throughput and fairness index over time (lines)."""
-    if len(comp.results) < 2:
-        raise ConfigError("figures need a comparison over at least 2 policies")
+    _check_figure_policies(len(comp.results))
     out = Path(out_dir)
     any_result = next(iter(comp.results.values()))
     users = [str(link.user_id) for link in any_result.links]
@@ -246,11 +266,13 @@ def _load_config(args) -> SimConfig:
     return parse_config(text, where=str(args.config or "defaults"), overrides=args.set)
 
 
-def _comparison_from_args(args) -> ComparisonResult:
+def _comparison_from_args(args, figures: bool) -> ComparisonResult:
     base = _load_config(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise ConfigError("--policies must name at least one policy")
+    if figures:
+        _check_figure_policies(len(policies))  # before anything runs or is written
     return run_comparison(comparison_configs(base, policies), reference=args.reference)
 
 
@@ -264,7 +286,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args, figures: bool = False) -> int:
-    comp = _comparison_from_args(args)
+    comp = _comparison_from_args(args, figures)
     files = emit_csv(comp, args.out)
     if figures:
         files += emit_figures(comp, args.out)

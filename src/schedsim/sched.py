@@ -13,8 +13,7 @@ State carries across calls, so any split of a trace gives the same result.
 * ``maxci`` - argmax r_k (pure opportunism).
 * ``rr``    - cyclic round robin.
 * ``vpfa``  - proportional fair until the fairness index stops moving, then
-  greedy equalization of cumulative delivered bits (or, in ``series`` mode,
-  argmax of the sliding-window variance of per-slot deliveries).
+  greedy equalization of cumulative delivered bits.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
 EWMA and vpfa's variance-phase ledger.  dpfa's timers and exponents are
@@ -36,7 +35,6 @@ from .metrics import fi_stability_update
 EPS_RATE = 1.0
 
 POLICIES = ("pfa", "dpfa", "maxci", "rr", "vpfa")
-VARIANCE_MODES = ("deficit", "series")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +58,6 @@ class DpfaParams:
     theta: int = 20
     b: float = 0.5
     beta_override: float | None = None
-    literal_timers: bool = False
 
     def validate(self) -> None:
         check_finite(dpfa_alpha=self.alpha, dpfa_delta=self.delta, dpfa_beta_override=self.beta_override)
@@ -84,8 +81,6 @@ class VpfaParams:
 
     s_fi: int = 100
     l_sc: int = 5
-    variance_mode: str = "deficit"
-    window: int = 500
     signed_stability: bool = False
 
     def validate(self) -> None:
@@ -93,10 +88,6 @@ class VpfaParams:
             raise ConfigError("vpfa_s_fi must be >= 1")
         if self.l_sc < 1:
             raise ConfigError("vpfa_l_sc must be >= 1")
-        if self.variance_mode not in VARIANCE_MODES:
-            raise ConfigError("vpfa_variance_mode must be one of %s" % (VARIANCE_MODES,))
-        if self.window < 1:
-            raise ConfigError("vpfa_window must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +118,15 @@ def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: 
     avg[chosen] += rates[chosen] / t_c
 
 
-def update_timers(edge, center, snrs, delta: float, literal: bool):
+def update_timers(edge, center, snrs, delta: float):
     """Cell-edge (A) and cell-center (B) residence timers after each slot of
     a (slots x users) SNR block, continuing ``edge`` and ``center``.
 
-    Default semantics: SNR below the threshold counts consecutive edge slots
-    and zeroes the center timer; at or above the threshold the reverse.  The
-    ``literal`` mode keeps the published piecewise form instead, under which
-    B counts gamma <= delta slots (so both timers can run together below the
-    threshold).
+    SNR below the threshold counts consecutive edge slots and zeroes the
+    center timer; at or above the threshold the reverse.
     """
     at_edge = snrs < delta
-    at_center = snrs <= delta if literal else ~at_edge
-    return _run_lengths(edge, at_edge), _run_lengths(center, at_center)
+    return _run_lengths(edge, at_edge), _run_lengths(center, ~at_edge)
 
 
 def _run_lengths(carry, counting):
@@ -163,20 +150,13 @@ def update_beta(edge, center, snrs, params: DpfaParams) -> np.ndarray:
     return np.where(neutral, 1.0, np.maximum(snrs / params.delta, params.b))
 
 
-def variance_scores(delivered: np.ndarray, window: np.ndarray | None) -> np.ndarray:
-    """Variance-phase selection metric of every user.
-
-    Deficit mode (``window`` None) scores the shortfall of each user's
-    cumulative bits below the population mean; serving the top scorer is the
-    greedy spread reducer.  Series mode scores the variance of each user's
-    per-slot delivered bits over ``window``, the sliding window's filled rows.
+def variance_scores(delivered: np.ndarray) -> np.ndarray:
+    """Variance-phase selection metric of every user: the shortfall of its
+    cumulative bits below the population mean.  Serving the top scorer is the
+    greedy spread reducer.
     """
-    if window is None:
-        # sum / size is how ndarray.mean computes it, without its overhead
-        return delivered.sum() / delivered.size - delivered
-    if window.shape[0] == 0:
-        return np.zeros(delivered.shape)
-    return window.var(axis=0)
+    # sum / size is how ndarray.mean computes it, without its overhead
+    return delivered.sum() / delivered.size - delivered
 
 
 def select(priorities) -> int:
@@ -198,7 +178,7 @@ class Scheduler:
     """One policy's state over one run.
 
     Holds the EWMA averages of the PF family, dpfa's timers and exponents,
-    and vpfa's ledger, window and phase machine.  For vpfa the driving loop
+    and vpfa's ledger and phase machine.  For vpfa the driving loop
     evaluates the fairness index every ``s_fi`` slots, at a block edge, and
     feeds it to :meth:`observe_fi`; when the stability counter reaches
     ``l_sc`` the policy leaves its PF phase for good.
@@ -221,8 +201,6 @@ class Scheduler:
         self.c_s = 0
         self.last_fi: float | None = None
         self.delivered_bits = np.zeros(n_users)
-        series = policy == "vpfa" and vpfa.variance_mode == "series"
-        self.window = np.zeros((vpfa.window, n_users)) if series else None
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -261,7 +239,7 @@ class Scheduler:
 
     def _choose_dpfa(self, rates, snrs) -> np.ndarray:
         p = self.dpfa
-        edge, center = update_timers(self.edge_slots, self.center_slots, snrs, p.delta, p.literal_timers)
+        edge, center = update_timers(self.edge_slots, self.center_slots, snrs, p.delta)
         beta = update_beta(edge, center, snrs, p)
         self.edge_slots, self.center_slots, self.beta = edge[-1], center[-1], beta[-1]
         avg = self.avg_throughput
@@ -279,26 +257,12 @@ class Scheduler:
         if self.phase == "pf_warmup":
             chosen = self._choose_pfa(rates, snrs)
             np.add.at(self.delivered_bits, chosen, rates[np.arange(len(rates)), chosen])
-            if self.window is not None:
-                self._fill_window(self.slots_elapsed, rates, chosen)
             return chosen
         chosen = np.empty(len(rates), dtype=np.int64)
         for t, row in enumerate(rates):
-            # one window row per vpfa slot: the first min(slots, window) rows are filled
-            filled = None if self.window is None else self.window[: self.slots_elapsed + t]
-            chosen[t] = c = select(variance_scores(self.delivered_bits, filled))
+            chosen[t] = c = select(variance_scores(self.delivered_bits))
             self.delivered_bits[c] += row[c]
-            if filled is not None:
-                self._fill_window(self.slots_elapsed + t, rates[t : t + 1], chosen[t : t + 1])
         return chosen
-
-    def _fill_window(self, first_slot: int, rates, chosen) -> None:
-        """Write a block's per-slot deliveries into the series-mode ring buffer."""
-        slots = np.arange(len(chosen))
-        rows = np.zeros(rates.shape)
-        rows[slots, chosen] = rates[slots, chosen]
-        keep = len(self.window)
-        self.window[(first_slot + slots[-keep:]) % keep] = rows[-keep:]
 
     def observe_fi(self, fi: float) -> bool:
         """Feed one fairness-index evaluation; True when this one fires the phase switch."""

@@ -70,6 +70,68 @@ class TestParseConfig:
             parse_config("", overrides=["nope=1"])
 
 
+# config.txt as ``schedsim run`` wrote it at defaults while dpfa_literal_timers,
+# vpfa_variance_mode and vpfa_window were still settable
+DEFAULT_CONFIG_TXT = """\
+tx_power_dbm = 46.0
+carrier_freq_mhz = 2000.0
+bandwidth_hz = 10000000.0
+cell_radius_m = 1000.0
+shadowing_sigma_db = 8.0
+bs_height_m = 30.0
+ue_height_m = 1.5
+env_class = metro
+noise_figure_db = 9.0
+slot_duration_s = 0.001
+fast_fading = true
+n_users = 10
+placement = equal_spacing
+policy = pfa
+total_slots = 20000
+seed = 0
+tc_mode = fixed
+tc_slots = 1000.0
+dpfa_alpha = 1.0
+dpfa_delta = 6.3424493119662735
+dpfa_theta = 20
+dpfa_b = 0.5
+dpfa_beta_override = none
+dpfa_literal_timers = false
+vpfa_s_fi = 100
+vpfa_l_sc = 5
+vpfa_variance_mode = deficit
+vpfa_window = 500
+vpfa_signed_stability = false
+"""
+
+REMOVED_KEY_VALUES = [
+    ("dpfa_literal_timers", "true"),
+    ("vpfa_variance_mode", "series"),
+    ("vpfa_window", "64"),
+]
+
+
+class TestRemovedKeys:
+    def test_written_config_parses_and_rerenders(self):
+        assert render_config(parse_config(DEFAULT_CONFIG_TXT)) == DEFAULT_CONFIG_TXT
+
+    @pytest.mark.parametrize("via", ["set", "config"])
+    @pytest.mark.parametrize("key,value", REMOVED_KEY_VALUES)
+    def test_other_value_is_single_line_error(self, key, value, via, tmp_path, capsys):
+        if via == "set":
+            source = ["--set", "%s=%s" % (key, value)]
+        else:
+            cfg = tmp_path / "sim.cfg"
+            cfg.write_text("%s = %s\n" % (key, value))
+            source = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["run", *source, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error:") and err.count("\n") == 1
+        assert "'%s'" % key in err and "removed" in err
+        assert not out.exists()
+
+
 class TestRenderRoundTrip:
     @pytest.mark.parametrize(
         "cfg",
@@ -90,7 +152,7 @@ class TestRenderRoundTrip:
                 seed=99,
                 tc_mode="growing",
                 dpfa=DpfaParams(alpha=0.5, delta=2.25, theta=7, b=0.75, beta_override=1.0),
-                vpfa=VpfaParams(s_fi=10, l_sc=2, variance_mode="series", window=64, signed_stability=True),
+                vpfa=VpfaParams(s_fi=10, l_sc=2, signed_stability=True),
             ),
         ],
     )
@@ -309,6 +371,18 @@ class TestMain:
         assert rc == 0
         for name in ("fi.svg", "schedule_counts.svg", "per_user_throughput.svg", "system_throughput.svg"):
             assert (tmp_path / "fig" / name).exists()
+
+    def test_figures_over_one_policy_runs_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the policy list")
+
+        monkeypatch.setattr("schedsim.cli.run_comparison", no_run)
+        out = tmp_path / "fig"
+        rc = main(["figures", "--policies", "pfa", "--set", "total_slots=20", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "schedsim: error: figures need a comparison over at least 2 policies\n"
+        assert not out.exists()
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHEDSIM_OUT", str(tmp_path / "envout"))

@@ -44,14 +44,10 @@ VARIANTS = [
      "c7e55a3ef941a9597c458768b1a56696873f81a368cece24bc128c955d2784c4"),
     ("growing_tc-vpfa", "vpfa", ["tc_mode=growing"],
      "f0dbcf53bfde17a8e79c7251517974dfdde9de28e8d6c3b3be37cc65ec8e6cd1"),
-    ("literal_timers", "dpfa", ["dpfa_literal_timers=true"],
-     "d36792fe53caea942524759812a66100b13e284a0364fa8d1895fbb171cdc400"),
     ("beta_override", "dpfa", ["dpfa_beta_override=1.0"],
      "d36792fe53caea942524759812a66100b13e284a0364fa8d1895fbb171cdc400"),
     ("alpha_theta_b", "dpfa", ["dpfa_alpha=0.8", "dpfa_theta=5", "dpfa_b=0.3"],
      "c987415b2a6fa98d5f87361200c74a19ad44bfcc00872f19b2628ac746ed5c7b"),
-    ("series_window", "vpfa", ["vpfa_variance_mode=series", "vpfa_window=64"],
-     "616d74867cc7d12479fade528b0de2a581bc8bb1e8cd95d0a991d2bf4664a05d"),
     ("signed_stability", "vpfa", ["vpfa_signed_stability=true"],
      "3cf08c14d8a943e73f9914918859d5747396fc5edbbc5f3b95921382fb39ecb9"),
     ("uniform_ring-pfa", "pfa", ["placement=uniform_ring", "n_users=50"],

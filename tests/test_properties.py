@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
 from schedsim.engine import SimConfig, run
-from schedsim.sched import POLICIES, VARIANCE_MODES, DpfaParams, VpfaParams, make_scheduler
+from schedsim.sched import POLICIES, DpfaParams, VpfaParams, make_scheduler
 
 channels = st.builds(
     ChannelParams,
@@ -43,14 +43,11 @@ configs = st.builds(
         theta=st.integers(1, 50),
         b=st.floats(0.0, 1.0, exclude_min=True),
         beta_override=st.none() | st.floats(0.0, 2.0),
-        literal_timers=st.booleans(),
     ),
     vpfa=st.builds(
         VpfaParams,
         s_fi=st.integers(1, 50),
         l_sc=st.integers(1, 6),
-        variance_mode=st.sampled_from(VARIANCE_MODES),
-        window=st.integers(1, 64),
         signed_stability=st.booleans(),
     ),
 )
@@ -85,7 +82,7 @@ def test_config_file_round_trip(config):
     assert parse_config(render_config(config)) == config
 
 
-STATE = ("avg_throughput", "edge_slots", "center_slots", "beta", "delivered_bits", "window")
+STATE = ("avg_throughput", "edge_slots", "center_slots", "beta", "delivered_bits")
 
 
 def decide(sched, rates, snrs, cuts, switch_at):
@@ -112,14 +109,9 @@ def block_cases(draw):
     dpfa = DpfaParams(
         delta=1.0,
         theta=draw(st.integers(1, 6)),  # short: timers cross block edges
-        literal_timers=draw(st.booleans()),
         alpha=draw(st.sampled_from([1.0, 0.8])),
     )
-    vpfa = VpfaParams(
-        l_sc=1,
-        variance_mode=draw(st.sampled_from(VARIANCE_MODES)),
-        window=draw(st.integers(1, 16)),
-    )
+    vpfa = VpfaParams(l_sc=1)
     tc_mode = draw(st.sampled_from(("fixed", "growing")))
     switch_at = draw(st.integers(0, total))
     return n, total, cuts, seed, policy, dpfa, vpfa, tc_mode, switch_at
@@ -143,4 +135,4 @@ def test_block_splits_give_equal_decisions_and_state(case):
         assert (sched.slots_elapsed, sched.phase) == (ref.slots_elapsed, ref.phase)
         for attr in STATE:
             a, b = getattr(sched, attr), getattr(ref, attr)
-            assert (a is None and b is None) or np.array_equal(a, b), (name, attr)
+            assert np.array_equal(a, b), (name, attr)

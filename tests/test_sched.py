@@ -1,5 +1,3 @@
-import statistics
-
 import numpy as np
 import pytest
 
@@ -96,8 +94,8 @@ class TestDpfaPriority:
 
 
 class TestTimers:
-    def timers(self, a, b, gamma, delta, literal=False):
-        a_next, b_next = update_timers(ints(a), ints(b), arr(gamma)[None], delta, literal)
+    def timers(self, a, b, gamma, delta):
+        a_next, b_next = update_timers(ints(a), ints(b), arr(gamma)[None], delta)
         return int(a_next[0, 0]), int(b_next[0, 0])
 
     def test_center_slot_resets_edge_timer(self):
@@ -111,31 +109,24 @@ class TestTimers:
     def test_boundary_counts_as_center(self):
         assert self.timers(4, 9, 2.0, 2.0) == (0, 10)
 
-    def test_literal_mode_matches_printed_piecewise_form(self):
-        delta = 2.0
-        a, b = update_timers(ints(3, 3, 3), ints(5, 5, 5), arr(3.0, 2.0, 1.0)[None], delta, True)
-        assert a.tolist() == [[0, 0, 4]]
-        assert b.tolist() == [[0, 6, 6]]
-
     def test_exclusivity_under_default_semantics(self):
         rng = np.random.default_rng(8)
         zeros = np.zeros(5, dtype=np.int64)
-        a, b = update_timers(zeros, zeros, rng.exponential(2.0, size=(500, 5)), 2.0, False)
+        a, b = update_timers(zeros, zeros, rng.exponential(2.0, size=(500, 5)), 2.0)
         assert np.all(a * b == 0)
         assert np.all(a >= 0) and np.all(b >= 0)
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_block_matches_slot_by_slot_reference(self, literal):
+    def test_block_matches_slot_by_slot_reference(self):
         # the per-slot piecewise update, applied row by row from non-zero
         # carried timers, against the closed form over the whole block
         rng = np.random.default_rng(11)
         snrs = rng.exponential(2.0, size=(300, 6))
         edge, center = ints(0, 3, 7, 0, 1, 40), ints(9, 0, 0, 2, 0, 0)
-        a_block, b_block = update_timers(edge, center, snrs, 2.0, literal)
+        a_block, b_block = update_timers(edge, center, snrs, 2.0)
         a, b = edge, center
         for t, gamma in enumerate(snrs):
             a = np.where(gamma >= 2.0, 0, a + 1)
-            b = np.where(gamma > 2.0, 0, b + 1) if literal else np.where(gamma < 2.0, 0, b + 1)
+            b = np.where(gamma < 2.0, 0, b + 1)
             assert a_block[t].tolist() == a.tolist()
             assert b_block[t].tolist() == b.tolist()
 
@@ -171,29 +162,12 @@ class TestBetaUpdate:
 
 class TestVpfaScore:
     def test_equal_ledgers_score_zero(self):
-        assert variance_scores(arr(500.0, 500.0, 500.0), None).tolist() == [0.0, 0.0, 0.0]
+        assert variance_scores(arr(500.0, 500.0, 500.0)).tolist() == [0.0, 0.0, 0.0]
 
     def test_two_user_deficit(self):
-        scores = variance_scores(arr(100.0, 300.0), None)
+        scores = variance_scores(arr(100.0, 300.0))
         assert scores.tolist() == [100.0, -100.0]
         assert select(scores) == 0
-
-    def test_series_all_zero_window(self):
-        assert variance_scores(arr(0.0, 0.0), np.zeros((0, 2))).tolist() == [0.0, 0.0]
-
-    def test_series_variance_of_window(self):
-        # 6 PF-phase slots, in one block, through a 4-row window: the filled
-        # window holds the last 4 one-hot delivery rows, and each score is
-        # that column's population variance
-        rates, snrs = random_stream(2, 6, 12)
-        sched = make_scheduler("vpfa", 2, vpfa=VpfaParams(variance_mode="series", window=4))
-        rows = [
-            [rates[t][k] if k == chosen else 0.0 for k in range(2)]
-            for t, chosen in enumerate(sched.step(rates, snrs))
-        ]
-        scores = variance_scores(sched.delivered_bits, sched.window[: sched.slots_elapsed])
-        expected = [statistics.pvariance([row[k] for row in rows[-4:]]) for k in range(2)]
-        assert scores.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 class TestSelect:
