@@ -197,6 +197,10 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
 
         on_cadence = stop % s_fi == 0
         if on_cadence or stop == total:
+            if log.system_bits == 0 and not trace.rates.any():
+                raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
+                                  "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
+                                  % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz, cfg.channel.noise_figure_db))
             fi = jain_index(log.per_user_bits)
             fi_series.append((stop, fi))
             system_series.append((stop, log.system_bits))

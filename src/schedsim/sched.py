@@ -13,16 +13,21 @@ State carries across calls, so any split of a trace gives the same result.
 * ``maxci`` - argmax r_k (pure opportunism).
 * ``rr``    - cyclic round robin.
 * ``vpfa``  - proportional fair until the fairness index stops moving, then
-  greedy equalization of cumulative delivered bits.
+  serve the least-served user (fewest cumulative delivered bits), lowest
+  index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
 EWMA and vpfa's variance-phase ledger.  dpfa's timers and exponents are
-computed per block; ``maxci`` and ``rr`` decide a block at once.  Each rule
-below is a vectorised function; the :class:`Scheduler` holds a run's state
-and calls each rule from one place.
+computed per block; ``maxci`` and ``rr`` decide a block at once.  vpfa's
+variance phase keeps its ledger in a heap, O(log N) a slot, and checks the
+heap against the exact rule, :func:`variance_scores`, wherever they could
+disagree.  Each rule below is a vectorised function; the :class:`Scheduler`
+holds a run's state and calls each rule from one place.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +157,12 @@ def update_beta(edge, center, snrs, params: DpfaParams) -> np.ndarray:
 
 def variance_scores(delivered: np.ndarray) -> np.ndarray:
     """Variance-phase selection metric of every user: the shortfall of its
-    cumulative bits below the population mean.  Serving the top scorer is the
-    greedy spread reducer.
+    cumulative bits below the population mean.
+
+    ``select`` over these scores is the exact form of the variance rule,
+    "serve the least-served user, lowest index on ties": rounding can give
+    two close but unequal ledgers far from the mean one score, and the tie
+    then goes to the lower index.  The scheduler's heap defers to it there.
     """
     # sum / size is how ndarray.mean computes it, without its overhead
     return delivered.sum() / delivered.size - delivered
@@ -201,6 +210,8 @@ class Scheduler:
         self.c_s = 0
         self.last_fi: float | None = None
         self.delivered_bits = np.zeros(n_users)
+        self._ledger_heap: list[tuple[float, int]] | None = None  # (delivered_bits[k], k)
+        self._ledger_abs_sum = 0.0  # running bound on sum(|delivered_bits|)
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -258,11 +269,48 @@ class Scheduler:
             chosen = self._choose_pfa(rates, snrs)
             np.add.at(self.delivered_bits, chosen, rates[np.arange(len(rates)), chosen])
             return chosen
-        chosen = np.empty(len(rates), dtype=np.int64)
-        for t, row in enumerate(rates):
-            chosen[t] = c = select(variance_scores(self.delivered_bits))
-            self.delivered_bits[c] += row[c]
-        return chosen
+        return self._serve_least_served(rates)
+
+    def _serve_least_served(self, rates) -> np.ndarray:
+        """vpfa's variance phase: each slot serves the least-served user,
+        lowest index on ties, and credits its rate to the ledger.
+
+        A heap of ``(delivered_bits[k], k)``, built at the phase's first block, finds
+        that user in O(log N).  The exact rule, ``select(variance_scores(d))``,
+        scores k as fl(mean - d_k); rounding can give a ledger d_k > b the top
+        score, and then the lower index wins, only while d_k - b is within
+        ulp(2|mean - b|).  So the heap top is served only when the nearest
+        other ledger lies beyond 2 ulp(2 (S/N + |b|)), S a running sum of |d|,
+        and the exact rule decides otherwise.  A non-finite ledger makes that
+        window nan or inf, so ``select`` raises.
+        """
+        d, n = self.delivered_bits, self.n_users
+        if self._ledger_heap is None:
+            self._ledger_heap = list(zip(d.tolist(), range(n)))
+            heapq.heapify(self._ledger_heap)
+            self._ledger_abs_sum = math.fsum(np.abs(d).tolist())
+        heap, abs_sum = self._ledger_heap, self._ledger_abs_sum
+        chosen = []
+        for t in range(len(rates)):
+            b, c = heap[0]
+            # the smaller child of the root; with one user, the root itself
+            nearest = min(heap[1][0], heap[2][0]) if n > 2 else heap[-1][0]
+            stale = False
+            if not nearest - b > 2.0 * math.ulp(2.0 * (abs_sum / n + abs(b))):
+                k = select(variance_scores(d))
+                stale, c, b = k != c, k, d.item(k)
+            r = rates.item(t, c)
+            b += r
+            d[c] = b
+            abs_sum += abs(r)
+            chosen.append(c)
+            if stale:
+                heap[:] = zip(d.tolist(), range(n))
+                heapq.heapify(heap)
+            else:
+                heapq.heapreplace(heap, (b, c))
+        self._ledger_abs_sum = abs_sum
+        return np.array(chosen, dtype=np.int64)
 
     def observe_fi(self, fi: float) -> bool:
         """Feed one fairness-index evaluation; True when this one fires the phase switch."""

@@ -311,6 +311,17 @@ class TestMain:
         assert err.startswith("schedsim: error:") and "tx_power_dbm" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("override", ["tx_power_dbm=-400", "bandwidth_hz=1e300"])
+    def test_zero_capacity_link_budget_is_single_line_error(self, override, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--set", override, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error: no bits were delivered: every rate is 0 under this link budget")
+        assert override.split("=")[0] in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_key_is_error_exit(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("policy = flying\n")

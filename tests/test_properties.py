@@ -1,5 +1,6 @@
-"""Invariants of whole runs over random small configs (N <= 8, T <= 400), and
-of deciding one trace in different block splits."""
+"""Invariants of whole runs over random small configs (N <= 8, T <= 400), of
+deciding one trace in different block splits, and of vpfa's variance phase
+against its exact score rule."""
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
 from schedsim.engine import SimConfig, run
-from schedsim.sched import POLICIES, DpfaParams, VpfaParams, make_scheduler
+from schedsim.sched import POLICIES, DpfaParams, VpfaParams, make_scheduler, select, variance_scores
 
 channels = st.builds(
     ChannelParams,
@@ -136,3 +137,64 @@ def test_block_splits_give_equal_decisions_and_state(case):
         for attr in STATE:
             a, b = getattr(sched, attr), getattr(ref, attr)
             assert np.array_equal(a, b), (name, attr)
+
+
+def score_rule_oracle(ledger, rates):
+    """The variance phase slot by slot, straight from the exact score rule."""
+    d = ledger.copy()
+    out = []
+    for row in rates:
+        out.append(c := select(variance_scores(d)))
+        d[c] += row[c]
+    return np.array(out), d
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+@st.composite
+def ledgers(draw):
+    """Ledgers where rounding in the score can tie unequal users."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ties", "ulp neighbours", "zeros beside 1e9", "one far above", "mixed"]))
+    base = draw(st.sampled_from([1e9, 2.0**52, 1e15, 3e17]))
+    pools = {
+        "ties": st.sampled_from([0.0, 1.0, 7.5, 1e6]),
+        "ulp neighbours": st.integers(-3, 3).map(lambda k: base + k * math.ulp(base)),
+        "zeros beside 1e9": st.sampled_from([0.0, TINY, 1e9]),
+        "one far above": st.floats(0.0, 1e4) | st.sampled_from([0.0, TINY]),
+    }
+    pools["mixed"] = st.one_of(*pools.values())
+    ledger = np.array(draw(st.lists(pools[kind], min_size=n, max_size=n)))
+    if kind == "one far above":
+        ledger[draw(st.integers(0, n - 1))] = ledger.max() + 1e12
+    return ledger
+
+
+RATE_POOL = np.array([0.0, TINY, 1e-310, 1.0, 2.0, 1e3, 123456.789])
+
+
+@st.composite
+def ledger_cases(draw):
+    ledger = draw(ledgers())
+    total = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # zero, subnormal and small integer rates beside uniform ones
+    rates = np.where(rng.random((total, ledger.size)) < draw(st.sampled_from([0.0, 0.5, 1.0])),
+                     rng.choice(RATE_POOL, (total, ledger.size)), rng.uniform(0.0, 1e6, (total, ledger.size)))
+    cuts = draw(st.lists(st.integers(1, total), max_size=8))
+    return ledger, rates, cuts
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ledger_cases())
+def test_variance_phase_matches_score_rule(case):
+    ledger, rates, cuts = case
+    sched = make_scheduler("vpfa", ledger.size, vpfa=VpfaParams(l_sc=1))
+    sched.delivered_bits[:] = ledger
+    sched.observe_fi(0.5)
+    edges = sorted({0, len(rates), *cuts})
+    decisions = np.concatenate([sched.step(rates[a:b], rates[a:b]) for a, b in zip(edges, edges[1:])])
+    want_decisions, want_bits = score_rule_oracle(ledger, rates)
+    assert np.array_equal(decisions, want_decisions)
+    assert np.array_equal(sched.delivered_bits, want_bits)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schedsim.engine import SimConfig
+from schedsim.engine import SimConfig, run
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
@@ -395,6 +395,34 @@ class TestVpfaPhases:
             step1(sched, rates, snrs)
         led = sched.delivered_bits
         assert led.max() - led.min() <= rates.max()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_served_rate_raises(self, bad):
+        sched = vpfa(3, l_sc=1)
+        sched.delivered_bits[:] = [5.0, 1.0, 3.0]
+        sched.observe_fi(0.5)
+        rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
+        with pytest.raises(ValueError):
+            sched.step(rates, np.ones_like(rates))
+
+    @pytest.mark.parametrize("config,max_calls", [
+        (SimConfig(policy="vpfa", seed=0), 0),
+        # the wide_cell benchmark workload's vpfa run: the ledgers of users not
+        # yet served at the switch tie exactly, and each tie defers to the score
+        (SimConfig(policy="vpfa", seed=0, n_users=1000, placement="uniform_ring", total_slots=5000,
+                   vpfa=VpfaParams(s_fi=10)), 999),
+    ], ids=["defaults", "wide_cell"])
+    def test_heap_serves_most_slots_without_scoring(self, config, max_calls, monkeypatch):
+        calls = []
+
+        def counting(delivered):
+            calls.append(1)
+            return variance_scores(delivered)
+
+        monkeypatch.setattr("schedsim.sched.variance_scores", counting)
+        res = run(config)
+        assert res.phase_switch_slot < config.total_slots // 2
+        assert len(calls) <= max_calls
 
     def test_cumulative_ledger_is_nondecreasing(self):
         rates, snrs = random_stream(3, 200, 9)
