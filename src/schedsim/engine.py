@@ -197,10 +197,15 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
 
         on_cadence = stop % s_fi == 0
         if on_cadence or stop == total:
-            if log.system_bits == 0 and not trace.rates.any():
-                raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
-                                  "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
-                                  % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz, cfg.channel.noise_figure_db))
+            if log.system_bits == 0:
+                if not trace.rates.any():
+                    raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
+                                      "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
+                                      % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
+                                         cfg.channel.noise_figure_db))
+                raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
+                                  "users with rate 0 in every slot so far: %s"
+                                  % (stop, _user_list(np.flatnonzero(~trace.rates[:stop].any(axis=0)))))
             fi = jain_index(log.per_user_bits)
             fi_series.append((stop, fi))
             system_series.append((stop, log.system_bits))
@@ -213,6 +218,12 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     return SimResult(config=cfg, links=trace.links, decisions=decisions, metrics=log, fi_series=fi_series,
                      system_series=system_series, phase_switch_slot=phase_switch_slot,
                      vpfa_warmup_bits=warmup_bits, vpfa_variance_counts=variance_counts)
+
+
+def _user_list(users, shown: int = 10) -> str:
+    """User indices for a message, the first ``shown`` of them and a count of the rest."""
+    text = ", ".join(str(k) for k in users[:shown]) or "none"
+    return text + (" and %d more" % (len(users) - shown) if len(users) > shown else "")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ def jain_index(throughputs) -> float:
     arr = np.asarray(throughputs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("throughputs must be a non-empty 1-D sequence")
-    if np.any(arr < 0):
+    if arr.min() < 0:
         raise ValueError("throughputs must be non-negative")
     sum_sq = float(np.dot(arr, arr))
     if sum_sq == 0.0:
@@ -75,11 +75,16 @@ class MetricsLog:
             raise IndexError("chosen user out of range [0, %d)" % self.n_users)
         if bits.shape != chosen.shape:
             raise ValueError("%d delivered_bits values for %d slots" % (bits.size, chosen.size))
-        if np.any(bits < 0):
+        if bits.size and bits.min() < 0:
             raise ValueError("delivered_bits must be >= 0")
+        if chosen.ndim != 1:
+            raise ValueError("chosen must be one user or a 1-D run of users")
         np.add.at(self.per_user_bits, chosen, bits)
-        self.schedule_counts += np.bincount(chosen, minlength=self.n_users)
-        self.system_bits = float(np.cumsum(np.concatenate(([self.system_bits], bits)))[-1])
+        np.add.at(self.schedule_counts, chosen, 1)
+        total = self.system_bits
+        for b in bits.tolist():
+            total += b
+        self.system_bits = total
         self.slots += chosen.size
 
     def jain(self) -> float:

@@ -9,7 +9,9 @@ State carries across calls, so any split of a trace gives the same result.
   served rate.
 * ``dpfa``  - proportional fair with per-user exponents: argmax
   r_k^alpha / R_k^beta_k, beta_k driven by cell-edge/cell-center residence
-  timers so that long-time center users are de-prioritized.
+  timers so that long-time center users are de-prioritized.  The neutral
+  test A >= theta or B <= theta is B <= theta alone (an edge slot has B = 0,
+  a center slot A = 0 < theta), so only the center timer B is carried.
 * ``maxci`` - argmax r_k (pure opportunism).
 * ``rr``    - cyclic round robin.
 * ``vpfa``  - proportional fair until the fairness index stops moving, then
@@ -17,12 +19,14 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  dpfa's timers and exponents are
-computed per block; ``maxci`` and ``rr`` decide a block at once.  vpfa's
-variance phase keeps its ledger in a heap, O(log N) a slot, and checks the
-heap against the exact rule, :func:`variance_scores`, wherever they could
-disagree.  Each rule below is a vectorised function; the :class:`Scheduler`
-holds a run's state and calls each rule from one place.
+EWMA, whose slot loop writes each slot's metric into one preallocated
+buffer, and vpfa's variance-phase ledger.  dpfa's timer, exponents and
+numerator r^alpha are computed per block; ``maxci`` and ``rr`` decide a
+block at once.  vpfa's variance phase keeps its ledger in a heap, O(log N) a
+slot, and checks the heap against the exact rule, :func:`variance_scores`,
+wherever they could disagree.  Each rule below is a vectorised function;
+the :class:`Scheduler` holds a run's state and calls each rule from one
+place.
 """
 from __future__ import annotations
 
@@ -53,7 +57,9 @@ class DpfaParams:
     ``delta`` is the linear SNR threshold splitting edge from center (None
     means: resolve from the link budget at 60% of the cell radius when the
     simulation starts).  ``theta`` is the residence-time threshold in slots,
-    ``b`` the floor for the denominator exponent.  ``beta_override`` pins
+    ``b`` the floor for the denominator exponent.  Since theta >= 1, beta is
+    neutral exactly when the center timer B <= theta: an edge slot has B = 0,
+    a center slot an edge timer A = 0 < theta.  ``beta_override`` pins
     beta for every user, bypassing the timer logic; with 1.0 the policy is
     plain PF, with 0.0 it is max-C/I.
     """
@@ -99,18 +105,21 @@ class VpfaParams:
 # Rules: one vectorised definition each, over all users at once
 # ---------------------------------------------------------------------------
 
-def pfa_priority(rates: np.ndarray, avg: np.ndarray) -> np.ndarray:
-    """Proportional-fair metric r / R with the cold-start floor on R."""
-    return rates / np.maximum(avg, EPS_RATE)
+def pfa_priority(rates: np.ndarray, avg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Proportional-fair metric r / R with the cold-start floor on R, written
+    into ``out`` when given."""
+    return np.divide(rates, np.maximum(avg, EPS_RATE, out=out), out=out)
 
 
-def dpfa_priority(rates: np.ndarray, avg: np.ndarray, alpha: float, beta) -> np.ndarray:
-    """Generalized PF metric r^alpha / R^beta (alpha=beta=1 reduces to PF).
+def dpfa_priority(rates_alpha: np.ndarray, avg: np.ndarray, beta, out: np.ndarray | None = None) -> np.ndarray:
+    """Generalized PF metric r^alpha / R^beta from its numerator ``rates_alpha``
+    = r^alpha (alpha = beta = 1 reduces to PF), written into ``out`` when given.
 
     A large beta overflows the denominator, driving the priority to 0 as
     intended; callers hold ``np.errstate(over="ignore")`` around a block.
     """
-    return np.power(rates, alpha) / np.power(np.maximum(avg, EPS_RATE), beta)
+    den = np.maximum(avg, EPS_RATE, out=out)
+    return np.divide(rates_alpha, np.power(den, beta, out=den), out=den)
 
 
 def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: float) -> None:
@@ -120,39 +129,35 @@ def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: 
     Everyone else:    (1 - 1/T_c) * R
     """
     avg *= 1.0 - 1.0 / t_c
-    avg[chosen] += rates[chosen] / t_c
+    avg[chosen] += rates.item(chosen) / t_c
 
 
-def update_timers(edge, center, snrs, delta: float):
-    """Cell-edge (A) and cell-center (B) residence timers after each slot of
-    a (slots x users) SNR block, continuing ``edge`` and ``center``.
+def center_timer(center, snrs, delta: float) -> np.ndarray:
+    """Cell-center residence timer B after each slot of a (slots x users)
+    SNR block, continuing ``center``: the slots since the user's last edge
+    slot (SNR below delta), so 0 at an edge slot.
 
-    SNR below the threshold counts consecutive edge slots and zeroes the
-    center timer; at or above the threshold the reverse.
+    ``run`` is B if no slot of the block so far was at the edge; it grows
+    by one a slot, so its value at the latest edge slot, a running maximum,
+    is what each later slot counts from.
     """
-    at_edge = snrs < delta
-    return _run_lengths(edge, at_edge), _run_lengths(center, ~at_edge)
+    run = np.arange(1, len(snrs) + 1)[:, None] + center
+    last_edge = np.maximum.accumulate(run * (snrs < delta), axis=0)
+    return np.subtract(run, last_edge, out=last_edge)
 
 
-def _run_lengths(carry, counting):
-    """Per column, the run of ``counting`` rows ending at each row, continuing ``carry``."""
-    slot = np.arange(1, len(counting) + 1, dtype=np.int32)[:, None]
-    last_reset = np.maximum.accumulate(slot * ~counting, axis=0)
-    return np.where(last_reset == 0, carry + slot, slot - last_reset)
+def update_beta(center, snrs, params: DpfaParams) -> np.ndarray:
+    """Per-user denominator exponent from the center timer B.
 
-
-def update_beta(edge, center, snrs, params: DpfaParams) -> np.ndarray:
-    """Per-user denominator exponent.
-
-    The neutral branch (beta = 1) wins whenever the user has been at the
-    edge at least theta slots or at the center no more than theta slots;
-    only a long-time center user is re-weighted to max(gamma/delta, b).
+    Only a user at the center more than theta slots in a row is re-weighted,
+    to max(gamma/delta, b); everyone else keeps beta = 1.  The paper's
+    neutral test, A >= theta or B <= theta with A the edge timer, reduces to
+    B <= theta: an edge slot has B = 0, a center slot A = 0 < 1 <= theta.
     ``beta_override`` replaces the whole rule.
     """
     if params.beta_override is not None:
         return np.full(np.shape(snrs), params.beta_override, dtype=float)
-    neutral = (edge >= params.theta) | (center <= params.theta)
-    return np.where(neutral, 1.0, np.maximum(snrs / params.delta, params.b))
+    return np.where(center > params.theta, np.maximum(snrs / params.delta, params.b), 1.0)
 
 
 def variance_scores(delivered: np.ndarray) -> np.ndarray:
@@ -186,8 +191,8 @@ def select(priorities) -> int:
 class Scheduler:
     """One policy's state over one run.
 
-    Holds the EWMA averages of the PF family, dpfa's timers and exponents,
-    and vpfa's ledger and phase machine.  For vpfa the driving loop
+    Holds the EWMA averages of the PF family, dpfa's center timer and
+    exponents, and vpfa's ledger and phase machine.  For vpfa the driving loop
     evaluates the fairness index every ``s_fi`` slots, at a block edge, and
     feeds it to :meth:`observe_fi`; when the stability counter reaches
     ``l_sc`` the policy leaves its PF phase for good.
@@ -203,15 +208,16 @@ class Scheduler:
         self.tc_slots = tc_slots
         self.slots_elapsed = 0
         self.avg_throughput = np.full(n_users, EPS_RATE)
-        self.edge_slots = np.zeros(n_users, dtype=np.int64)    # A_k
         self.center_slots = np.zeros(n_users, dtype=np.int64)  # B_k
         self.beta = np.ones(n_users)
+        self._priority = np.empty(n_users)  # the PF family's per-slot metric
         self.phase = "pf_warmup"  # pf_warmup | variance
         self.c_s = 0
         self.last_fi: float | None = None
         self.delivered_bits = np.zeros(n_users)
         self._ledger_heap: list[tuple[float, int]] | None = None  # (delivered_bits[k], k)
         self._ledger_abs_sum = 0.0  # running bound on sum(|delivered_bits|)
+        self._ledger_tie = (math.nan, math.inf)  # (tied top ledger, lower bound on the nearest above it)
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -235,27 +241,28 @@ class Scheduler:
         return chosen
 
     def _pf_loop(self, rates, priority) -> np.ndarray:
-        """Serve each slot's argmax of ``priority(t, row)``, then update the EWMA."""
-        avg = self.avg_throughput
+        """Serve each slot's argmax of ``priority(t, row, out)``, computed into
+        one preallocated buffer, then update the EWMA."""
+        avg, buf = self.avg_throughput, self._priority
         first_t_c = self.t_c if self.tc_mode == "growing" else None
         out = np.empty(len(rates), dtype=np.int64)
         for t, row in enumerate(rates):
-            out[t] = chosen = select(priority(t, row))
+            out[t] = chosen = select(priority(t, row, buf))
             update_avg_throughput(avg, row, chosen, self.tc_slots if first_t_c is None else first_t_c + t)
         return out
 
     def _choose_pfa(self, rates, snrs) -> np.ndarray:
         avg = self.avg_throughput
-        return self._pf_loop(rates, lambda t, row: pfa_priority(row, avg))
+        return self._pf_loop(rates, lambda t, row, buf: pfa_priority(row, avg, buf))
 
     def _choose_dpfa(self, rates, snrs) -> np.ndarray:
         p = self.dpfa
-        edge, center = update_timers(self.edge_slots, self.center_slots, snrs, p.delta)
-        beta = update_beta(edge, center, snrs, p)
-        self.edge_slots, self.center_slots, self.beta = edge[-1], center[-1], beta[-1]
-        avg = self.avg_throughput
+        center = center_timer(self.center_slots, snrs, p.delta)
+        beta = update_beta(center, snrs, p)
+        self.center_slots, self.beta = center[-1], beta[-1]
+        rates_alpha, avg = np.power(rates, p.alpha), self.avg_throughput
         with np.errstate(over="ignore"):
-            return self._pf_loop(rates, lambda t, row: dpfa_priority(row, avg, p.alpha, beta[t]))
+            return self._pf_loop(rates, lambda t, row, buf: dpfa_priority(rates_alpha[t], avg, beta[t], buf))
 
     def _choose_maxci(self, rates, snrs) -> np.ndarray:
         return np.argmax(rates, axis=1)
@@ -280,9 +287,13 @@ class Scheduler:
         scores k as fl(mean - d_k); rounding can give a ledger d_k > b the top
         score, and then the lower index wins, only while d_k - b is within
         ulp(2|mean - b|).  So the heap top is served only when the nearest
-        other ledger lies beyond 2 ulp(2 (S/N + |b|)), S a running sum of |d|,
-        and the exact rule decides otherwise.  A non-finite ledger makes that
-        window nan or inf, so ``select`` raises.
+        distinct ledger lies beyond 2 ulp(2 (S/N + |b|)), S a running sum of
+        |d|, and the exact rule decides otherwise.  Ledgers equal to b score
+        alike, so the heap's index order serves a tie as the rule does; the
+        nearest distinct ledger above a tie is bounded below by a minimum
+        taken when the tie reaches the top, lowered whenever a served ledger
+        lands above the tie.  A
+        non-finite ledger makes the window nan or inf, so ``select`` raises.
         """
         d, n = self.delivered_bits, self.n_users
         if self._ledger_heap is None:
@@ -290,11 +301,16 @@ class Scheduler:
             heapq.heapify(self._ledger_heap)
             self._ledger_abs_sum = math.fsum(np.abs(d).tolist())
         heap, abs_sum = self._ledger_heap, self._ledger_abs_sum
+        tie, above = self._ledger_tie
         chosen = []
         for t in range(len(rates)):
             b, c = heap[0]
             # the smaller child of the root; with one user, the root itself
             nearest = min(heap[1][0], heap[2][0]) if n > 2 else heap[-1][0]
+            if nearest == b:
+                if tie != b:
+                    tie, above = b, float(np.min(d, where=d > b, initial=math.inf))
+                nearest = above
             stale = False
             if not nearest - b > 2.0 * math.ulp(2.0 * (abs_sum / n + abs(b))):
                 k = select(variance_scores(d))
@@ -302,6 +318,8 @@ class Scheduler:
             r = rates.item(t, c)
             b += r
             d[c] = b
+            if b > tie:
+                above = min(above, b)
             abs_sum += abs(r)
             chosen.append(c)
             if stale:
@@ -309,7 +327,7 @@ class Scheduler:
                 heapq.heapify(heap)
             else:
                 heapq.heapreplace(heap, (b, c))
-        self._ledger_abs_sum = abs_sum
+        self._ledger_abs_sum, self._ledger_tie = abs_sum, (tie, above)
         return np.array(chosen, dtype=np.int64)
 
     def observe_fi(self, fi: float) -> bool:

@@ -322,6 +322,24 @@ class TestMain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    PARTLY_ZERO = ["--set", "policy=rr", "--set", "n_users=3", "--set", "total_slots=50", "--set", "vpfa_s_fi=1",
+                   "--set", "shadowing_sigma_db=400"]
+
+    @pytest.mark.parametrize("seed,users", [(4, "0"), (5, "0, 1")])
+    def test_no_bits_at_an_evaluation_is_single_line_error(self, seed, users, tmp_path, capsys):
+        # round robin serves user 0 first, and its rate is 0 in every slot
+        out = tmp_path / "out"
+        rc = main(["run", *self.PARTLY_ZERO, "--set", "seed=%d" % seed, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("schedsim: error: fairness index undefined at slot 1: no bits were delivered yet; "
+                       "users with rate 0 in every slot so far: %s\n" % users)
+        assert not out.exists()
+
+    def test_some_zero_rates_still_run(self, tmp_path):
+        assert main(["run", *self.PARTLY_ZERO, "--set", "seed=3", "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "per_user.csv").exists()
+
     def test_bad_key_is_error_exit(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("policy = flying\n")

@@ -41,6 +41,22 @@ class TestValidation:
             run(small_config(n_users=4), links=[UserLink(0, 500.0, 0.0)])
 
 
+class TestNoBitsDelivered:
+    def test_error_names_the_slot_and_the_zero_rate_users(self):
+        # a 400 dB shadowing loss zeroes users 0-11; round robin serves user 0 first
+        links = [UserLink(k, 500.0, -400.0 if k < 12 else 0.0) for k in range(14)]
+        cfg = SimConfig(policy="rr", n_users=14, total_slots=30, vpfa=VpfaParams(s_fi=1))
+        with pytest.raises(ConfigError, match=r"^fairness index undefined at slot 1: no bits were delivered yet; "
+                                              r"users with rate 0 in every slot so far: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9 "
+                                              r"and 2 more$"):
+            run(cfg, links=links)
+
+    def test_a_later_evaluation_with_bits_passes(self):
+        links = [UserLink(0, 500.0, -400.0), UserLink(1, 500.0, 0.0)]
+        res = run(SimConfig(policy="rr", n_users=2, total_slots=30, vpfa=VpfaParams(s_fi=2)), links=links)
+        assert res.fi_series[0] == (2, 0.5)
+
+
 class TestDeterminism:
     def test_same_config_bit_identical(self):
         a = run(small_config(policy="pfa"))

@@ -205,3 +205,85 @@ class TestRecordSlotBlocks:
         assert res.metrics.system_bits == system
         assert [b for _, b in res.system_series] == samples
         assert [s for s, _ in res.system_series] == sorted(cadence)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestValidationParity:
+    """Each input ``record_slot`` and ``jain_index`` reject, with the error
+    and the untouched state; each one they accept, with what it records."""
+
+    @pytest.mark.parametrize("chosen,bits,error,match", [
+        ([0, 1], [1.0, -2.0], ValueError, "delivered_bits must be >= 0"),
+        ([5], [-1.0], IndexError, "out of range"),  # the user check comes first
+        ([3], [1.0], IndexError, "out of range"),
+        ([-1], [1.0], IndexError, "out of range"),
+        ([0, 1], [1.0], ValueError, "1 delivered_bits values for 2 slots"),
+        ([0], [1.0, 2.0], ValueError, "2 delivered_bits values for 1 slots"),
+        (np.array([], dtype=np.int64), [1.0], ValueError, "1 delivered_bits values for 0 slots"),
+        ([], [], IndexError, "integer"),  # an empty list is not an integer array
+        (np.array([0.0, 1.0]), [1.0, 2.0], IndexError, "integer"),
+        (np.array([True, False]), [1.0, 2.0], IndexError, "boolean index"),
+        (np.array([[0, 1]]), np.array([[1.0, 2.0]]), ValueError, "1-D"),
+    ], ids=["negative bits", "range before sign", "user n", "user -1", "fewer bits", "more bits",
+            "bits for no slots", "empty list", "float users", "bool users", "2-D run"])
+    def test_rejected_runs_leave_the_log_unchanged(self, chosen, bits, error, match):
+        log = MetricsLog(3)
+        log.record_slot([1], [4.0])
+        with pytest.raises(error, match=match):
+            log.record_slot(chosen, bits)
+        assert log.per_user_bits.tolist() == [0.0, 4.0, 0.0]
+        assert log.schedule_counts.tolist() == [0, 1, 0]
+        assert (log.system_bits, log.slots) == (4.0, 1)
+
+    @pytest.mark.parametrize("chosen,bits,per_user,counts,system", [
+        (np.array([], dtype=np.int64), np.array([]), [0.0, 0.0, 0.0], [0, 0, 0], 0.0),
+        (2, 5.0, [0.0, 0.0, 5.0], [0, 0, 1], 5.0),
+        (np.array([0, 2], dtype=np.int32), np.array([1.0, 2.0]), [1.0, 0.0, 2.0], [1, 0, 1], 3.0),
+        ([0], [-0.0], [0.0, 0.0, 0.0], [1, 0, 0], 0.0),
+        ([0], [INF], [INF, 0.0, 0.0], [1, 0, 0], INF),
+    ], ids=["empty run", "scalar", "int32 users", "negative zero", "inf"])
+    def test_accepted_runs(self, chosen, bits, per_user, counts, system):
+        log = MetricsLog(3)
+        log.record_slot(chosen, bits)
+        assert log.per_user_bits.tolist() == per_user
+        assert log.schedule_counts.tolist() == counts
+        assert log.system_bits == system
+        assert log.slots == sum(counts)
+
+    def test_nan_bits_are_recorded(self):
+        log = MetricsLog(3)
+        log.record_slot([0], [NAN])
+        assert np.isnan(log.per_user_bits[0]) and np.isnan(log.system_bits)
+        assert log.schedule_counts.tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("values,match", [
+        ([], "non-empty 1-D"),
+        ([[1.0]], "non-empty 1-D"),
+        (5.0, "non-empty 1-D"),
+        ([1.0, -2.0], "non-negative"),
+        ([-INF, 1.0], "non-negative"),
+        ([0.0, 0.0], "all-zero"),
+    ])
+    def test_jain_rejects(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            jain_index(values)
+
+    @pytest.mark.parametrize("values", [[NAN, 1.0], [INF, 1.0], [-0.0, 1.0]])
+    def test_jain_accepts_non_negative_and_nan(self, values):
+        # nan and inf pass the sign check; the clamp then yields 1/N
+        assert jain_index(values) == 0.5
+
+    def test_system_bits_is_a_running_sum(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            log, want = MetricsLog(4), 0.0
+            for _ in range(int(rng.integers(1, 6))):
+                size = int(rng.integers(0, 30))
+                bits = rng.uniform(0.0, 1e6, size=size) * 10.0 ** rng.integers(-3, 12, size=size)
+                log.record_slot(rng.integers(0, 4, size=size), bits)
+                for b in bits.tolist():
+                    want += b
+            assert log.system_bits == want
+

@@ -1,6 +1,7 @@
 """Invariants of whole runs over random small configs (N <= 8, T <= 400), of
-deciding one trace in different block splits, and of vpfa's variance phase
-against its exact score rule."""
+deciding one trace in different block splits, of dpfa's one-timer exponent
+against the paper's two-timer rule, and of vpfa's variance phase against its
+exact score rule."""
 import math
 
 import numpy as np
@@ -10,7 +11,17 @@ from hypothesis import strategies as st
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
 from schedsim.engine import SimConfig, run
-from schedsim.sched import POLICIES, DpfaParams, VpfaParams, make_scheduler, select, variance_scores
+from schedsim.sched import (
+    EPS_RATE,
+    POLICIES,
+    DpfaParams,
+    VpfaParams,
+    center_timer,
+    make_scheduler,
+    select,
+    update_beta,
+    variance_scores,
+)
 
 channels = st.builds(
     ChannelParams,
@@ -83,7 +94,7 @@ def test_config_file_round_trip(config):
     assert parse_config(render_config(config)) == config
 
 
-STATE = ("avg_throughput", "edge_slots", "center_slots", "beta", "delivered_bits")
+STATE = ("avg_throughput", "center_slots", "beta", "delivered_bits")
 
 
 def decide(sched, rates, snrs, cuts, switch_at):
@@ -137,6 +148,90 @@ def test_block_splits_give_equal_decisions_and_state(case):
         for attr in STATE:
             a, b = getattr(sched, attr), getattr(ref, attr)
             assert np.array_equal(a, b), (name, attr)
+
+
+def two_timer_beta(edge, center, snrs, p):
+    """The paper's exponent rule with both residence timers, one slot at a
+    time: edge timer A and center timer B, then beta = 1 when A >= theta or
+    B <= theta, else max(gamma/delta, b).  Returns A, B and beta per slot."""
+    a_rows, b_rows, beta_rows = [], [], []
+    for gamma in snrs:
+        at_edge = gamma < p.delta
+        edge = np.where(at_edge, edge + 1, 0)
+        center = np.where(at_edge, 0, center + 1)
+        neutral = (edge >= p.theta) | (center <= p.theta)
+        beta_rows.append(np.where(neutral, 1.0, np.maximum(gamma / p.delta, p.b)))
+        a_rows.append(edge)
+        b_rows.append(center)
+    return np.array(a_rows), np.array(b_rows), np.array(beta_rows)
+
+
+@st.composite
+def timer_cases(draw):
+    n = draw(st.integers(1, 6))
+    total = draw(st.integers(1, 80))
+    p = DpfaParams(
+        delta=draw(st.sampled_from([0.25, 1.0, 3.0])),
+        theta=draw(st.integers(1, 12)),
+        b=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        alpha=draw(st.sampled_from([1.0, 0.8, 1.7])),
+    )
+    # a reachable carried state: at most one of A and B is positive
+    carried = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    at_edge = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edge = np.array([c if e else 0 for c, e in zip(carried, at_edge)], dtype=np.int64)
+    center = np.array([0 if e else c for c, e in zip(carried, at_edge)], dtype=np.int64)
+    cuts = draw(st.lists(st.integers(1, total), max_size=10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return p, edge, center, total, cuts, seed
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(timer_cases())
+def test_one_timer_exponent_matches_two_timer_rule(case):
+    p, edge, center, total, cuts, seed = case
+    rng = np.random.default_rng(seed)
+    snrs = rng.exponential(p.delta, size=(total, edge.size))
+    want_a, want_b, want_beta = two_timer_beta(edge, center, snrs, p)
+    edges = sorted({0, total, *cuts})
+    b = center
+    for start, stop in zip(edges, edges[1:]):
+        got_b = center_timer(b, snrs[start:stop], p.delta)
+        assert np.array_equal(got_b, want_b[start:stop])
+        assert np.array_equal(update_beta(got_b, snrs[start:stop], p), want_beta[start:stop])
+        b = got_b[-1]
+    assert np.all(want_a * want_b == 0)
+
+
+def dpfa_slot_reference(rates, snrs, p, t_c):
+    """dpfa slot by slot from the two-timer rule: argmax r^alpha / R^beta
+    over each row, then the EWMA update."""
+    n = rates.shape[1]
+    _, _, beta = two_timer_beta(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), snrs, p)
+    avg = np.full(n, EPS_RATE)
+    out = []
+    with np.errstate(over="ignore"):
+        for row, beta_row in zip(rates, beta):
+            out.append(c := int(np.argmax(np.power(row, p.alpha) / np.power(np.maximum(avg, EPS_RATE), beta_row))))
+            avg *= 1.0 - 1.0 / t_c
+            avg[c] += row[c] / t_c
+    return np.array(out), avg
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(timer_cases())
+def test_dpfa_decisions_match_slot_reference(case):
+    p, _, _, total, cuts, seed = case
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    rates = rng.uniform(0.0, 2e5, size=(total, n))
+    snrs = rng.exponential(p.delta, size=(total, n))
+    sched = make_scheduler("dpfa", n, dpfa=p, tc_slots=7.0)
+    edges = sorted({0, total, *cuts})
+    decisions = np.concatenate([sched.step(rates[a:b], snrs[a:b]) for a, b in zip(edges, edges[1:])])
+    want_decisions, want_avg = dpfa_slot_reference(rates, snrs, p, 7.0)
+    assert np.array_equal(decisions, want_decisions)
+    assert np.array_equal(sched.avg_throughput, want_avg)
 
 
 def score_rule_oracle(ledger, rates):

@@ -7,13 +7,13 @@ from schedsim.sched import (
     EPS_RATE,
     DpfaParams,
     VpfaParams,
+    center_timer,
     dpfa_priority,
     make_scheduler,
     pfa_priority,
     select,
     update_avg_throughput,
     update_beta,
-    update_timers,
     variance_scores,
 )
 
@@ -58,6 +58,14 @@ class TestPfaPriority:
             for c in (0.5, 3.0, 100.0):
                 assert argmax_oracle(pfa_priority(r, c * avg)) == base
 
+    def test_buffer_holds_the_same_metric(self):
+        rng = np.random.default_rng(22)
+        r, avg = rng.uniform(0, 1e5, size=50), rng.uniform(0, 1e5, size=50)
+        buf = np.empty(50)
+        assert pfa_priority(r, avg, buf) is buf
+        assert np.array_equal(buf, pfa_priority(r, avg))
+        assert np.array_equal(buf, r / np.maximum(avg, EPS_RATE))
+
 
 class TestAvgThroughputUpdate:
     def test_tc_one_replaces(self):
@@ -81,53 +89,61 @@ class TestAvgThroughputUpdate:
 
 
 class TestDpfaPriority:
+    # dpfa_priority takes its numerator r^alpha, computed once per block
     def test_unit_exponents_reduce_to_pf(self):
         rng = np.random.default_rng(2)
         r, avg = rng.uniform(0, 1e5, size=100), rng.uniform(0, 1e5, size=100)
-        assert np.array_equal(dpfa_priority(r, avg, 1.0, 1.0), pfa_priority(r, avg))
+        assert np.array_equal(dpfa_priority(np.power(r, 1.0), avg, 1.0), pfa_priority(r, avg))
 
     def test_zero_beta_is_max_ci(self):
-        assert dpfa_priority(arr(777.0), arr(123.0), 1.0, 0.0).tolist() == [777.0]
+        assert dpfa_priority(np.power(arr(777.0), 1.0), arr(123.0), 0.0).tolist() == [777.0]
 
     def test_zero_alpha_unit_beta_is_catch_up(self):
-        assert dpfa_priority(arr(777.0), arr(4.0), 0.0, 1.0).tolist() == [1.0 / 4.0]
+        assert dpfa_priority(np.power(arr(777.0), 0.0), arr(4.0), 1.0).tolist() == [1.0 / 4.0]
+
+    def test_buffer_holds_the_same_metric(self):
+        rng = np.random.default_rng(3)
+        r, avg, beta = rng.uniform(0, 1e5, size=50), rng.uniform(0, 1e5, size=50), rng.uniform(0.5, 3, size=50)
+        buf = np.empty(50)
+        assert dpfa_priority(np.power(r, 0.8), avg, beta, buf) is buf
+        assert np.array_equal(buf, np.power(r, 0.8) / np.power(np.maximum(avg, EPS_RATE), beta))
 
 
 class TestTimers:
-    def timers(self, a, b, gamma, delta):
-        a_next, b_next = update_timers(ints(a), ints(b), arr(gamma)[None], delta)
-        return int(a_next[0, 0]), int(b_next[0, 0])
+    # one timer: B counts the slots since the last edge slot.  The paper's
+    # edge timer A is not carried; it is positive exactly where B is 0.
+    def timer(self, b, gamma, delta):
+        return int(center_timer(ints(b), arr(gamma)[None], delta)[0, 0])
 
     def test_center_slot_resets_edge_timer(self):
         delta = 2.0
-        assert self.timers(5, 3, 2 * delta, delta) == (0, 4)
+        assert self.timer(3, 2 * delta, delta) == 4  # B > 0: the edge timer is 0
 
     def test_edge_slot_resets_center_timer(self):
         delta = 2.0
-        assert self.timers(0, 7, delta / 2, delta) == (1, 0)
+        assert self.timer(7, delta / 2, delta) == 0
 
     def test_boundary_counts_as_center(self):
-        assert self.timers(4, 9, 2.0, 2.0) == (0, 10)
+        assert self.timer(9, 2.0, 2.0) == 10
 
     def test_exclusivity_under_default_semantics(self):
+        # B is 0 exactly at the edge slots, where A would count
         rng = np.random.default_rng(8)
-        zeros = np.zeros(5, dtype=np.int64)
-        a, b = update_timers(zeros, zeros, rng.exponential(2.0, size=(500, 5)), 2.0)
-        assert np.all(a * b == 0)
-        assert np.all(a >= 0) and np.all(b >= 0)
+        snrs = rng.exponential(2.0, size=(500, 5))
+        b = center_timer(np.zeros(5, dtype=np.int64), snrs, 2.0)
+        assert np.array_equal(b == 0, snrs < 2.0)
+        assert np.all(b >= 0)
 
     def test_block_matches_slot_by_slot_reference(self):
         # the per-slot piecewise update, applied row by row from non-zero
         # carried timers, against the closed form over the whole block
         rng = np.random.default_rng(11)
         snrs = rng.exponential(2.0, size=(300, 6))
-        edge, center = ints(0, 3, 7, 0, 1, 40), ints(9, 0, 0, 2, 0, 0)
-        a_block, b_block = update_timers(edge, center, snrs, 2.0)
-        a, b = edge, center
+        center = ints(9, 0, 0, 2, 0, 0)
+        b_block = center_timer(center, snrs, 2.0)
+        b = center
         for t, gamma in enumerate(snrs):
-            a = np.where(gamma >= 2.0, 0, a + 1)
             b = np.where(gamma < 2.0, 0, b + 1)
-            assert a_block[t].tolist() == a.tolist()
             assert b_block[t].tolist() == b.tolist()
 
     def test_bad_delta(self):
@@ -139,25 +155,28 @@ class TestBetaUpdate:
     def params(self, theta=20, b=0.5, delta=2.0):
         return DpfaParams(delta=delta, theta=theta, b=b)
 
-    def beta(self, a, b_timer, gamma, p):
-        return update_beta(ints(*a), ints(*b_timer), arr(*gamma), p).tolist()
+    def beta(self, b_timer, gamma, p):
+        return update_beta(ints(*b_timer), arr(*gamma), p).tolist()
 
     def test_long_edge_user_is_neutral(self):
+        # an edge slot zeroes B however long the user was at the center
         p = self.params()
-        assert self.beta([p.theta], [999], [1.0], p) == [1.0]
+        b_timer = center_timer(ints(999), arr(1.0)[None], p.delta)[0]
+        assert self.beta(b_timer, [1.0], p) == [1.0]
 
     def test_long_center_user_is_reweighted(self):
         p = self.params()
-        assert self.beta([0], [p.theta + 5], [2 * p.delta], p) == [2.0]
+        assert self.beta([p.theta + 5], [2 * p.delta], p) == [2.0]
 
     def test_floor_binds(self):
+        # the rule's floor; no run reaches this input, since B > 0 needs gamma >= delta
         p = self.params()
-        assert self.beta([0], [p.theta + 5], [0.2 * p.delta], p) == [0.5]
+        assert self.beta([p.theta + 5], [0.2 * p.delta], p) == [0.5]
 
     def test_neutral_branch_has_precedence(self):
-        # both branch conditions can hold at once; beta = 1 must win
+        # at or below theta, beta = 1 however far above delta the SNR is
         p = self.params()
-        assert self.beta([0, 0], [0, p.theta], [5 * p.delta, 5 * p.delta], p) == [1.0, 1.0]
+        assert self.beta([0, p.theta], [5 * p.delta, 5 * p.delta], p) == [1.0, 1.0]
 
 
 class TestVpfaScore:
@@ -311,7 +330,7 @@ class TestStep:
         avg = arr(0.5, 1e4, 8e4)
         beta = arr(0.7, 1.0, 1.3)
         expected = [r**1.5 / max(a, EPS_RATE) ** b for r, a, b in zip(rates, avg, beta)]
-        assert dpfa_priority(rates, avg, 1.5, beta).tolist() == pytest.approx(expected, rel=1e-14)
+        assert dpfa_priority(np.power(rates, 1.5), avg, beta).tolist() == pytest.approx(expected, rel=1e-14)
         # and the policy serves the argmax of that formula every slot
         stream, snrs = random_stream(3, 200, 13)
         sched = dpfa(3, alpha=1.5, delta=5.0, beta_override=0.7)
@@ -324,11 +343,14 @@ class TestStep:
             dpfa(3, delta=None)
 
     def test_dpfa_timers_stay_exclusive(self):
+        # the carried B is 0 after an edge slot and counts on after a center slot
         rates, snrs = random_stream(4, 1000, 6)
         sched = dpfa(4, delta=5.0)
+        b = np.zeros(4, dtype=np.int64)
         for t in range(1000):
             step1(sched, rates[t], snrs[t])
-            assert np.all(sched.edge_slots * sched.center_slots == 0)
+            b = np.where(snrs[t] < 5.0, 0, b + 1)
+            assert sched.center_slots.tolist() == b.tolist()
 
     def test_dpfa_beta_floor(self):
         sched = dpfa(2, delta=5.0, theta=2, b=0.5)
@@ -408,9 +430,9 @@ class TestVpfaPhases:
     @pytest.mark.parametrize("config,max_calls", [
         (SimConfig(policy="vpfa", seed=0), 0),
         # the wide_cell benchmark workload's vpfa run: the ledgers of users not
-        # yet served at the switch tie exactly, and each tie defers to the score
+        # yet served at the switch tie exactly, and the heap serves those ties
         (SimConfig(policy="vpfa", seed=0, n_users=1000, placement="uniform_ring", total_slots=5000,
-                   vpfa=VpfaParams(s_fi=10)), 999),
+                   vpfa=VpfaParams(s_fi=10)), 0),
     ], ids=["defaults", "wide_cell"])
     def test_heap_serves_most_slots_without_scoring(self, config, max_calls, monkeypatch):
         calls = []
