@@ -19,14 +19,22 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA, whose slot loop writes each slot's metric into one preallocated
-buffer, and vpfa's variance-phase ledger.  dpfa's timer, exponents and
-numerator r^alpha are computed per block; ``maxci`` and ``rr`` decide a
-block at once.  vpfa's variance phase keeps its ledger in a heap, O(log N) a
-slot, and checks the heap against the exact rule, :func:`variance_scores`,
-wherever they could disagree.  Each rule below is a vectorised function;
-the :class:`Scheduler` holds a run's state and calls each rule from one
-place.
+EWMA and vpfa's variance-phase ledger.  The PF slot loop proves two facts
+once per block: every priority is finite (finite served rates, numerator and
+averages, exponents >= 0, T_c >= 1), so a slot serves the plain argmax
+without ``select``'s check; and the cold-start floor never binds (min R
+times the block's decays >= EPS_RATE), so a slot divides by R itself.  A
+slot then runs the metric's ufuncs into one preallocated buffer, one argmax
+and the EWMA update.  A block without the first proof calls ``select`` every
+slot, so it raises where the per-slot rule does.  dpfa's timer, exponents
+and numerator r^alpha are computed per block; ``maxci`` is one ``select``
+over the block and ``rr`` one arange.  vpfa's variance phase keeps its
+ledger in a heap, O(log N) a slot, and checks the heap against the exact
+rule, :func:`variance_scores`, wherever they could disagree.  Each rule below
+is a vectorised function; the :class:`Scheduler` holds a run's state.  The
+per-row rules :func:`pfa_priority`, :func:`dpfa_priority` and
+:func:`update_avg_throughput` are what the PF slot loop computes inline, and
+the reference the tests hold it to.
 """
 from __future__ import annotations
 
@@ -173,15 +181,28 @@ def variance_scores(delivered: np.ndarray) -> np.ndarray:
     return delivered.sum() / delivered.size - delivered
 
 
-def select(priorities) -> int:
-    """Argmax over the per-user metric; ties go to the lowest user index."""
+def select(priorities):
+    """Argmax over the per-user metric, the last axis; ties go to the lowest
+    user index.  A 1-D metric gives an int, a (slots x users) block one
+    decision per slot.  Any non-finite entry raises."""
     arr = np.asarray(priorities, dtype=float)
     if arr.size == 0:
         raise ValueError("empty priority list")
     finite = np.isfinite(arr)
-    if not finite[finite.argmin()]:  # the first non-finite entry, if any; cheaper than .all()
+    if not finite.flat[finite.argmin()]:  # the first non-finite entry, if any; cheaper than .all()
         raise ValueError("non-finite priority; upstream state is corrupt")
-    return int(arr.argmax())
+    return int(arr.argmax()) if arr.ndim < 2 else arr.argmax(axis=-1)
+
+
+# ndarray.min and .max go through a Python-level reduce costing microseconds a
+# call; argmin and argmax land on the first nan too, so these give the same
+# extremes, nan included, as floats.
+def _lowest(x: np.ndarray) -> float:
+    return x.item(x.argmin())
+
+
+def _highest(x: np.ndarray) -> float:
+    return x.item(x.argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +261,68 @@ class Scheduler:
         self.slots_elapsed += len(rates)
         return chosen
 
-    def _pf_loop(self, rates, priority) -> np.ndarray:
-        """Serve each slot's argmax of ``priority(t, row, out)``, computed into
-        one preallocated buffer, then update the EWMA."""
+    def _pf_loop(self, rates, num, beta=None) -> np.ndarray:
+        """Serve each slot's argmax of num / max(R, EPS_RATE)^beta (exponent
+        1 when ``beta`` is None), then update the EWMA R in place.
+
+        Two facts are proven once per block, so that a slot runs only the
+        metric's ufuncs, one argmax and the EWMA update:
+
+        * Finite priorities: the served rates are finite and >= 0, the
+          numerator block is finite, every exponent is >= 0, every T_c >= 1
+          and every average is finite at block start.  An update
+          (1 - 1/T_c) R + r/T_c can then round an average up to inf but
+          never make it nan: that takes 0 * inf, and a decay of 0 (T_c = 1)
+          comes only at a growing run's first slot or in every slot of a
+          fixed T_c = 1, where each update leaves 0 or r.  (So an infinite
+          average at block start is excluded, not only a nan one.)  Each
+          denominator lies in [1, inf] and each priority is finite, so
+          ``select`` could not raise and the slot serves the plain argmax.
+          A block without the proof calls ``select`` every slot, so it
+          raises exactly where the per-slot rule does.
+        * The floor never binds: min(R) at block start, multiplied in slot
+          order by the decay 1 - 1/T_c of every slot but the last, is still
+          >= EPS_RATE.  Rounding is monotone, every decay is >= 0 and
+          serving a user only adds to its average, so that product bounds
+          every average the block's slots divide by, and they divide by R
+          itself instead of max(R, EPS_RATE).
+        """
         avg, buf = self.avg_throughput, self._priority
-        first_t_c = self.t_c if self.tc_mode == "growing" else None
-        out = np.empty(len(rates), dtype=np.int64)
-        for t, row in enumerate(rates):
-            out[t] = chosen = select(priority(t, row, buf))
-            update_avg_throughput(avg, row, chosen, self.tc_slots if first_t_c is None else first_t_c + t)
-        return out
+        first = self.t_c
+        t_cs = [first + t for t in range(len(rates))] if self.tc_mode == "growing" else [first] * len(rates)
+        decays = [1.0 - 1.0 / t_c for t_c in t_cs]
+        lo = _lowest(avg)
+        proven = (_lowest(rates) >= 0 and _highest(rates) < math.inf and t_cs[0] >= 1
+                  and lo > -math.inf and _highest(avg) < math.inf
+                  and (beta is None or (_highest(num) < math.inf and _lowest(beta) >= 0)))
+        for d in decays[:-1]:
+            lo *= d
+        direct = proven and lo >= EPS_RATE
+        chosen = []
+        for t, (row, decay, t_c) in enumerate(zip(num, decays, t_cs)):
+            den = avg if direct else np.maximum(avg, EPS_RATE, out=buf)
+            if beta is not None:
+                den = np.power(den, beta[t], out=buf)
+            np.divide(row, den, out=buf)
+            c = int(buf.argmax()) if proven else select(buf)
+            avg *= decay
+            avg[c] += rates.item(t, c) / t_c
+            chosen.append(c)
+        return np.array(chosen, dtype=np.int64)
 
     def _choose_pfa(self, rates, snrs) -> np.ndarray:
-        avg = self.avg_throughput
-        return self._pf_loop(rates, lambda t, row, buf: pfa_priority(row, avg, buf))
+        return self._pf_loop(rates, rates)
 
     def _choose_dpfa(self, rates, snrs) -> np.ndarray:
         p = self.dpfa
         center = center_timer(self.center_slots, snrs, p.delta)
         beta = update_beta(center, snrs, p)
         self.center_slots, self.beta = center[-1], beta[-1]
-        rates_alpha, avg = np.power(rates, p.alpha), self.avg_throughput
         with np.errstate(over="ignore"):
-            return self._pf_loop(rates, lambda t, row, buf: dpfa_priority(rates_alpha[t], avg, beta[t], buf))
+            return self._pf_loop(rates, np.power(rates, p.alpha), beta)
 
     def _choose_maxci(self, rates, snrs) -> np.ndarray:
-        return np.argmax(rates, axis=1)
+        return select(rates)
 
     def _choose_rr(self, rates, snrs) -> np.ndarray:
         return (self.slots_elapsed + np.arange(len(rates))) % self.n_users

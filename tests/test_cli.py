@@ -311,6 +311,18 @@ class TestMain:
         assert err.startswith("schedsim: error:") and "tx_power_dbm" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr", "vpfa"])
+    def test_fading_that_overflows_the_snr_is_single_line_error(self, policy, tmp_path, capsys):
+        # the link-budget SNR is finite; a fading gain above 1 takes user 0 past the float range
+        out = tmp_path / "out"
+        rc = main(["run", "--set", "policy=" + policy, "--set", "tx_power_dbm=3090", "--set", "shadowing_sigma_db=0",
+                   "--set", "total_slots=2000", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "schedsim: error: SNR overflows a float: tx_power_dbm 3090 puts user 0 3079.4 dB above the noise floor,"
+            " and the fading at slot 1 takes its SNR past the float range\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["tx_power_dbm=-400", "bandwidth_hz=1e300"])
     def test_zero_capacity_link_budget_is_single_line_error(self, override, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,11 +1,12 @@
 """Invariants of whole runs over random small configs (N <= 8, T <= 400), of
 deciding one trace in different block splits, of dpfa's one-timer exponent
-against the paper's two-timer rule, and of vpfa's variance phase against its
-exact score rule."""
+against the paper's two-timer rule, of the PF family's block-proven slot loop
+against its per-slot rules, and of vpfa's variance phase against its exact
+score rule."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
@@ -17,8 +18,11 @@ from schedsim.sched import (
     DpfaParams,
     VpfaParams,
     center_timer,
+    dpfa_priority,
     make_scheduler,
+    pfa_priority,
     select,
+    update_avg_throughput,
     update_beta,
     variance_scores,
 )
@@ -234,6 +238,114 @@ def test_dpfa_decisions_match_slot_reference(case):
     assert np.array_equal(sched.avg_throughput, want_avg)
 
 
+TINY = 5e-324  # the smallest subnormal
+
+
+def pf_slot_reference(policy, rates, snrs, p, avg, t_cs):
+    """pfa, dpfa or vpfa's warm-up slot by slot from the per-row rules:
+    ``pfa_priority`` or ``dpfa_priority``, then ``select``, then
+    ``update_avg_throughput``.  Returns the decisions, the averages and the
+    ledger of served bits, and whether ``select`` raised; on a raise the
+    averages are those the raising slot saw."""
+    avg = avg.copy()
+    ledger = np.zeros(rates.shape[1])
+    if policy == "dpfa":
+        beta = update_beta(center_timer(np.zeros(rates.shape[1], dtype=np.int64), snrs, p.delta), snrs, p)
+    out = []
+    for t, row in enumerate(rates):
+        if policy == "dpfa":
+            priority = dpfa_priority(np.power(row, p.alpha), avg, beta[t])
+        else:
+            priority = pfa_priority(row, avg)
+        try:
+            c = select(priority)
+        except ValueError:
+            return np.array(out), avg, ledger, True
+        update_avg_throughput(avg, row, c, t_cs[t])
+        ledger[c] += row[c]
+        out.append(c)
+    return np.array(out), avg, ledger, False
+
+
+# zero and subnormal rates and averages near EPS_RATE let the floor bind and
+# unbind inside a block
+PF_RATES = np.array([0.0, TINY, 1e-310, 0.5, 1.0, 2.0, 1e3, 2e5])
+PF_AVERAGES = [EPS_RATE, 0.0, 0.3, 1.2, 2.0, 3.0, 10.0, 1e3, 1e300]
+BAD = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def pf_cases(draw):
+    policy = draw(st.sampled_from(["pfa", "dpfa", "vpfa"]))
+    n = draw(st.integers(1, 5))
+    total = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.where(rng.random((total, n)) < draw(st.sampled_from([0.0, 0.3, 1.0])),
+                     rng.choice(PF_RATES, (total, n)), rng.uniform(0.0, 2e5, (total, n)))
+    snrs = rng.exponential(1.0, size=(total, n))
+    avg = np.array(draw(st.lists(st.sampled_from(PF_AVERAGES), min_size=n, max_size=n)))
+    p = DpfaParams(delta=1.0, theta=draw(st.integers(1, 4)), alpha=draw(st.sampled_from([1.0, 0.8, 0.0])),
+                   beta_override=draw(st.sampled_from([None, None, 1.0, 0.0, -0.5, -300.0])))
+    # one bad value, if any: a non-finite rate or SNR, or a non-finite average
+    where = draw(st.sampled_from(["none", "none", "rates", "snrs", "avg"]))
+    bad, t, k = draw(st.sampled_from(BAD)), draw(st.integers(0, total - 1)), draw(st.integers(0, n - 1))
+    if where == "avg":
+        avg[k] = bad
+    elif where != "none":
+        {"rates": rates, "snrs": snrs}[where][t, k] = bad
+    # 0.5 is no valid config, but a scheduler takes it: its decay is negative
+    tc = draw(st.sampled_from([1.5, 7.0, 1000.0, "growing", 0.5]))
+    elapsed = draw(st.sampled_from([0, 0, 5]))
+    cuts = draw(st.lists(st.integers(1, total), max_size=8))
+    return policy, rates, snrs, avg, p, tc, elapsed, cuts
+
+
+def pf_example(policy, rates, avg, tc=7.0, **dpfa):
+    rates = np.array(rates)
+    return policy, rates, np.ones_like(rates), np.array(avg), DpfaParams(delta=1.0, **dpfa), tc, 0, []
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(pf_cases())
+# the floor binds at the last slot only: min(avg) 3 decays by 1/3 to 1 after
+# one slot and below it after two, where user 1 is boosted 3x without the floor
+@example(pf_example("pfa", [[10.0, 0.0], [10.0, 0.0], [20.0, 1.0]], [3.0, 3.0], tc=1.5))
+# a negative exponent: user 0's served average to the -300 underflows to 0
+@example(pf_example("dpfa", [[1e5, 1e5], [1e5, 1e5]], [EPS_RATE, EPS_RATE], beta_override=-300.0))
+# a nan average, which the floor maps to nan
+@example(pf_example("pfa", [[1.0, 2.0]], [math.nan, EPS_RATE]))
+# an infinite rate, pfa's numerator
+@example(pf_example("pfa", [[1.0, math.inf]], [EPS_RATE, EPS_RATE]))
+# a negative decay: min(avg) 2 times (-1)^2 is 2, but user 0's average is 0.5
+# at the last slot
+@example(pf_example("pfa", [[1.0, 0.0], [0.25, 0.0], [1.0, 2.5]], [2.0, 2.0], tc=0.5))
+def test_pf_loop_matches_slot_rules(case):
+    """The block proofs change no decision, no average bit and no raise."""
+    policy, rates, snrs, avg, p, tc, elapsed, cuts = case
+    growing = tc == "growing"
+    sched = make_scheduler(policy, rates.shape[1], dpfa=p, tc_mode="growing" if growing else "fixed",
+                           tc_slots=1000.0 if growing else tc)
+    sched.avg_throughput[:] = avg
+    sched.slots_elapsed = elapsed
+    t_cs = [float(elapsed + 1 + t) if growing else tc for t in range(len(rates))]
+    edges = sorted({0, len(rates), *cuts})
+    with np.errstate(all="ignore"):
+        want, want_avg, want_ledger, want_raised = pf_slot_reference(policy, rates, snrs, p, avg, t_cs)
+        got, raised = [], False
+        for a, b in zip(edges, edges[1:]):
+            try:
+                got.append(sched.step(rates[a:b], snrs[a:b]))
+            except ValueError:
+                raised = True
+                break
+    assert raised == want_raised
+    assert np.array_equal(sched.avg_throughput, want_avg, equal_nan=True)
+    if not raised:
+        assert np.array_equal(np.concatenate(got), want)
+        if policy == "vpfa":
+            assert np.array_equal(sched.delivered_bits, want_ledger)
+
+
 def score_rule_oracle(ledger, rates):
     """The variance phase slot by slot, straight from the exact score rule."""
     d = ledger.copy()
@@ -242,9 +354,6 @@ def score_rule_oracle(ledger, rates):
         out.append(c := select(variance_scores(d)))
         d[c] += row[c]
     return np.array(out), d
-
-
-TINY = 5e-324  # the smallest subnormal
 
 
 @st.composite

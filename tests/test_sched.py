@@ -210,6 +210,18 @@ class TestSelect:
         with pytest.raises(ValueError):
             select([1.0, float("nan")])
 
+    def test_block_gives_each_rows_decision(self):
+        rng = np.random.default_rng(32)
+        block = rng.choice([0.0, 1.0, 2.0], size=(50, 4))  # ties in most rows
+        assert select(block).tolist() == [select(row) for row in block]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_of_a_block_rejected(self, bad):
+        block = np.ones((3, 4))
+        block[2, 1] = bad
+        with pytest.raises(ValueError):
+            select(block)
+
 
 class TestPowerIdentities:
     # the exact-sequence equivalences below lean on IEEE pow(x, 1) == x and
@@ -263,6 +275,13 @@ class TestStep:
         assert sched.slots_elapsed == 0
         rates, snrs = random_stream(3, 1, 0)
         assert sched.step(rates, snrs).shape == (1,)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_maxci_rejects_non_finite_rates(self, bad):
+        rates, snrs = random_stream(3, 4, 0)
+        rates[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_scheduler("maxci", 3).step(rates, snrs)
 
     def test_exactly_one_user_per_slot(self):
         rates, snrs = random_stream(5, 400, 1)
