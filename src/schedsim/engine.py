@@ -158,13 +158,14 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
         snrs = draw_fast_fading(rng, size=(config.total_slots, len(links)))
     else:
         snrs = np.ones((config.total_slots, len(links)))
-    with np.errstate(over="ignore"):
-        snrs *= base
-    if snrs.max() == math.inf:  # a reduction: no (slots x users) mask on the way
-        t, k = divmod(int(np.argmax(snrs == math.inf)), len(links))
+    try:
+        with np.errstate(over="raise"):  # the flag costs no pass over the trace
+            snrs *= base
+    except FloatingPointError:
+        t, k = divmod(int(np.argmax(snrs == math.inf)), len(links))  # the first (slot, user) past the range
         raise ConfigError("SNR overflows a float: tx_power_dbm %g puts user %d %.1f dB above the noise floor,"
                           " and the fading at slot %d takes its SNR past the float range"
-                          % (config.channel.tx_power_dbm, k, 10.0 * math.log10(base[k]), t + 1))
+                          % (config.channel.tx_power_dbm, k, 10.0 * math.log10(base[k]), t + 1)) from None
     return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
                         config.total_slots, links, snrs, instantaneous_rate(snrs, config.channel))
 

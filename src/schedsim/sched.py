@@ -19,22 +19,21 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  The PF slot loop proves two facts
-once per block: every priority is finite (finite served rates, numerator and
-averages, exponents >= 0, T_c >= 1), so a slot serves the plain argmax
-without ``select``'s check; and the cold-start floor never binds (min R
-times the block's decays >= EPS_RATE), so a slot divides by R itself.  A
-slot then runs the metric's ufuncs into one preallocated buffer, one argmax
-and the EWMA update.  A block without the first proof calls ``select`` every
-slot, so it raises where the per-slot rule does.  dpfa's timer, exponents
-and numerator r^alpha are computed per block; ``maxci`` is one ``select``
-over the block and ``rr`` one arange.  vpfa's variance phase keeps its
-ledger in a heap, O(log N) a slot, and checks the heap against the exact
-rule, :func:`variance_scores`, wherever they could disagree.  Each rule below
-is a vectorised function; the :class:`Scheduler` holds a run's state.  The
-per-row rules :func:`pfa_priority`, :func:`dpfa_priority` and
-:func:`update_avg_throughput` are what the PF slot loop computes inline, and
-the reference the tests hold it to.
+EWMA and vpfa's variance-phase ledger.  The PF slot loop proves once per
+block that every priority is finite (finite rates, numerator and averages,
+exponents >= 0, T_c >= 1) and that the cold-start floor never binds (min R
+times the block's decays >= EPS_RATE); ``Scheduler._pf_loop`` gives both
+proofs.  A slot then runs only the metric's ufuncs into one preallocated
+buffer, one argmax and the EWMA update; a block without the first proof
+calls ``select`` every slot, so it raises where the per-slot rule does.
+dpfa's timer, exponents and numerator r^alpha are computed per block;
+``maxci`` is one ``select`` over the block and ``rr`` one arange.  vpfa's
+variance phase keeps its ledger in a heap, O(log N) a slot, and checks the
+heap against the exact rule, :func:`variance_scores`, wherever they could
+disagree.  Each rule below is a vectorised function; the :class:`Scheduler`
+holds a run's state.  :func:`pfa_priority`, :func:`dpfa_priority` and
+:func:`update_avg_throughput` are the per-row rules the PF slot loop
+computes inline, kept as the reference the tests hold it to.
 """
 from __future__ import annotations
 
