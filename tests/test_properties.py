@@ -314,6 +314,8 @@ def pf_example(policy, rates, avg, tc=7.0, **dpfa):
 @example(pf_example("dpfa", [[1e5, 1e5], [1e5, 1e5]], [EPS_RATE, EPS_RATE], beta_override=-300.0))
 # a nan average, which the floor maps to nan
 @example(pf_example("pfa", [[1.0, 2.0]], [math.nan, EPS_RATE]))
+# an infinite average: the first slot of a growing run decays it by 0 to nan
+@example(pf_example("pfa", [[1.0, 1.0], [1.0, 1.0]], [math.inf, EPS_RATE], tc="growing"))
 # an infinite rate, pfa's numerator
 @example(pf_example("pfa", [[1.0, math.inf]], [EPS_RATE, EPS_RATE]))
 # a negative decay: min(avg) 2 times (-1)^2 is 2, but user 0's average is 0.5
