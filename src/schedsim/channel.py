@@ -143,7 +143,7 @@ def draw_shadowing(rng: np.random.Generator, sigma_db: float, size=None):
 
 def draw_fast_fading(rng: np.random.Generator, size=None):
     """Unit-mean exponential power gain (Rayleigh amplitude fading), i.i.d. per user per slot."""
-    out = rng.exponential(1.0, size=size)
+    out = rng.standard_exponential(size=size)  # exactly rng.exponential(1.0, size), without the scale pass
     return float(out) if size is None else out
 
 
@@ -168,15 +168,23 @@ def instantaneous_rate(snr_linear, params: ChannelParams):
     """Shannon rate over the full bandwidth, in bits per slot.
 
     rate = bandwidth * log2(1 + SNR) * slot_duration.  Accepts scalars or
-    arrays; strictly increasing in SNR.
+    arrays; strictly increasing in SNR.  A rate past the float range is a
+    ConfigError naming the two scale factors.
     """
     arr = np.asarray(snr_linear, dtype=float)
-    if np.any(arr <= 0):
+    # fmin skips nan, so this is np.any(arr <= 0) without a bool array of the trace
+    if arr.size and np.fmin.reduce(arr, axis=None) <= 0:
         raise ValueError("SNR must be > 0")
     rate = np.add(arr, 1.0, out=np.empty(arr.shape))  # one buffer, scaled in place
     np.log2(rate, out=rate)
-    rate *= params.bandwidth_hz
-    rate *= params.slot_duration_s
+    try:
+        with np.errstate(over="raise"):  # the flag costs no pass over the trace
+            rate *= params.bandwidth_hz
+            rate *= params.slot_duration_s
+    except FloatingPointError:
+        raise ConfigError("rate overflows a float: bandwidth_hz %g times slot_duration_s %g times"
+                          " log2(1 + SNR) is past the float range"
+                          % (params.bandwidth_hz, params.slot_duration_s)) from None
     return float(rate) if np.isscalar(snr_linear) else rate
 
 

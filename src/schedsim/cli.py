@@ -195,10 +195,10 @@ def _write_all(out_dir: Path, files: dict[str, str]) -> list[Path]:
 
 def _result_csvs(result: SimResult, out_dir: Path) -> list[Path]:
     rows = ["user_id,distance_m,schedule_count,cumulative_bits"]
-    for uid, dist, count, bits in result.per_user_rows():
-        rows.append("%d,%s,%d,%s" % (uid, _num(dist), count, _num(bits)))
-    fi_rows = ["slot,fi"] + ["%d,%s" % (slot, _num(fi)) for slot, fi in result.fi_series]
-    sys_rows = ["slot,cumulative_bits"] + ["%d,%s" % (slot, _num(bits)) for slot, bits in result.system_series]
+    # "%.6g" is _num's format, inlined: one % per row
+    rows += ["%d,%.6g,%d,%.6g" % row for row in result.per_user_rows()]
+    fi_rows = ["slot,fi"] + ["%d,%.6g" % sample for sample in result.fi_series]
+    sys_rows = ["slot,cumulative_bits"] + ["%d,%.6g" % sample for sample in result.system_series]
     return _write_all(out_dir, {
         "per_user.csv": "\n".join(rows) + "\n",
         "fi_series.csv": "\n".join(fi_rows) + "\n",
@@ -235,8 +235,8 @@ def emit_figures(comp: ComparisonResult, out_dir) -> list[Path]:
     any_result = next(iter(comp.results.values()))
     users = [str(link.user_id) for link in any_result.links]
 
-    counts = {p: [int(c) for c in r.metrics.schedule_counts] for p, r in comp.results.items()}
-    bits = {p: [float(b) for b in r.metrics.per_user_bits] for p, r in comp.results.items()}
+    counts = {p: r.metrics.schedule_counts.tolist() for p, r in comp.results.items()}
+    bits = {p: r.metrics.per_user_bits.tolist() for p, r in comp.results.items()}
     system = {p: [(float(s), float(b)) for s, b in r.system_series] for p, r in comp.results.items()}
     fi = {p: [(float(s), float(v)) for s, v in r.fi_series] for p, r in comp.results.items()}
 

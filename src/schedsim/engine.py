@@ -186,6 +186,8 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
         trace.check(cfg)
     n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
     block = max(1, min(s_fi, BLOCK_ELEMENTS // n))
+    rates, snrs = trace.rates, trace.snrs
+    row_starts = np.arange(0, block * n, n)  # a segment's flat index of (slot, user 0)
 
     scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
     log = MetricsLog(n)
@@ -198,22 +200,23 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     while start < total:
         # no segment crosses an FI evaluation, so vpfa switches on a segment edge
         stop = min(start + block, (start // s_fi + 1) * s_fi, total)
-        chosen = scheduler.step(trace.rates[start:stop], trace.snrs[start:stop])
+        segment = rates[start:stop]
+        chosen = scheduler.step(segment, snrs[start:stop])
         decisions[start:stop] = chosen
-        log.record_slot(chosen, trace.rates[np.arange(start, stop), chosen])
+        log.record_slot(chosen, segment.reshape(-1).take(chosen + row_starts[:stop - start]))
         start = stop
 
         on_cadence = stop % s_fi == 0
         if on_cadence or stop == total:
             if log.system_bits == 0:
-                if not trace.rates.any():
+                if not rates.any():
                     raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
                                       "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
                                       % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
                                          cfg.channel.noise_figure_db))
                 raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
                                   "users with rate 0 in every slot so far: %s"
-                                  % (stop, _user_list(np.flatnonzero(~trace.rates[:stop].any(axis=0)))))
+                                  % (stop, _user_list(np.flatnonzero(~rates[:stop].any(axis=0)))))
             fi = jain_index(log.per_user_bits)
             fi_series.append((stop, fi))
             system_series.append((stop, log.system_bits))

@@ -44,13 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_finite
-from .metrics import fi_stability_update
+from .metrics import fi_stability_update, highest, lowest
 
 # Cold-start floor for the average-throughput denominator, in bits/slot.
 # R_k starts here so the first slots degenerate to max-C/I instead of 0/0.
 EPS_RATE = 1.0
 
 POLICIES = ("pfa", "dpfa", "maxci", "rr", "vpfa")
+
+# center_timer's running maximum goes row by row at this many users per slot
+# or more (10-slot blocks of 1000 users), and down the columns below it (the
+# defaults' 100-slot blocks of 10); the two cost about the same at 16 x 256.
+ROW_MAX_USERS_PER_SLOT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +151,19 @@ def center_timer(center, snrs, delta: float) -> np.ndarray:
 
     ``run`` is B if no slot of the block so far was at the edge; it grows
     by one a slot, so its value at the latest edge slot, a running maximum,
-    is what each later slot counts from.
+    is what each later slot counts from.  With ``ROW_MAX_USERS_PER_SLOT``
+    users per slot or more that maximum is taken row by row, one ufunc call
+    a slot over a contiguous row; otherwise in one accumulate down the
+    columns, which pays a strided pass per column and so wins on long,
+    narrow blocks.  Both give the same integers.
     """
     run = np.arange(1, len(snrs) + 1)[:, None] + center
-    last_edge = np.maximum.accumulate(run * (snrs < delta), axis=0)
+    last_edge = run * (snrs < delta)
+    if snrs.shape[1] >= ROW_MAX_USERS_PER_SLOT * len(snrs):
+        for prev, row in zip(last_edge, last_edge[1:]):
+            np.maximum(prev, row, out=row)
+    else:
+        last_edge = np.maximum.accumulate(last_edge, axis=0)
     return np.subtract(run, last_edge, out=last_edge)
 
 
@@ -191,17 +205,6 @@ def select(priorities):
     if not finite.flat[finite.argmin()]:  # the first non-finite entry, if any; cheaper than .all()
         raise ValueError("non-finite priority; upstream state is corrupt")
     return int(arr.argmax()) if arr.ndim < 2 else arr.argmax(axis=-1)
-
-
-# ndarray.min and .max go through a Python-level reduce costing microseconds a
-# call; argmin and argmax land on the first nan too, so these give the same
-# extremes, nan included, as floats.
-def _lowest(x: np.ndarray) -> float:
-    return x.item(x.argmin())
-
-
-def _highest(x: np.ndarray) -> float:
-    return x.item(x.argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +293,10 @@ class Scheduler:
         first = self.t_c
         t_cs = [first + t for t in range(len(rates))] if self.tc_mode == "growing" else [first] * len(rates)
         decays = [1.0 - 1.0 / t_c for t_c in t_cs]
-        lo = _lowest(avg)
-        proven = (_lowest(rates) >= 0 and _highest(rates) < math.inf and t_cs[0] >= 1
-                  and lo > -math.inf and _highest(avg) < math.inf
-                  and (beta is None or (_highest(num) < math.inf and _lowest(beta) >= 0)))
+        lo = lowest(avg)
+        proven = (lowest(rates) >= 0 and highest(rates) < math.inf and t_cs[0] >= 1
+                  and lo > -math.inf and highest(avg) < math.inf
+                  and (beta is None or (highest(num) < math.inf and lowest(beta) >= 0)))
         for d in decays[:-1]:
             lo *= d
         direct = proven and lo >= EPS_RATE
@@ -318,7 +321,8 @@ class Scheduler:
         beta = update_beta(center, snrs, p)
         self.center_slots, self.beta = center[-1], beta[-1]
         with np.errstate(over="ignore"):
-            return self._pf_loop(rates, np.power(rates, p.alpha), beta)
+            # r^1 is r bit for bit, so the default alpha skips the pass
+            return self._pf_loop(rates, rates if p.alpha == 1.0 else np.power(rates, p.alpha), beta)
 
     def _choose_maxci(self, rates, snrs) -> np.ndarray:
         return select(rates)

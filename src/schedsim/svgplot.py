@@ -7,7 +7,7 @@ or font state is used.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape  # not xml.sax.saxutils, which imports urllib and the network stack
 
 WIDTH = 800
 HEIGHT = 480
@@ -47,7 +47,7 @@ def _header(title: str) -> list[str]:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16" {_FONT}>'
-        f"{escape(title)}</text>",
+        f"{escape(title, quote=False)}</text>",
     ]
 
 
@@ -58,9 +58,9 @@ def _axes(xlabel: str, ylabel: str) -> list[str]:
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
         f'<text x="{(x0 + x1) / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="13" {_FONT}>{escape(xlabel)}</text>',
+        f'font-size="13" {_FONT}>{escape(xlabel, quote=False)}</text>',
         f'<text x="18" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" font-size="13" {_FONT} '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">{escape(ylabel)}</text>',
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.0f})">{escape(ylabel, quote=False)}</text>',
     ]
 
 
@@ -75,7 +75,7 @@ def _legend(names: list[str]) -> list[str]:
         )
         parts.append(
             f'<text x="{x + 18}" y="{y + 16 * i + 10}" font-size="12" {_FONT}>'
-            f"{escape(name)}</text>"
+            f"{escape(name, quote=False)}</text>"
         )
     return parts
 
@@ -142,7 +142,7 @@ def line_chart(
         )
     for i, (name, pts) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{_fmt(to_x(x))},{_fmt(to_y(min(max(y, y_lo), y_hi)))}" for x, y in pts)
+        coords = " ".join("%.2f,%.2f" % (to_x(x), to_y(min(max(y, y_lo), y_hi))) for x, y in pts)
         parts.append(
             f'<polyline class="line" fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'
@@ -177,17 +177,15 @@ def grouped_bar_chart(
         cx = MARGIN_LEFT + group_w * (c + 0.5)
         parts.append(
             f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle" '
-            f'font-size="11" {_FONT}>{escape(label)}</text>'
+            f'font-size="11" {_FONT}>{escape(label, quote=False)}</text>'
         )
     for i, (name, vals) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         for c, v in enumerate(vals):
             x = MARGIN_LEFT + group_w * c + group_w * 0.1 + bar_w * i
             y = to_y(v)
-            parts.append(
-                f'<rect class="bar" x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
-                f'height="{_fmt(y_base - y)}" fill="{color}"/>'
-            )
+            parts.append('<rect class="bar" x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
+                         % (x, y, bar_w, y_base - y, color))
     parts += _legend(list(series))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

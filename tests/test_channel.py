@@ -102,6 +102,13 @@ class TestFastFading:
         rng = np.random.default_rng(4)
         assert np.all(draw_fast_fading(rng, size=100_000) > 0)
 
+    def test_draws_equal_unit_scale_exponential(self):
+        # the same values and the same stream position as rng.exponential(1.0, size)
+        got, want = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(draw_fast_fading(got, size=(300, 40)), want.exponential(1.0, size=(300, 40)))
+        assert draw_fast_fading(got) == want.exponential(1.0)
+        assert got.random() == want.random()
+
 
 class TestSnr:
     def test_zero_db_when_rx_equals_noise(self):
@@ -158,6 +165,25 @@ class TestRate:
             instantaneous_rate(0.0, p)
         with pytest.raises(ValueError):
             instantaneous_rate(np.array([1.0, -2.0]), p)
+
+    @pytest.mark.parametrize("snrs,rejected", [
+        ([math.nan, -2.0], True), ([-2.0, math.nan], True), ([math.nan, 0.0], True),
+        ([math.nan, 1.0], False), ([math.inf, 1.0], False), ([-0.0], True), ([], False),
+    ])
+    def test_sign_check_is_any_le_zero(self, snrs, rejected):
+        # a nan is neither > 0 nor <= 0, so it passes, and it hides no nonpositive SNR
+        arr = np.array(snrs)
+        assert bool(np.any(arr <= 0)) == rejected
+        if rejected:
+            with pytest.raises(ValueError, match="SNR must be > 0"):
+                instantaneous_rate(arr, default_params())
+        else:
+            assert instantaneous_rate(arr, default_params()).shape == arr.shape
+
+    @pytest.mark.parametrize("key,value", [("slot_duration_s", 1e305), ("bandwidth_hz", 1e307)])
+    def test_rate_past_the_float_range_names_both_factors(self, key, value):
+        with pytest.raises(ConfigError, match="rate overflows a float: bandwidth_hz .* times slot_duration_s"):
+            instantaneous_rate(np.array([1.0, 1e9]), default_params(**{key: value}))
 
     def test_dimension_sanity(self):
         # bits per slot = bandwidth * slot * log2(1 + SNR) on fixed inputs

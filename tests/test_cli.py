@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +327,18 @@ class TestMain:
             " and the fading at slot 1 takes its SNR past the float range\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy", ["pfa", "rr"])
+    def test_rate_past_the_float_range_is_single_line_error(self, policy, tmp_path, capsys):
+        # log2(1 + SNR) is finite, but scaled by bandwidth and slot time it is not
+        out = tmp_path / "out"
+        rc = main(["run", "--set", "policy=" + policy, "--set", "slot_duration_s=1e305", "--set", "total_slots=200",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error: rate overflows a float: bandwidth_hz 1e+07 times slot_duration_s 1e+305")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["tx_power_dbm=-400", "bandwidth_hz=1e300"])
     def test_zero_capacity_link_budget_is_single_line_error(self, override, tmp_path, capsys):
         out = tmp_path / "out"
@@ -449,3 +465,13 @@ class TestMain:
         )
         assert rc != 0
         assert "reference" in capsys.readouterr().err
+
+
+def test_import_loads_no_network_modules():
+    # xml.sax.saxutils would pull in urllib.request and with it the network stack
+    code = ("import sys, schedsim.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email', 'socket') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -287,3 +287,98 @@ class TestValidationParity:
                     want += b
             assert log.system_bits == want
 
+
+
+def reference_record_slot(log, chosen, delivered_bits):
+    """``MetricsLog.record_slot`` with its checks stated through ndarray.min
+    and .max, the form the argmin/argmax extremes must agree with."""
+    chosen = np.atleast_1d(chosen)
+    bits = np.atleast_1d(np.asarray(delivered_bits, dtype=float))
+    if chosen.size and not (0 <= chosen.min() and chosen.max() < log.n_users):
+        raise IndexError("chosen user out of range [0, %d)" % log.n_users)
+    if bits.shape != chosen.shape:
+        raise ValueError("%d delivered_bits values for %d slots" % (bits.size, chosen.size))
+    if bits.size and bits.min() < 0:
+        raise ValueError("delivered_bits must be >= 0")
+    if chosen.ndim != 1:
+        raise ValueError("chosen must be one user or a 1-D run of users")
+    np.add.at(log.per_user_bits, chosen, bits)
+    np.add.at(log.schedule_counts, chosen, 1)
+    for b in bits.tolist():
+        log.system_bits += b
+    log.slots += chosen.size
+
+
+def reference_jain_index(throughputs) -> float:
+    arr = np.asarray(throughputs, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("throughputs must be a non-empty 1-D sequence")
+    if arr.min() < 0:
+        raise ValueError("throughputs must be non-negative")
+    sum_sq = float(np.dot(arr, arr))
+    if sum_sq == 0.0:
+        raise ValueError("fairness index undefined for an all-zero allocation")
+    n = arr.size
+    total = float(arr.sum())
+    return min(1.0, max(1.0 / n, total * total / (n * sum_sq)))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_values(rng, size):
+    """Non-negative values with nan, inf, -0.0 and negatives mixed in."""
+    values = rng.uniform(0.0, 1e6, size=size)
+    specials = np.array([NAN, INF, -INF, -0.0, 0.0, -1.0, -1e-300])
+    pick = rng.random(size) < 0.2
+    values[pick] = rng.choice(specials, size=int(pick.sum()))
+    return values
+
+
+class TestExtremesParity:
+    """record_slot and jain_index read extremes by argmin/argmax and sum by
+    np.add.reduce; they accept and reject exactly what the ndarray.min/max
+    and .sum forms do, with the same messages and the same recorded state."""
+
+    def test_record_slot_matches_reference(self):
+        rng = np.random.default_rng(19)
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            size = int(rng.integers(0, 7))
+            chosen = rng.integers(-2, n + 2, size=size)
+            if rng.random() < 0.1:
+                chosen = chosen.astype(float)
+            elif rng.random() < 0.1:
+                chosen = chosen.reshape(1, -1)
+            bits = random_values(rng, size + int(rng.random() < 0.1))
+            if chosen.ndim == 2 and rng.random() < 0.5:
+                bits = bits.reshape(1, -1)
+            got, want = MetricsLog(n), MetricsLog(n)
+            with np.errstate(all="ignore"):
+                assert outcome(got.record_slot, chosen, bits) == outcome(reference_record_slot, want, chosen, bits)
+            np.testing.assert_array_equal(got.per_user_bits, want.per_user_bits)
+            assert got.schedule_counts.tolist() == want.schedule_counts.tolist()
+            assert (got.system_bits, got.slots) == pytest.approx((want.system_bits, want.slots), nan_ok=True, rel=0)
+
+    def test_jain_index_matches_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(3000):
+            values = random_values(rng, int(rng.integers(0, 40)))
+            if rng.random() < 0.3:
+                values = np.where(rng.random(values.size) < 0.5, values, 0.0)  # zeros, sometimes all
+            with np.errstate(all="ignore"):  # inf - inf once a nan hides the -inf
+                got, want = outcome(jain_index, values), outcome(reference_jain_index, values)
+            assert got[0] == want[0]
+            assert got[1] == want[1] or (got[1] != got[1] and want[1] != want[1])
+
+    @pytest.mark.parametrize("bits", [[NAN, -1.0], [-1.0, NAN]])
+    def test_nan_hides_a_negative_as_min_does(self, bits):
+        # ndarray.min returns nan here, and nan < 0 is false; argmin lands on the nan too
+        log = MetricsLog(2)
+        log.record_slot([0, 1], bits)
+        assert log.schedule_counts.tolist() == [1, 1]
+        assert jain_index(bits) == 0.5

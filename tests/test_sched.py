@@ -5,6 +5,7 @@ from schedsim.engine import SimConfig, run
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
+    ROW_MAX_USERS_PER_SLOT,
     DpfaParams,
     VpfaParams,
     center_timer,
@@ -145,6 +146,34 @@ class TestTimers:
         for t, gamma in enumerate(snrs):
             b = np.where(gamma < 2.0, 0, b + 1)
             assert b_block[t].tolist() == b.tolist()
+
+    @staticmethod
+    def accumulate_timer(center, snrs, delta):
+        """The closed form as one accumulate down the columns at every shape."""
+        run = np.arange(1, len(snrs) + 1)[:, None] + center
+        last_edge = np.maximum.accumulate(run * (snrs < delta), axis=0)
+        return run - last_edge
+
+    @pytest.mark.parametrize("min_slots,max_slots,users,row_by_row", [(1, 16, 256, True), (1, 10, 1000, True),
+                                                                    (64, 200, 16, False), (64, 100, 10, False)])
+    def test_each_running_maximum_matches_the_accumulate(self, min_slots, max_slots, users, row_by_row):
+        # random carries, blocks of random lengths that all take one side of
+        # the pick: the row loop on wide blocks, the accumulate on long ones
+        rng = np.random.default_rng(max_slots * users)
+        delta = 1.0
+        for _ in range(5):
+            lengths = rng.integers(min_slots, max_slots + 1, size=int(rng.integers(1, 8)))
+            snrs = rng.exponential(delta, size=(int(lengths.sum()), users))
+            snrs[rng.random(snrs.shape) < 0.02] = delta  # the boundary counts as center
+            center = rng.integers(0, 50, size=users)
+            start = 0
+            for length in lengths.tolist():
+                assert (users >= ROW_MAX_USERS_PER_SLOT * length) == row_by_row
+                block = snrs[start:start + length]
+                got = center_timer(center, block, delta)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, self.accumulate_timer(center, block, delta))
+                center, start = got[-1], start + length
 
     def test_bad_delta(self):
         with pytest.raises(ConfigError, match="dpfa_delta"):
