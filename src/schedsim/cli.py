@@ -95,7 +95,7 @@ CONFIG_KEYS = {
     "dpfa_alpha": ("dpfa", "alpha", float),
     "dpfa_delta": ("dpfa", "delta", _parse_optional_float("auto")),
     "dpfa_theta": ("dpfa", "theta", int),
-    "dpfa_b": ("dpfa", "b", float),
+    "dpfa_b": _removed("0.5"),
     "dpfa_beta_override": ("dpfa", "beta_override", _parse_optional_float("none")),
     "dpfa_literal_timers": _removed("false"),
     "vpfa_s_fi": ("vpfa", "s_fi", int),
@@ -336,6 +336,9 @@ def main(argv=None) -> int:
         return _cmd_compare(args, figures=True)
     except (ConfigError, OSError, ValueError) as exc:
         print("schedsim: error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the size; a bare one says nothing
+        print("schedsim: error: out of memory: %s" % (str(exc) or "an allocation failed"), file=sys.stderr)
         return 2
 
 

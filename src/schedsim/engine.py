@@ -60,6 +60,8 @@ class SimConfig:
             raise ConfigError("n_users must be >= 1")
         if self.total_slots < 1:
             raise ConfigError("total_slots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.placement not in PLACEMENT_MODES:
             raise ConfigError("placement must be one of %s" % (PLACEMENT_MODES,))
         if self.policy not in POLICIES:

@@ -8,9 +8,9 @@ State carries across calls, so any split of a trace gives the same result.
 * ``pfa``   - proportional fair: argmax r_k / R_k, with R_k the EWMA of the
   served rate.
 * ``dpfa``  - proportional fair with per-user exponents: argmax
-  r_k^alpha / R_k^beta_k, beta_k driven by cell-edge/cell-center residence
-  timers so that long-time center users are de-prioritized.  The neutral
-  test A >= theta or B <= theta is B <= theta alone (an edge slot has B = 0,
+  r_k^alpha / R_k^beta_k, beta_k = gamma_k/delta for a user at the cell
+  center more than theta slots in a row, else 1.  The neutral test
+  A >= theta or B <= theta is B <= theta alone (an edge slot has B = 0,
   a center slot A = 0 < theta), so only the center timer B is carried.
 * ``maxci`` - argmax r_k (pure opportunism).
 * ``rr``    - cyclic round robin.
@@ -31,9 +31,9 @@ dpfa's timer, exponents and numerator r^alpha are computed per block;
 variance phase keeps its ledger in a heap, O(log N) a slot, and checks the
 heap against the exact rule, :func:`variance_scores`, wherever they could
 disagree.  Each rule below is a vectorised function; the :class:`Scheduler`
-holds a run's state.  :func:`pfa_priority`, :func:`dpfa_priority` and
-:func:`update_avg_throughput` are the per-row rules the PF slot loop
-computes inline, kept as the reference the tests hold it to.
+holds a run's state.  :func:`pf_priority` and :func:`update_avg_throughput`
+are the per-row rules the PF slot loop computes inline, kept as the
+reference the tests hold it to.
 """
 from __future__ import annotations
 
@@ -68,10 +68,9 @@ class DpfaParams:
 
     ``delta`` is the linear SNR threshold splitting edge from center (None
     means: resolve from the link budget at 60% of the cell radius when the
-    simulation starts).  ``theta`` is the residence-time threshold in slots,
-    ``b`` the floor for the denominator exponent.  Since theta >= 1, beta is
-    neutral exactly when the center timer B <= theta: an edge slot has B = 0,
-    a center slot an edge timer A = 0 < theta.  ``beta_override`` pins
+    simulation starts).  ``theta`` is the residence-time threshold in slots.
+    The published rule's exponent floor b <= 1 is not a knob: it never binds
+    (see :func:`update_beta`).  ``beta_override`` pins
     beta for every user, bypassing the timer logic; with 1.0 the policy is
     plain PF, with 0.0 it is max-C/I.
     """
@@ -79,7 +78,6 @@ class DpfaParams:
     alpha: float = 1.0
     delta: float | None = None
     theta: int = 20
-    b: float = 0.5
     beta_override: float | None = None
 
     def validate(self) -> None:
@@ -90,8 +88,6 @@ class DpfaParams:
             raise ConfigError("dpfa_delta must be > 0")
         if self.theta < 1:
             raise ConfigError("dpfa_theta must be >= 1")
-        if not 0 < self.b <= 1:
-            raise ConfigError("dpfa_b must be in (0, 1]")
 
 
 @dataclass
@@ -117,21 +113,16 @@ class VpfaParams:
 # Rules: one vectorised definition each, over all users at once
 # ---------------------------------------------------------------------------
 
-def pfa_priority(rates: np.ndarray, avg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Proportional-fair metric r / R with the cold-start floor on R, written
-    into ``out`` when given."""
-    return np.divide(rates, np.maximum(avg, EPS_RATE, out=out), out=out)
-
-
-def dpfa_priority(rates_alpha: np.ndarray, avg: np.ndarray, beta, out: np.ndarray | None = None) -> np.ndarray:
-    """Generalized PF metric r^alpha / R^beta from its numerator ``rates_alpha``
-    = r^alpha (alpha = beta = 1 reduces to PF), written into ``out`` when given.
+def pf_priority(num: np.ndarray, avg: np.ndarray, beta=1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """The PF family's metric num / max(R, EPS_RATE)^beta, written into ``out``
+    when given: pfa's r / R at the default beta = 1 (x^1 is x bit for bit),
+    dpfa's from its numerator r^alpha and per-user exponents.
 
     A large beta overflows the denominator, driving the priority to 0 as
     intended; callers hold ``np.errstate(over="ignore")`` around a block.
     """
     den = np.maximum(avg, EPS_RATE, out=out)
-    return np.divide(rates_alpha, np.power(den, beta, out=den), out=den)
+    return np.divide(num, np.power(den, beta, out=den), out=den)
 
 
 def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: float) -> None:
@@ -171,14 +162,16 @@ def update_beta(center, snrs, params: DpfaParams) -> np.ndarray:
     """Per-user denominator exponent from the center timer B.
 
     Only a user at the center more than theta slots in a row is re-weighted,
-    to max(gamma/delta, b); everyone else keeps beta = 1.  The paper's
-    neutral test, A >= theta or B <= theta with A the edge timer, reduces to
-    B <= theta: an edge slot has B = 0, a center slot A = 0 < 1 <= theta.
-    ``beta_override`` replaces the whole rule.
+    to gamma/delta; everyone else keeps beta = 1.  The paper's neutral test,
+    A >= theta or B <= theta with A the edge timer, reduces to B <= theta:
+    an edge slot has B = 0, a center slot A = 0 < 1 <= theta.  B > 0 means
+    gamma >= delta, so a re-weighted exponent is >= 1 and the published
+    floor max(gamma/delta, b), b <= 1, never binds.  ``beta_override``
+    replaces the whole rule.
     """
     if params.beta_override is not None:
         return np.full(np.shape(snrs), params.beta_override, dtype=float)
-    return np.where(center > params.theta, np.maximum(snrs / params.delta, params.b), 1.0)
+    return np.where(center > params.theta, snrs / params.delta, 1.0)
 
 
 def variance_scores(delivered: np.ndarray) -> np.ndarray:
@@ -214,11 +207,11 @@ def select(priorities):
 class Scheduler:
     """One policy's state over one run.
 
-    Holds the EWMA averages of the PF family, dpfa's center timer and
-    exponents, and vpfa's ledger and phase machine.  For vpfa the driving loop
-    evaluates the fairness index every ``s_fi`` slots, at a block edge, and
-    feeds it to :meth:`observe_fi`; when the stability counter reaches
-    ``l_sc`` the policy leaves its PF phase for good.
+    Holds the EWMA averages of the PF family, dpfa's center timer (each block
+    derives its exponents from it), and vpfa's ledger and phase machine.  For
+    vpfa the driving loop evaluates the fairness index every ``s_fi`` slots,
+    at a block edge, and feeds it to :meth:`observe_fi`; when the stability
+    counter reaches ``l_sc`` the policy leaves its PF phase for good.
     """
 
     def __init__(self, policy: str, n_users: int, dpfa: DpfaParams, vpfa: VpfaParams,
@@ -232,7 +225,6 @@ class Scheduler:
         self.slots_elapsed = 0
         self.avg_throughput = np.full(n_users, EPS_RATE)
         self.center_slots = np.zeros(n_users, dtype=np.int64)  # B_k
-        self.beta = np.ones(n_users)
         self._priority = np.empty(n_users)  # the PF family's per-slot metric
         self.phase = "pf_warmup"  # pf_warmup | variance
         self.c_s = 0
@@ -319,7 +311,7 @@ class Scheduler:
         p = self.dpfa
         center = center_timer(self.center_slots, snrs, p.delta)
         beta = update_beta(center, snrs, p)
-        self.center_slots, self.beta = center[-1], beta[-1]
+        self.center_slots = center[-1]
         with np.errstate(over="ignore"):
             # r^1 is r bit for bit, so the default alpha skips the pass
             return self._pf_loop(rates, rates if p.alpha == 1.0 else np.power(rates, p.alpha), beta)

@@ -74,8 +74,8 @@ class TestParseConfig:
             parse_config("", overrides=["nope=1"])
 
 
-# config.txt as ``schedsim run`` wrote it at defaults while dpfa_literal_timers,
-# vpfa_variance_mode and vpfa_window were still settable
+# config.txt as ``schedsim run`` wrote it at defaults while dpfa_b,
+# dpfa_literal_timers, vpfa_variance_mode and vpfa_window were still settable
 DEFAULT_CONFIG_TXT = """\
 tx_power_dbm = 46.0
 carrier_freq_mhz = 2000.0
@@ -109,6 +109,7 @@ vpfa_signed_stability = false
 """
 
 REMOVED_KEY_VALUES = [
+    ("dpfa_b", "0.3"),
     ("dpfa_literal_timers", "true"),
     ("vpfa_variance_mode", "series"),
     ("vpfa_window", "64"),
@@ -155,7 +156,7 @@ class TestRenderRoundTrip:
                 total_slots=123,
                 seed=99,
                 tc_mode="growing",
-                dpfa=DpfaParams(alpha=0.5, delta=2.25, theta=7, b=0.75, beta_override=1.0),
+                dpfa=DpfaParams(alpha=0.5, delta=2.25, theta=7, beta_override=1.0),
                 vpfa=VpfaParams(s_fi=10, l_sc=2, signed_stability=True),
             ),
         ],
@@ -297,6 +298,7 @@ class TestMain:
             ("dpfa_alpha", "nan"),
             ("dpfa_delta", "nan"),
             ("dpfa_beta_override", "nan"),
+            ("seed", "-1"),  # numpy's own error for it names no key
         ],
     )
     def test_non_finite_value_is_single_line_error(self, key, value, tmp_path, capsys):
@@ -304,7 +306,8 @@ class TestMain:
         rc = main(["run", "--set", "%s=%s" % (key, value), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("schedsim: error: %s must be finite" % key)
+        rule = ">= 0" if key == "seed" else "finite"
+        assert err.startswith("schedsim: error: %s must be %s" % (key, rule))
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -348,6 +351,16 @@ class TestMain:
         assert err.startswith("schedsim: error: no bits were delivered: every rate is 0 under this link budget")
         assert override.split("=")[0] in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_trace_past_memory_is_single_line_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(rng, size):
+            raise MemoryError()
+
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_memory)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "schedsim: error: out of memory: an allocation failed\n"
         assert not out.exists()
 
     PARTLY_ZERO = ["--set", "policy=rr", "--set", "n_users=3", "--set", "total_slots=50", "--set", "vpfa_s_fi=1",

@@ -46,7 +46,8 @@ VARIANTS = [
      "f0dbcf53bfde17a8e79c7251517974dfdde9de28e8d6c3b3be37cc65ec8e6cd1"),
     ("beta_override", "dpfa", ["dpfa_beta_override=1.0"],
      "d36792fe53caea942524759812a66100b13e284a0364fa8d1895fbb171cdc400"),
-    ("alpha_theta_b", "dpfa", ["dpfa_alpha=0.8", "dpfa_theta=5", "dpfa_b=0.3"],
+    # the digest it had with dpfa_b=0.3: the exponent floor never bound
+    ("alpha_theta", "dpfa", ["dpfa_alpha=0.8", "dpfa_theta=5"],
      "c987415b2a6fa98d5f87361200c74a19ad44bfcc00872f19b2628ac746ed5c7b"),
     ("signed_stability", "vpfa", ["vpfa_signed_stability=true"],
      "3cf08c14d8a943e73f9914918859d5747396fc5edbbc5f3b95921382fb39ecb9"),

@@ -18,9 +18,8 @@ from schedsim.sched import (
     DpfaParams,
     VpfaParams,
     center_timer,
-    dpfa_priority,
     make_scheduler,
-    pfa_priority,
+    pf_priority,
     select,
     update_avg_throughput,
     update_beta,
@@ -57,7 +56,6 @@ configs = st.builds(
         alpha=st.floats(0.0, 2.0),
         delta=st.none() | st.floats(0.01, 1e3),
         theta=st.integers(1, 50),
-        b=st.floats(0.0, 1.0, exclude_min=True),
         beta_override=st.none() | st.floats(0.0, 2.0),
     ),
     vpfa=st.builds(
@@ -98,7 +96,7 @@ def test_config_file_round_trip(config):
     assert parse_config(render_config(config)) == config
 
 
-STATE = ("avg_throughput", "center_slots", "beta", "delivered_bits")
+STATE = ("avg_throughput", "center_slots", "delivered_bits")
 
 
 def decide(sched, rates, snrs, cuts, switch_at):
@@ -154,17 +152,18 @@ def test_block_splits_give_equal_decisions_and_state(case):
             assert np.array_equal(a, b), (name, attr)
 
 
-def two_timer_beta(edge, center, snrs, p):
-    """The paper's exponent rule with both residence timers, one slot at a
-    time: edge timer A and center timer B, then beta = 1 when A >= theta or
-    B <= theta, else max(gamma/delta, b).  Returns A, B and beta per slot."""
+def two_timer_beta(edge, center, snrs, p, b):
+    """The paper's exponent rule with both residence timers and its floor
+    b in (0, 1], one slot at a time: edge timer A and center timer B, then
+    beta = 1 when A >= theta or B <= theta, else max(gamma/delta, b).
+    Returns A, B and beta per slot."""
     a_rows, b_rows, beta_rows = [], [], []
     for gamma in snrs:
         at_edge = gamma < p.delta
         edge = np.where(at_edge, edge + 1, 0)
         center = np.where(at_edge, 0, center + 1)
         neutral = (edge >= p.theta) | (center <= p.theta)
-        beta_rows.append(np.where(neutral, 1.0, np.maximum(gamma / p.delta, p.b)))
+        beta_rows.append(np.where(neutral, 1.0, np.maximum(gamma / p.delta, b)))
         a_rows.append(edge)
         b_rows.append(center)
     return np.array(a_rows), np.array(b_rows), np.array(beta_rows)
@@ -177,9 +176,9 @@ def timer_cases(draw):
     p = DpfaParams(
         delta=draw(st.sampled_from([0.25, 1.0, 3.0])),
         theta=draw(st.integers(1, 12)),
-        b=draw(st.floats(0.0, 1.0, exclude_min=True)),
         alpha=draw(st.sampled_from([1.0, 0.8, 1.7])),
     )
+    b = draw(st.floats(0.0, 1.0, exclude_min=True))  # the published floor, which update_beta drops
     # a reachable carried state: at most one of A and B is positive
     carried = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
     at_edge = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -187,16 +186,16 @@ def timer_cases(draw):
     center = np.array([0 if e else c for c, e in zip(carried, at_edge)], dtype=np.int64)
     cuts = draw(st.lists(st.integers(1, total), max_size=10))
     seed = draw(st.integers(0, 2**32 - 1))
-    return p, edge, center, total, cuts, seed
+    return p, b, edge, center, total, cuts, seed
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(timer_cases())
 def test_one_timer_exponent_matches_two_timer_rule(case):
-    p, edge, center, total, cuts, seed = case
+    p, floor, edge, center, total, cuts, seed = case
     rng = np.random.default_rng(seed)
     snrs = rng.exponential(p.delta, size=(total, edge.size))
-    want_a, want_b, want_beta = two_timer_beta(edge, center, snrs, p)
+    want_a, want_b, want_beta = two_timer_beta(edge, center, snrs, p, floor)
     edges = sorted({0, total, *cuts})
     b = center
     for start, stop in zip(edges, edges[1:]):
@@ -205,13 +204,15 @@ def test_one_timer_exponent_matches_two_timer_rule(case):
         assert np.array_equal(update_beta(got_b, snrs[start:stop], p), want_beta[start:stop])
         b = got_b[-1]
     assert np.all(want_a * want_b == 0)
+    # why no floor b <= 1 binds: a re-weighted exponent is never below 1
+    assert np.all(want_beta[want_b > p.theta] >= 1.0)
 
 
-def dpfa_slot_reference(rates, snrs, p, t_c):
-    """dpfa slot by slot from the two-timer rule: argmax r^alpha / R^beta
-    over each row, then the EWMA update."""
+def dpfa_slot_reference(rates, snrs, p, b, t_c):
+    """dpfa slot by slot from the two-timer rule with floor ``b``: argmax
+    r^alpha / R^beta over each row, then the EWMA update."""
     n = rates.shape[1]
-    _, _, beta = two_timer_beta(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), snrs, p)
+    _, _, beta = two_timer_beta(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), snrs, p, b)
     avg = np.full(n, EPS_RATE)
     out = []
     with np.errstate(over="ignore"):
@@ -225,7 +226,7 @@ def dpfa_slot_reference(rates, snrs, p, t_c):
 @settings(max_examples=100, deadline=None, database=None)
 @given(timer_cases())
 def test_dpfa_decisions_match_slot_reference(case):
-    p, _, _, total, cuts, seed = case
+    p, floor, _, _, total, cuts, seed = case
     rng = np.random.default_rng(seed)
     n = 1 + seed % 6
     rates = rng.uniform(0.0, 2e5, size=(total, n))
@@ -233,7 +234,7 @@ def test_dpfa_decisions_match_slot_reference(case):
     sched = make_scheduler("dpfa", n, dpfa=p, tc_slots=7.0)
     edges = sorted({0, total, *cuts})
     decisions = np.concatenate([sched.step(rates[a:b], snrs[a:b]) for a, b in zip(edges, edges[1:])])
-    want_decisions, want_avg = dpfa_slot_reference(rates, snrs, p, 7.0)
+    want_decisions, want_avg = dpfa_slot_reference(rates, snrs, p, floor, 7.0)
     assert np.array_equal(decisions, want_decisions)
     assert np.array_equal(sched.avg_throughput, want_avg)
 
@@ -243,10 +244,10 @@ TINY = 5e-324  # the smallest subnormal
 
 def pf_slot_reference(policy, rates, snrs, p, avg, t_cs):
     """pfa, dpfa or vpfa's warm-up slot by slot from the per-row rules:
-    ``pfa_priority`` or ``dpfa_priority``, then ``select``, then
-    ``update_avg_throughput``.  Returns the decisions, the averages and the
-    ledger of served bits, and whether ``select`` raised; on a raise the
-    averages are those the raising slot saw."""
+    ``pf_priority``, then ``select``, then ``update_avg_throughput``.
+    Returns the decisions, the averages and the ledger of served bits, and
+    whether ``select`` raised; on a raise the averages are those the raising
+    slot saw."""
     avg = avg.copy()
     ledger = np.zeros(rates.shape[1])
     if policy == "dpfa":
@@ -254,9 +255,9 @@ def pf_slot_reference(policy, rates, snrs, p, avg, t_cs):
     out = []
     for t, row in enumerate(rates):
         if policy == "dpfa":
-            priority = dpfa_priority(np.power(row, p.alpha), avg, beta[t])
+            priority = pf_priority(np.power(row, p.alpha), avg, beta[t])
         else:
-            priority = pfa_priority(row, avg)
+            priority = pf_priority(row, avg)
         try:
             c = select(priority)
         except ValueError:

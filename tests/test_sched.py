@@ -9,9 +9,8 @@ from schedsim.sched import (
     DpfaParams,
     VpfaParams,
     center_timer,
-    dpfa_priority,
     make_scheduler,
-    pfa_priority,
+    pf_priority,
     select,
     update_avg_throughput,
     update_beta,
@@ -41,30 +40,31 @@ def ints(*values):
 
 
 class TestPfaPriority:
+    # pfa's metric is pf_priority at its default exponent 1
     def test_equal_rate_and_average(self):
-        assert pfa_priority(arr(150.0), arr(150.0)).tolist() == [1.0]
+        assert pf_priority(arr(150.0), arr(150.0)).tolist() == [1.0]
 
     def test_direct_ratio(self):
-        assert pfa_priority(arr(200.0), arr(100.0)).tolist() == [2.0]
+        assert pf_priority(arr(200.0), arr(100.0)).tolist() == [2.0]
 
     def test_cold_start_floor(self):
-        assert pfa_priority(arr(50.0), arr(0.0)).tolist() == [50.0 / EPS_RATE]
+        assert pf_priority(arr(50.0), arr(0.0)).tolist() == [50.0 / EPS_RATE]
 
     def test_scaling_all_averages_keeps_argmax(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             r = rng.uniform(1.0, 1e5, size=10)
             avg = rng.uniform(10.0, 1e5, size=10)  # above the floor
-            base = argmax_oracle(pfa_priority(r, avg))
+            base = argmax_oracle(pf_priority(r, avg))
             for c in (0.5, 3.0, 100.0):
-                assert argmax_oracle(pfa_priority(r, c * avg)) == base
+                assert argmax_oracle(pf_priority(r, c * avg)) == base
 
     def test_buffer_holds_the_same_metric(self):
         rng = np.random.default_rng(22)
         r, avg = rng.uniform(0, 1e5, size=50), rng.uniform(0, 1e5, size=50)
         buf = np.empty(50)
-        assert pfa_priority(r, avg, buf) is buf
-        assert np.array_equal(buf, pfa_priority(r, avg))
+        assert pf_priority(r, avg, out=buf) is buf
+        assert np.array_equal(buf, pf_priority(r, avg))
         assert np.array_equal(buf, r / np.maximum(avg, EPS_RATE))
 
 
@@ -90,23 +90,24 @@ class TestAvgThroughputUpdate:
 
 
 class TestDpfaPriority:
-    # dpfa_priority takes its numerator r^alpha, computed once per block
+    # dpfa passes pf_priority its numerator r^alpha, computed once per block
     def test_unit_exponents_reduce_to_pf(self):
+        # x^1 is x bit for bit, so the slot loop skips both powers for pfa
         rng = np.random.default_rng(2)
         r, avg = rng.uniform(0, 1e5, size=100), rng.uniform(0, 1e5, size=100)
-        assert np.array_equal(dpfa_priority(np.power(r, 1.0), avg, 1.0), pfa_priority(r, avg))
+        assert np.array_equal(pf_priority(np.power(r, 1.0), avg, np.ones(100)), r / np.maximum(avg, EPS_RATE))
 
     def test_zero_beta_is_max_ci(self):
-        assert dpfa_priority(np.power(arr(777.0), 1.0), arr(123.0), 0.0).tolist() == [777.0]
+        assert pf_priority(np.power(arr(777.0), 1.0), arr(123.0), 0.0).tolist() == [777.0]
 
     def test_zero_alpha_unit_beta_is_catch_up(self):
-        assert dpfa_priority(np.power(arr(777.0), 0.0), arr(4.0), 1.0).tolist() == [1.0 / 4.0]
+        assert pf_priority(np.power(arr(777.0), 0.0), arr(4.0), 1.0).tolist() == [1.0 / 4.0]
 
     def test_buffer_holds_the_same_metric(self):
         rng = np.random.default_rng(3)
         r, avg, beta = rng.uniform(0, 1e5, size=50), rng.uniform(0, 1e5, size=50), rng.uniform(0.5, 3, size=50)
         buf = np.empty(50)
-        assert dpfa_priority(np.power(r, 0.8), avg, beta, buf) is buf
+        assert pf_priority(np.power(r, 0.8), avg, beta, buf) is buf
         assert np.array_equal(buf, np.power(r, 0.8) / np.power(np.maximum(avg, EPS_RATE), beta))
 
 
@@ -181,8 +182,8 @@ class TestTimers:
 
 
 class TestBetaUpdate:
-    def params(self, theta=20, b=0.5, delta=2.0):
-        return DpfaParams(delta=delta, theta=theta, b=b)
+    def params(self, theta=20, delta=2.0):
+        return DpfaParams(delta=delta, theta=theta)
 
     def beta(self, b_timer, gamma, p):
         return update_beta(ints(*b_timer), arr(*gamma), p).tolist()
@@ -196,11 +197,6 @@ class TestBetaUpdate:
     def test_long_center_user_is_reweighted(self):
         p = self.params()
         assert self.beta([p.theta + 5], [2 * p.delta], p) == [2.0]
-
-    def test_floor_binds(self):
-        # the rule's floor; no run reaches this input, since B > 0 needs gamma >= delta
-        p = self.params()
-        assert self.beta([p.theta + 5], [0.2 * p.delta], p) == [0.5]
 
     def test_neutral_branch_has_precedence(self):
         # at or below theta, beta = 1 however far above delta the SNR is
@@ -378,7 +374,7 @@ class TestStep:
         avg = arr(0.5, 1e4, 8e4)
         beta = arr(0.7, 1.0, 1.3)
         expected = [r**1.5 / max(a, EPS_RATE) ** b for r, a, b in zip(rates, avg, beta)]
-        assert dpfa_priority(np.power(rates, 1.5), avg, beta).tolist() == pytest.approx(expected, rel=1e-14)
+        assert pf_priority(np.power(rates, 1.5), avg, beta).tolist() == pytest.approx(expected, rel=1e-14)
         # and the policy serves the argmax of that formula every slot
         stream, snrs = random_stream(3, 200, 13)
         sched = dpfa(3, alpha=1.5, delta=5.0, beta_override=0.7)
@@ -400,18 +396,18 @@ class TestStep:
             b = np.where(snrs[t] < 5.0, 0, b + 1)
             assert sched.center_slots.tolist() == b.tolist()
 
-    def test_dpfa_beta_floor(self):
-        sched = dpfa(2, delta=5.0, theta=2, b=0.5)
+    def test_dpfa_deprioritizes_long_center_user(self):
+        sched = dpfa(2, delta=5.0, theta=2)
         rates = arr(1e4, 1e4)
-        # drive user snrs: user 0 stays center long enough to be reweighted
-        for _ in range(5):
-            step1(sched, rates, arr(50.0, 1.0))
+        # user 0 stays at the center: from its third slot B > theta and its
+        # exponent is gamma/delta = 10, so user 1 wins even with the larger
+        # average, where pfa would serve user 0 in slots 3 and 5
+        assert [step1(sched, rates, arr(50.0, 1.0)) for _ in range(5)] == [0, 1, 1, 1, 1]
         assert sched.center_slots[0] == 5
-        assert sched.beta[0] == 10.0  # gamma/delta
-        for _ in range(3):
-            step1(sched, rates, arr(0.1, 1.0))
-        # user 0 now at the edge: timer semantics reset B, grace restores beta=1
-        assert sched.beta[0] == 1.0
+        # an edge slot resets B and with it the exponent to 1: user 0, now
+        # with the smaller average, is served again
+        assert step1(sched, rates, arr(0.1, 1.0)) == 0
+        assert sched.center_slots[0] == 0
 
 
 class TestVpfaPhases:
