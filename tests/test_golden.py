@@ -63,6 +63,38 @@ VARIANTS = [
      "265094685a1ede679a3914ec3ec704f1613cd57555ba33136f7e157619502076"),
 ]
 
+# vpfa across user counts, 2k slots: the variance phase's least-served rule
+# at one, two and three users and at 50 and 200 (at 200 users seed 1 does
+# not switch within 2k slots).  (n_users, seed) -> digest
+VPFA_SLOTS = 2000
+VPFA_DIGESTS = {
+    (1, 0): "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+    (1, 1): "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+    (1, 2): "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+    (1, 3): "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+    (1, 4): "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+    (2, 0): "e53d93ccf37c5f4d4a4f628b77254182b3e26fbf37211e78a99fe39c0800cd47",
+    (2, 1): "38e420de6f61e35af44c622de8f426d386cd17f74a5fa4f7bd0ee921fa68de21",
+    (2, 2): "db2fbde991117d3e83a48ca250c4be981d8460ccf14decdf6ac0ca592f7a991e",
+    (2, 3): "fcb036ce9214d2c2e0630482deaa8d1fd644702fb2dacb7a9a680b486ef7b288",
+    (2, 4): "e8b92880c902a1fabccd646aa73130c012022e9b7f63d9520c16fdf7c8740613",
+    (3, 0): "22197c7f606ff4c898fc397fe8226e415437ddff7c6c43f401a85490e3b11abf",
+    (3, 1): "baaa530982503733f45bdf63268f3d424e35eb942248f1c228826c085bf96964",
+    (3, 2): "1551fab7226e591d6e6e4e71bf72463251f55bd7f92d20bd5dd897cb4179e1c4",
+    (3, 3): "4f31c17315ada1db305d028f74db420abae2f5bb3b270f846a4fea4f1438cfbc",
+    (3, 4): "d93c04e85a0a06e840674321b5cbf9ea7361d894b7fe6357003c14e1e7b5554d",
+    (50, 0): "bb772cc29e97a2e93bfc7949277d3ffa20993216ecffe7ca33f26af7a8b82a42",
+    (50, 1): "30c39c7f4eec173adc061fcaf9a2414c48f93a8283028ad491c075ad548e17cf",
+    (50, 2): "a08d703f9c4650206ce566b897a3e86cd4c742dfa029a3eebb622aecf1a52958",
+    (50, 3): "e1ac0126ccfdcd31382834274d49abc5d0b67ef28c36b33ae4689e574fa99ece",
+    (50, 4): "95375658d4c5434226939da6b3cb7f4ed3174b62a72f07e23ae0c826908a7662",
+    (200, 0): "e2a5efb271d8b546b968af4e21f6c264ed59f8f27cfb92a69ad355906fbfdf20",
+    (200, 1): "819c7462a2187f6d1f1c3c8186611595afbdc46ae0a814cce0465403017a7a6c",
+    (200, 2): "0e1ec0ba303112e15491f49129b79336349ca12acca48a3d74ad5921acc7c999",
+    (200, 3): "b712f1eedee9f0872325a780f09a55d85ee2ee7f6e2123cd4aac46803f0a247b",
+    (200, 4): "e29d1f51b97a6790ca33dc326795009a227fb14887315c4117001ef608525d23",
+}
+
 RUN_TREE_DIGEST = "b7ccf2fe9f3331af0d0e17b3cee53d8ecaa37c4723f62e3a2cea091cc3e2c673"
 
 
@@ -103,6 +135,18 @@ def test_variant_decisions(policy, overrides, digest):
             *overrides,
         ],
     )
+    assert decisions_digest(run(config).decisions) == digest
+
+
+@pytest.mark.parametrize(
+    "n_users,seed,digest",
+    [(n, s, d) for (n, s), d in VPFA_DIGESTS.items()],
+    ids=["n%d-seed%d" % key for key in VPFA_DIGESTS],
+)
+# the 200-user line puts its nearest users inside the path-loss model's floor
+@pytest.mark.filterwarnings("ignore:distance .* below")
+def test_vpfa_decisions_across_user_counts(n_users, seed, digest):
+    config = SimConfig(policy="vpfa", seed=seed, n_users=n_users, total_slots=VPFA_SLOTS)
     assert decisions_digest(run(config).decisions) == digest
 
 
