@@ -25,7 +25,7 @@ from .channel import (
     snr,
 )
 from .errors import ConfigError, check_finite
-from .metrics import MetricsLog, jain_index
+from .metrics import MetricsLog, highest, jain_index
 from .sched import POLICIES, DpfaParams, VpfaParams, make_scheduler
 
 # A segment holds at most this many (slot, user) trace elements, or one slot.
@@ -189,6 +189,13 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
     block = max(1, min(s_fi, BLOCK_ELEMENTS // n))
     rates, snrs = trace.rates, trace.snrs
+    # dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most max(r, 1)
+    if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1:
+        peak = highest(rates)
+        with np.errstate(over="ignore"):
+            if not np.power(peak, cfg.dpfa.alpha) < math.inf:
+                raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
+                                  % (cfg.dpfa.alpha, peak))
     row_starts = np.arange(0, block * n, n)  # a segment's flat index of (slot, user 0)
 
     scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)

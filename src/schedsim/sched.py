@@ -24,20 +24,19 @@ block that every priority is finite (finite rates, numerator and averages,
 exponents >= 0, T_c >= 1) and that the cold-start floor never binds (min R
 times the block's decays >= EPS_RATE); ``Scheduler._pf_loop`` gives both
 proofs.  A slot then runs only the metric's ufuncs into one preallocated
-buffer, one argmax and the EWMA update; a block without the first proof
-calls ``select`` every slot, so it raises where the per-slot rule does.
-dpfa's timer, exponents and numerator r^alpha are computed per block;
-``maxci`` is one ``select`` over the block and ``rr`` one arange.  vpfa's
-variance phase keeps its ledger in a heap, O(log N) a slot, and checks the
-heap against the exact rule, :func:`variance_scores`, wherever they could
-disagree.  Each rule below is a vectorised function; the :class:`Scheduler`
+buffer, one argmax and the EWMA update, whose fixed decay is one array
+built per block; a block without the first proof calls ``select`` every
+slot, so it raises where the per-slot rule does.  dpfa's timer, exponents
+and numerator r^alpha are computed per block; ``maxci`` is one ``select``
+over the block and ``rr`` one arange.  vpfa's variance phase is one ledger
+argmin a slot, with one finiteness check of the ledger per block.  Each
+rule below is a vectorised function; the :class:`Scheduler`
 holds a run's state.  :func:`pf_priority` and :func:`update_avg_throughput`
 are the per-row rules the PF slot loop computes inline, kept as the
 reference the tests hold it to.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -174,19 +173,6 @@ def update_beta(center, snrs, params: DpfaParams) -> np.ndarray:
     return np.where(center > params.theta, snrs / params.delta, 1.0)
 
 
-def variance_scores(delivered: np.ndarray) -> np.ndarray:
-    """Variance-phase selection metric of every user: the shortfall of its
-    cumulative bits below the population mean.
-
-    ``select`` over these scores is the exact form of the variance rule,
-    "serve the least-served user, lowest index on ties": rounding can give
-    two close but unequal ledgers far from the mean one score, and the tie
-    then goes to the lower index.  The scheduler's heap defers to it there.
-    """
-    # sum / size is how ndarray.mean computes it, without its overhead
-    return delivered.sum() / delivered.size - delivered
-
-
 def select(priorities):
     """Argmax over the per-user metric, the last axis; ties go to the lowest
     user index.  A 1-D metric gives an int, a (slots x users) block one
@@ -230,9 +216,6 @@ class Scheduler:
         self.c_s = 0
         self.last_fi: float | None = None
         self.delivered_bits = np.zeros(n_users)
-        self._ledger_heap: list[tuple[float, int]] | None = None  # (delivered_bits[k], k)
-        self._ledger_abs_sum = 0.0  # running bound on sum(|delivered_bits|)
-        self._ledger_tie = (math.nan, math.inf)  # (tied top ledger, lower bound on the nearest above it)
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -282,8 +265,8 @@ class Scheduler:
           itself instead of max(R, EPS_RATE).
         """
         avg, buf = self.avg_throughput, self._priority
-        first = self.t_c
-        t_cs = [first + t for t in range(len(rates))] if self.tc_mode == "growing" else [first] * len(rates)
+        first, growing = self.t_c, self.tc_mode == "growing"
+        t_cs = [first + t for t in range(len(rates))] if growing else [first] * len(rates)
         decays = [1.0 - 1.0 / t_c for t_c in t_cs]
         lo = lowest(avg)
         proven = (lowest(rates) >= 0 and highest(rates) < math.inf and t_cs[0] >= 1
@@ -292,15 +275,18 @@ class Scheduler:
         for d in decays[:-1]:
             lo *= d
         direct = proven and lo >= EPS_RATE
-        chosen = []
+        if not growing:
+            # a ufunc converts a Python float operand on every call, an array operand it does not
+            decays = [np.full(len(avg), decays[0])] * len(decays)
+        argmax, item, chosen = buf.argmax, rates.item, []
         for t, (row, decay, t_c) in enumerate(zip(num, decays, t_cs)):
             den = avg if direct else np.maximum(avg, EPS_RATE, out=buf)
             if beta is not None:
                 den = np.power(den, beta[t], out=buf)
             np.divide(row, den, out=buf)
-            c = int(buf.argmax()) if proven else select(buf)
+            c = argmax() if proven else select(buf)
             avg *= decay
-            avg[c] += rates.item(t, c) / t_c
+            avg[c] += item(t, c) / t_c
             chosen.append(c)
         return np.array(chosen, dtype=np.int64)
 
@@ -311,7 +297,7 @@ class Scheduler:
         p = self.dpfa
         center = center_timer(self.center_slots, snrs, p.delta)
         beta = update_beta(center, snrs, p)
-        self.center_slots = center[-1]
+        self.center_slots = center[-1].copy()  # a view would keep the whole block alive
         with np.errstate(over="ignore"):
             # r^1 is r bit for bit, so the default alpha skips the pass
             return self._pf_loop(rates, rates if p.alpha == 1.0 else np.power(rates, p.alpha), beta)
@@ -332,54 +318,17 @@ class Scheduler:
 
     def _serve_least_served(self, rates) -> np.ndarray:
         """vpfa's variance phase: each slot serves the least-served user,
-        lowest index on ties, and credits its rate to the ledger.
-
-        A heap of ``(delivered_bits[k], k)``, built at the phase's first block, finds
-        that user in O(log N).  The exact rule, ``select(variance_scores(d))``,
-        scores k as fl(mean - d_k); rounding can give a ledger d_k > b the top
-        score, and then the lower index wins, only while d_k - b is within
-        ulp(2|mean - b|).  So the heap top is served only when the nearest
-        distinct ledger lies beyond 2 ulp(2 (S/N + |b|)), S a running sum of
-        |d|, and the exact rule decides otherwise.  Ledgers equal to b score
-        alike, so the heap's index order serves a tie as the rule does; the
-        nearest distinct ledger above a tie is bounded below by a minimum
-        taken when the tie reaches the top, lowered whenever a served ledger
-        lands above the tie.  A
-        non-finite ledger makes the window nan or inf, so ``select`` raises.
-        """
-        d, n = self.delivered_bits, self.n_users
-        if self._ledger_heap is None:
-            self._ledger_heap = list(zip(d.tolist(), range(n)))
-            heapq.heapify(self._ledger_heap)
-            self._ledger_abs_sum = math.fsum(np.abs(d).tolist())
-        heap, abs_sum = self._ledger_heap, self._ledger_abs_sum
-        tie, above = self._ledger_tie
-        chosen = []
+        lowest index on ties, and credits its rate to the ledger.  A ledger
+        entry that is not finite stays so, and argmin and argmax land on a
+        nan, so one check of the extremes after the block raises on it."""
+        d, item, chosen = self.delivered_bits, rates.item, []
+        argmin = d.argmin
         for t in range(len(rates)):
-            b, c = heap[0]
-            # the smaller child of the root; with one user, the root itself
-            nearest = min(heap[1][0], heap[2][0]) if n > 2 else heap[-1][0]
-            if nearest == b:
-                if tie != b:
-                    tie, above = b, float(np.min(d, where=d > b, initial=math.inf))
-                nearest = above
-            stale = False
-            if not nearest - b > 2.0 * math.ulp(2.0 * (abs_sum / n + abs(b))):
-                k = select(variance_scores(d))
-                stale, c, b = k != c, k, d.item(k)
-            r = rates.item(t, c)
-            b += r
-            d[c] = b
-            if b > tie:
-                above = min(above, b)
-            abs_sum += abs(r)
+            c = argmin()
+            d[c] += item(t, c)
             chosen.append(c)
-            if stale:
-                heap[:] = zip(d.tolist(), range(n))
-                heapq.heapify(heap)
-            else:
-                heapq.heapreplace(heap, (b, c))
-        self._ledger_abs_sum, self._ledger_tie = abs_sum, (tie, above)
+        if not (lowest(d) > -math.inf and highest(d) < math.inf):
+            raise ValueError("non-finite delivered bits; upstream state is corrupt")
         return np.array(chosen, dtype=np.int64)
 
     def observe_fi(self, fi: float) -> bool:

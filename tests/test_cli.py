@@ -342,6 +342,19 @@ class TestMain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_dpfa_alpha_past_the_float_range_is_single_line_error(self, tmp_path, capsys):
+        # the default trace's peak rate, 152,800 bits/slot, to the 60th power overflows a float
+        out = tmp_path / "out"
+        assert main(["run", "--set", "policy=dpfa", "--set", "dpfa_alpha=60", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("schedsim: error: dpfa_alpha 60 raises the peak rate, 152800 bits/slot,"
+                                           " past the float range\n")
+        assert not out.exists()
+
+    def test_large_finite_dpfa_alpha_still_runs(self, tmp_path, capsys):
+        # to the 50th power the peak rate is about 1.6e259
+        assert main(["run", "--set", "policy=dpfa", "--set", "dpfa_alpha=50", "--out", str(tmp_path / "out")]) == 0
+        assert "policy dpfa" in capsys.readouterr().out
+
     @pytest.mark.parametrize("override", ["tx_power_dbm=-400", "bandwidth_hz=1e300"])
     def test_zero_capacity_link_budget_is_single_line_error(self, override, tmp_path, capsys):
         out = tmp_path / "out"

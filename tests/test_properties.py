@@ -1,8 +1,8 @@
 """Invariants of whole runs over random small configs (N <= 8, T <= 400), of
 deciding one trace in different block splits, of dpfa's one-timer exponent
 against the paper's two-timer rule, of the PF family's block-proven slot loop
-against its per-slot rules, and of vpfa's variance phase against its exact
-score rule."""
+against its per-slot rules, and of vpfa's variance phase against a plain
+least-served scan."""
 import math
 
 import numpy as np
@@ -23,7 +23,6 @@ from schedsim.sched import (
     select,
     update_avg_throughput,
     update_beta,
-    variance_scores,
 )
 
 channels = st.builds(
@@ -349,19 +348,22 @@ def test_pf_loop_matches_slot_rules(case):
             assert np.array_equal(sched.delivered_bits, want_ledger)
 
 
-def score_rule_oracle(ledger, rates):
-    """The variance phase slot by slot, straight from the exact score rule."""
-    d = ledger.copy()
+def least_served_oracle(ledger, rates):
+    """The variance phase slot by slot, by a scan in plain Python: serve the
+    user with the fewest delivered bits, lowest index on ties.  That is the
+    paper's score rule, the highest score mean - d_k, in exact arithmetic."""
+    d = ledger.tolist()
     out = []
-    for row in rates:
-        out.append(c := select(variance_scores(d)))
+    for row in rates.tolist():
+        out.append(c := min(range(len(d)), key=lambda k: (d[k], k)))
         d[c] += row[c]
-    return np.array(out), d
+    return np.array(out), np.array(d)
 
 
 @st.composite
 def ledgers(draw):
-    """Ledgers where rounding in the score can tie unequal users."""
+    """Ledgers where rounding in the score mean - d_k, a rule the variance
+    phase once followed, ties unequal users."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["ties", "ulp neighbours", "zeros beside 1e9", "one far above", "mixed"]))
     base = draw(st.sampled_from([1e9, 2.0**52, 1e15, 3e17]))
@@ -395,6 +397,9 @@ def ledger_cases(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(ledger_cases())
+# after user 0 is served, mean - 5e-324 and mean - 0 round to one float, so
+# a score computed in floats ties users 1 and 2; user 2, at 0 bits, is served
+@example((np.array([0.0, TINY, 0.0]), np.ones((2, 3)), []))
 def test_variance_phase_matches_score_rule(case):
     ledger, rates, cuts = case
     sched = make_scheduler("vpfa", ledger.size, vpfa=VpfaParams(l_sc=1))
@@ -402,6 +407,6 @@ def test_variance_phase_matches_score_rule(case):
     sched.observe_fi(0.5)
     edges = sorted({0, len(rates), *cuts})
     decisions = np.concatenate([sched.step(rates[a:b], rates[a:b]) for a, b in zip(edges, edges[1:])])
-    want_decisions, want_bits = score_rule_oracle(ledger, rates)
+    want_decisions, want_bits = least_served_oracle(ledger, rates)
     assert np.array_equal(decisions, want_decisions)
     assert np.array_equal(sched.delivered_bits, want_bits)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schedsim.engine import SimConfig, run
+from schedsim.engine import SimConfig
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
@@ -14,7 +14,6 @@ from schedsim.sched import (
     select,
     update_avg_throughput,
     update_beta,
-    variance_scores,
 )
 
 
@@ -204,16 +203,6 @@ class TestBetaUpdate:
         assert self.beta([0, p.theta], [5 * p.delta, 5 * p.delta], p) == [1.0, 1.0]
 
 
-class TestVpfaScore:
-    def test_equal_ledgers_score_zero(self):
-        assert variance_scores(arr(500.0, 500.0, 500.0)).tolist() == [0.0, 0.0, 0.0]
-
-    def test_two_user_deficit(self):
-        scores = variance_scores(arr(100.0, 300.0))
-        assert scores.tolist() == [100.0, -100.0]
-        assert select(scores) == 0
-
-
 class TestSelect:
     def test_unique_max(self):
         assert select([1.0, 3.0, 2.0]) == 1
@@ -396,6 +385,14 @@ class TestStep:
             b = np.where(snrs[t] < 5.0, 0, b + 1)
             assert sched.center_slots.tolist() == b.tolist()
 
+    def test_dpfa_carries_its_timer_without_the_block(self):
+        # the carried B is the block's last row, copied, not a view that keeps the block alive
+        rates, snrs = random_stream(1000, 10, 4)
+        sched = dpfa(1000, delta=5.0)
+        sched.step(rates, snrs)
+        assert sched.center_slots.shape == (1000,)
+        assert sched.center_slots.base is None
+
     def test_dpfa_deprioritizes_long_center_user(self):
         sched = dpfa(2, delta=5.0, theta=2)
         rates = arr(1e4, 1e4)
@@ -462,7 +459,7 @@ class TestVpfaPhases:
         led = sched.delivered_bits
         assert led.max() - led.min() <= rates.max()
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_served_rate_raises(self, bad):
         sched = vpfa(3, l_sc=1)
         sched.delivered_bits[:] = [5.0, 1.0, 3.0]
@@ -470,25 +467,6 @@ class TestVpfaPhases:
         rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
         with pytest.raises(ValueError):
             sched.step(rates, np.ones_like(rates))
-
-    @pytest.mark.parametrize("config,max_calls", [
-        (SimConfig(policy="vpfa", seed=0), 0),
-        # the wide_cell benchmark workload's vpfa run: the ledgers of users not
-        # yet served at the switch tie exactly, and the heap serves those ties
-        (SimConfig(policy="vpfa", seed=0, n_users=1000, placement="uniform_ring", total_slots=5000,
-                   vpfa=VpfaParams(s_fi=10)), 0),
-    ], ids=["defaults", "wide_cell"])
-    def test_heap_serves_most_slots_without_scoring(self, config, max_calls, monkeypatch):
-        calls = []
-
-        def counting(delivered):
-            calls.append(1)
-            return variance_scores(delivered)
-
-        monkeypatch.setattr("schedsim.sched.variance_scores", counting)
-        res = run(config)
-        assert res.phase_switch_slot < config.total_slots // 2
-        assert len(calls) <= max_calls
 
     def test_cumulative_ledger_is_nondecreasing(self):
         rates, snrs = random_stream(3, 200, 9)
