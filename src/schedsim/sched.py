@@ -321,8 +321,8 @@ class Scheduler:
         lowest index on ties, and credits its rate to the ledger.  A ledger
         entry that is not finite stays so, and argmin and argmax land on a
         nan, so one check of the extremes after the block raises on it."""
-        d, item, chosen = self.delivered_bits, rates.item, []
-        argmin = d.argmin
+        d = self.delivered_bits
+        argmin, item, chosen = d.argmin, rates.item, []
         for t in range(len(rates)):
             c = argmin()
             d[c] += item(t, c)

@@ -362,8 +362,8 @@ def least_served_oracle(ledger, rates):
 
 @st.composite
 def ledgers(draw):
-    """Ledgers where rounding in the score mean - d_k, a rule the variance
-    phase once followed, ties unequal users."""
+    """Ledgers where a score mean - d_k computed in floats ties unequal
+    users."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["ties", "ulp neighbours", "zeros beside 1e9", "one far above", "mixed"]))
     base = draw(st.sampled_from([1e9, 2.0**52, 1e15, 3e17]))
