@@ -19,18 +19,17 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  The PF slot loop proves once per
-block that every priority is finite (finite rates, numerator and averages,
-exponents >= 0, T_c >= 1) and that the cold-start floor never binds (min R
-times the block's decays >= EPS_RATE); ``Scheduler._pf_loop`` gives both
-proofs.  A slot then runs only the metric's ufuncs into one preallocated
-buffer, one argmax and the EWMA update, whose fixed decay is one array
-built per block; a block without the first proof calls ``select`` every
-slot, so it raises where the per-slot rule does.  dpfa's timer, exponents
-and numerator r^alpha are computed per block; ``maxci`` is one ``select``
-over the block and ``rr`` one arange.  vpfa's variance phase is one ledger
-argmin a slot, with one finiteness check of the ledger per block.  Each
-rule below is a vectorised function; the :class:`Scheduler`
+EWMA and vpfa's variance-phase ledger.  ``Scheduler._pf_loop`` checks once
+per block that its rates are finite and >= 0, T_c >= 1, its averages
+finite and, for dpfa, its numerator finite and its exponents >= 0 (or
+raises before the first slot), which keeps every priority finite; it
+also proves once per block that the cold-start floor never binds.  A slot
+runs only the metric's ufuncs into one preallocated buffer, one argmax and
+the EWMA update, whose fixed decay is one array built per block.  dpfa's
+timer, exponents and numerator r^alpha are computed per block; ``maxci``
+is one ``select`` over the block and ``rr`` one arange.  vpfa's variance
+phase is one ledger argmin a slot, with one finiteness check of the ledger
+per block.  Each rule below is a vectorised function; the :class:`Scheduler`
 holds a run's state.  :func:`pf_priority` and :func:`update_avg_throughput`
 are the per-row rules the PF slot loop computes inline, kept as the
 reference the tests hold it to.
@@ -83,6 +82,8 @@ class DpfaParams:
         check_finite(dpfa_alpha=self.alpha, dpfa_delta=self.delta, dpfa_beta_override=self.beta_override)
         if self.alpha < 0:
             raise ConfigError("dpfa_alpha must be >= 0")
+        if self.beta_override is not None and self.beta_override < 0:
+            raise ConfigError("dpfa_beta_override must be >= 0")
         if self.delta is not None and self.delta <= 0:
             raise ConfigError("dpfa_delta must be > 0")
         if self.theta < 1:
@@ -242,39 +243,36 @@ class Scheduler:
         """Serve each slot's argmax of num / max(R, EPS_RATE)^beta (exponent
         1 when ``beta`` is None), then update the EWMA R in place.
 
-        Two facts are proven once per block, so that a slot runs only the
-        metric's ufuncs, one argmax and the EWMA update:
+        Precondition, checked once per block: finite served rates >= 0, a
+        first T_c >= 1, finite averages and, for dpfa, a finite numerator and
+        exponents >= 0; a block without it raises before its first slot and
+        changes no state.  With it each denominator lies in [1, inf] and no
+        priority is nan or inf: an update (1 - 1/T_c) R + r/T_c can round an
+        average up to inf but not to nan, which takes 0 * inf, and a decay
+        of 0 (T_c = 1) comes only at a growing run's first slot or in every
+        slot of a fixed T_c = 1, where each update leaves 0 or r; so only an
+        infinite start average could, and a slot serves the plain argmax.
 
-        * Finite priorities: the served rates are finite and >= 0, the
-          numerator block is finite, every exponent is >= 0, every T_c >= 1
-          and every average is finite at block start.  An update
-          (1 - 1/T_c) R + r/T_c can then round an average up to inf but
-          never make it nan: that takes 0 * inf, and a decay of 0 (T_c = 1)
-          comes only at a growing run's first slot or in every slot of a
-          fixed T_c = 1, where each update leaves 0 or r.  (So an infinite
-          average at block start is excluded, not only a nan one.)  Each
-          denominator lies in [1, inf] and each priority is finite, so
-          ``select`` could not raise and the slot serves the plain argmax.
-          A block without the proof calls ``select`` every slot, so it
-          raises exactly where the per-slot rule does.
-        * The floor never binds: min(R) at block start, multiplied in slot
-          order by the decay 1 - 1/T_c of every slot but the last, is still
-          >= EPS_RATE.  Rounding is monotone, every decay is >= 0 and
-          serving a user only adds to its average, so that product bounds
-          every average the block's slots divide by, and they divide by R
-          itself instead of max(R, EPS_RATE).
+        The floor never binds when min(R) at block start, multiplied in
+        slot order by the decay 1 - 1/T_c of every slot but the last, is
+        still >= EPS_RATE.  Rounding is monotone, every decay is >= 0 and
+        serving a user only adds to its average, so that product bounds
+        every average the block's slots divide by, and they divide by R
+        itself instead of max(R, EPS_RATE).
         """
         avg, buf = self.avg_throughput, self._priority
         first, growing = self.t_c, self.tc_mode == "growing"
         t_cs = [first + t for t in range(len(rates))] if growing else [first] * len(rates)
         decays = [1.0 - 1.0 / t_c for t_c in t_cs]
         lo = lowest(avg)
-        proven = (lowest(rates) >= 0 and highest(rates) < math.inf and t_cs[0] >= 1
-                  and lo > -math.inf and highest(avg) < math.inf
-                  and (beta is None or (highest(num) < math.inf and lowest(beta) >= 0)))
+        if not (lowest(rates) >= 0 and highest(rates) < math.inf and t_cs[0] >= 1
+                and lo > -math.inf and highest(avg) < math.inf
+                and (beta is None or (highest(num) < math.inf and lowest(beta) >= 0))):
+            raise ValueError("a PF block needs finite rates >= 0, T_c >= 1, finite averages"
+                             " and, for dpfa, a finite numerator and exponents >= 0")
         for d in decays[:-1]:
             lo *= d
-        direct = proven and lo >= EPS_RATE
+        direct = lo >= EPS_RATE
         if not growing:
             # a ufunc converts a Python float operand on every call, an array operand it does not
             decays = [np.full(len(avg), decays[0])] * len(decays)
@@ -284,7 +282,7 @@ class Scheduler:
             if beta is not None:
                 den = np.power(den, beta[t], out=buf)
             np.divide(row, den, out=buf)
-            c = argmax() if proven else select(buf)
+            c = argmax()
             avg *= decay
             avg[c] += item(t, c) / t_c
             chosen.append(c)
@@ -297,10 +295,11 @@ class Scheduler:
         p = self.dpfa
         center = center_timer(self.center_slots, snrs, p.delta)
         beta = update_beta(center, snrs, p)
-        self.center_slots = center[-1].copy()  # a view would keep the whole block alive
         with np.errstate(over="ignore"):
             # r^1 is r bit for bit, so the default alpha skips the pass
-            return self._pf_loop(rates, rates if p.alpha == 1.0 else np.power(rates, p.alpha), beta)
+            chosen = self._pf_loop(rates, rates if p.alpha == 1.0 else np.power(rates, p.alpha), beta)
+        self.center_slots = center[-1].copy()  # a view would keep the whole block alive
+        return chosen
 
     def _choose_maxci(self, rates, snrs) -> np.ndarray:
         return select(rates)

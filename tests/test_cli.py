@@ -298,6 +298,7 @@ class TestMain:
             ("dpfa_alpha", "nan"),
             ("dpfa_delta", "nan"),
             ("dpfa_beta_override", "nan"),
+            ("dpfa_beta_override", "-0.5"),  # a negative exponent boosts the best-served user
             ("seed", "-1"),  # numpy's own error for it names no key
         ],
     )
@@ -306,7 +307,7 @@ class TestMain:
         rc = main(["run", "--set", "%s=%s" % (key, value), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        rule = ">= 0" if key == "seed" else "finite"
+        rule = ">= 0" if value.startswith("-") else "finite"
         assert err.startswith("schedsim: error: %s must be %s" % (key, rule))
         assert err.count("\n") == 1
         assert not out.exists()

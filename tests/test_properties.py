@@ -1,11 +1,12 @@
 """Invariants of whole runs over random small configs (N <= 8, T <= 400), of
 deciding one trace in different block splits, of dpfa's one-timer exponent
-against the paper's two-timer rule, of the PF family's block-proven slot loop
+against the paper's two-timer rule, of the PF family's block-checked slot loop
 against its per-slot rules, and of vpfa's variance phase against a plain
 least-served scan."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -241,30 +242,25 @@ def test_dpfa_decisions_match_slot_reference(case):
 TINY = 5e-324  # the smallest subnormal
 
 
-def pf_slot_reference(policy, rates, snrs, p, avg, t_cs):
-    """pfa, dpfa or vpfa's warm-up slot by slot from the per-row rules:
-    ``pf_priority``, then ``select``, then ``update_avg_throughput``.
-    Returns the decisions, the averages and the ledger of served bits, and
-    whether ``select`` raised; on a raise the averages are those the raising
-    slot saw."""
-    avg = avg.copy()
-    ledger = np.zeros(rates.shape[1])
-    if policy == "dpfa":
-        beta = update_beta(center_timer(np.zeros(rates.shape[1], dtype=np.int64), snrs, p.delta), snrs, p)
+def pf_slot_reference(rates, num, beta, avg, ledger, t_cs):
+    """pfa, dpfa or vpfa's warm-up over one block, slot by slot from the
+    per-row rules: ``pf_priority``, then ``select``, then
+    ``update_avg_throughput``.  Updates ``avg`` and the ledger of served
+    bits in place and returns the decisions."""
     out = []
     for t, row in enumerate(rates):
-        if policy == "dpfa":
-            priority = pf_priority(np.power(row, p.alpha), avg, beta[t])
-        else:
-            priority = pf_priority(row, avg)
-        try:
-            c = select(priority)
-        except ValueError:
-            return np.array(out), avg, ledger, True
+        c = select(pf_priority(num[t], avg, 1.0 if beta is None else beta[t]))
         update_avg_throughput(avg, row, c, t_cs[t])
         ledger[c] += row[c]
         out.append(c)
-    return np.array(out), avg, ledger, False
+    return np.array(out, dtype=np.int64)
+
+
+def pf_block_valid(rates, num, beta, avg, t_c):
+    """The PF loop's precondition: finite rates >= 0, a first T_c >= 1,
+    finite averages and, for dpfa, a finite numerator and exponents >= 0."""
+    valid = np.all((rates >= 0) & (rates < math.inf)) and t_c >= 1 and np.all(np.isfinite(avg))
+    return bool(valid and (beta is None or (np.all(np.isfinite(num)) and np.all(beta >= 0))))
 
 
 # zero and subnormal rates and averages near EPS_RATE let the floor bind and
@@ -310,19 +306,23 @@ def pf_example(policy, rates, avg, tc=7.0, **dpfa):
 # the floor binds at the last slot only: min(avg) 3 decays by 1/3 to 1 after
 # one slot and below it after two, where user 1 is boosted 3x without the floor
 @example(pf_example("pfa", [[10.0, 0.0], [10.0, 0.0], [20.0, 1.0]], [3.0, 3.0], tc=1.5))
-# a negative exponent: user 0's served average to the -300 underflows to 0
+# a negative exponent, rejected
 @example(pf_example("dpfa", [[1e5, 1e5], [1e5, 1e5]], [EPS_RATE, EPS_RATE], beta_override=-300.0))
-# a nan average, which the floor maps to nan
+# a nan average, rejected
 @example(pf_example("pfa", [[1.0, 2.0]], [math.nan, EPS_RATE]))
-# an infinite average: the first slot of a growing run decays it by 0 to nan
+# an infinite average, rejected: the first slot of a growing run would decay it by 0 to nan
 @example(pf_example("pfa", [[1.0, 1.0], [1.0, 1.0]], [math.inf, EPS_RATE], tc="growing"))
-# an infinite rate, pfa's numerator
+# an infinite rate, pfa's numerator, rejected
 @example(pf_example("pfa", [[1.0, math.inf]], [EPS_RATE, EPS_RATE]))
-# a negative decay: min(avg) 2 times (-1)^2 is 2, but user 0's average is 0.5
-# at the last slot
+# a negative decay (T_c < 1), rejected: min(avg) 2 times (-1)^2 is 2, but
+# user 0's average would be 0.5 at the last slot
 @example(pf_example("pfa", [[1.0, 0.0], [0.25, 0.0], [1.0, 2.5]], [2.0, 2.0], tc=0.5))
+# a nan rate in dpfa's last slot: the rejected block leaves the center timer at 0
+@example(pf_example("dpfa", [[1.0, 2.0], [1.0, math.nan]], [EPS_RATE, EPS_RATE]))
 def test_pf_loop_matches_slot_rules(case):
-    """The block proofs change no decision, no average bit and no raise."""
+    """A block that breaks the PF loop's precondition raises and changes no
+    state; any other block gives the per-slot rules' decisions, averages and
+    vpfa ledger bit for bit."""
     policy, rates, snrs, avg, p, tc, elapsed, cuts = case
     growing = tc == "growing"
     sched = make_scheduler(policy, rates.shape[1], dpfa=p, tc_mode="growing" if growing else "fixed",
@@ -330,22 +330,29 @@ def test_pf_loop_matches_slot_rules(case):
     sched.avg_throughput[:] = avg
     sched.slots_elapsed = elapsed
     t_cs = [float(elapsed + 1 + t) if growing else tc for t in range(len(rates))]
+    avg, ledger = avg.copy(), np.zeros(rates.shape[1])
     edges = sorted({0, len(rates), *cuts})
     with np.errstate(all="ignore"):
-        want, want_avg, want_ledger, want_raised = pf_slot_reference(policy, rates, snrs, p, avg, t_cs)
-        got, raised = [], False
+        num = np.power(rates, p.alpha) if policy == "dpfa" else rates
+        # the reference's own exponents: a nan SNR before B passes theta gives beta 1
+        beta = (update_beta(center_timer(np.zeros(rates.shape[1], dtype=np.int64), snrs, p.delta), snrs, p)
+                if policy == "dpfa" else None)
         for a, b in zip(edges, edges[1:]):
-            try:
-                got.append(sched.step(rates[a:b], snrs[a:b]))
-            except ValueError:
-                raised = True
+            block_beta = None if beta is None else beta[a:b]
+            if not pf_block_valid(rates[a:b], num[a:b], block_beta, avg, t_cs[a]):
+                state = {attr: getattr(sched, attr).copy() for attr in STATE}
+                with pytest.raises(ValueError):
+                    sched.step(rates[a:b], snrs[a:b])
+                for attr, value in state.items():
+                    assert np.array_equal(getattr(sched, attr), value, equal_nan=True), attr
+                assert sched.slots_elapsed == elapsed + a
                 break
-    assert raised == want_raised
-    assert np.array_equal(sched.avg_throughput, want_avg, equal_nan=True)
-    if not raised:
-        assert np.array_equal(np.concatenate(got), want)
-        if policy == "vpfa":
-            assert np.array_equal(sched.delivered_bits, want_ledger)
+            got = sched.step(rates[a:b], snrs[a:b])
+            want = pf_slot_reference(rates[a:b], num[a:b], block_beta, avg, ledger, t_cs[a:b])
+            assert np.array_equal(got, want)
+            assert np.array_equal(sched.avg_throughput, avg)
+            if policy == "vpfa":
+                assert np.array_equal(sched.delivered_bits, ledger)
 
 
 def least_served_oracle(ledger, rates):
