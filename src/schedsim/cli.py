@@ -23,7 +23,7 @@ from .engine import (
     run_comparison,
 )
 from .errors import ConfigError
-from .sched import POLICIES
+from .sched import POLICIES, TC_MODES
 from .svgplot import grouped_bar_chart, line_chart
 
 OUT_DIR_ENV_VAR = "SCHEDSIM_OUT"
@@ -90,7 +90,7 @@ CONFIG_KEYS = {
     "policy": ("sim", "policy", _parse_enum(POLICIES)),
     "total_slots": ("sim", "total_slots", int),
     "seed": ("sim", "seed", int),
-    "tc_mode": ("sim", "tc_mode", _parse_enum(("fixed", "growing"))),
+    "tc_mode": ("sim", "tc_mode", _parse_enum(TC_MODES)),
     "tc_slots": ("sim", "tc_slots", float),
     "dpfa_alpha": ("dpfa", "alpha", float),
     "dpfa_delta": ("dpfa", "delta", _parse_optional_float("auto")),

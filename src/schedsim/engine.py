@@ -26,7 +26,7 @@ from .channel import (
 )
 from .errors import ConfigError, check_finite
 from .metrics import MetricsLog, highest, jain_index
-from .sched import POLICIES, DpfaParams, VpfaParams, make_scheduler
+from .sched import POLICIES, TC_MODES, DpfaParams, VpfaParams, make_scheduler
 
 # A segment holds at most this many (slot, user) trace elements, or one slot.
 BLOCK_ELEMENTS = 32768
@@ -66,8 +66,8 @@ class SimConfig:
             raise ConfigError("placement must be one of %s" % (PLACEMENT_MODES,))
         if self.policy not in POLICIES:
             raise ConfigError("policy must be one of %s" % (POLICIES,))
-        if self.tc_mode not in ("fixed", "growing"):
-            raise ConfigError("tc_mode must be 'fixed' or 'growing'")
+        if self.tc_mode not in TC_MODES:
+            raise ConfigError("tc_mode must be one of %s" % (TC_MODES,))
         check_finite(tc_slots=self.tc_slots)
         if self.tc_mode == "fixed" and self.tc_slots < 1:
             raise ConfigError("tc_slots must be >= 1")
@@ -168,10 +168,20 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
         raise ConfigError("SNR overflows a float: tx_power_dbm %g puts user %d %.1f dB above the noise floor,"
                           " and the fading at slot %d takes its SNR past the float range"
                           % (config.channel.tx_power_dbm, k, 10.0 * math.log10(base[k]), t + 1)) from None
+    try:
+        rates = instantaneous_rate(snrs, config.channel)
+    except ConfigError:  # a rate past the float range, already named
+        raise
+    except ValueError:  # an SNR of 0
+        t, k = divmod(int(np.argmax(snrs <= 0)), len(links))  # the first (slot, user) at 0
+        level = "of %.1f dB" % (10.0 * math.log10(base[k])) if base[k] else "below the float range"
+        raise ConfigError("SNR underflows to 0: tx_power_dbm %g gives user %d a link-budget SNR %s, and at slot %d"
+                          " its SNR is 0" % (config.channel.tx_power_dbm, k, level, t + 1)) from None
     return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
-                        config.total_slots, links, snrs, instantaneous_rate(snrs, config.channel))
+                        config.total_slots, links, snrs, rates)
 
 
+@np.errstate(over="ignore")  # a value past the float range becomes inf, which the checks below reject
 def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTrace | None = None) -> SimResult:
     """Execute one simulation; deterministic in (config, seed, links).
 
@@ -192,10 +202,9 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     # dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most max(r, 1)
     if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1:
         peak = highest(rates)
-        with np.errstate(over="ignore"):
-            if not np.power(peak, cfg.dpfa.alpha) < math.inf:
-                raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
-                                  % (cfg.dpfa.alpha, peak))
+        if not np.power(peak, cfg.dpfa.alpha) < math.inf:
+            raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
+                              % (cfg.dpfa.alpha, peak))
     row_starts = np.arange(0, block * n, n)  # a segment's flat index of (slot, user 0)
 
     scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
@@ -203,7 +212,6 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     decisions = np.empty(total, dtype=np.int32)
     fi_series: list[tuple[int, float]] = []
     system_series: list[tuple[int, float]] = []
-    phase_switch_slot = warmup_bits = counts_at_switch = None
 
     start = 0
     while start < total:
@@ -213,6 +221,10 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
         chosen = scheduler.step(segment, snrs[start:stop])
         decisions[start:stop] = chosen
         log.record_slot(chosen, segment.reshape(-1).take(chosen + row_starts[:stop - start]))
+        if not log.system_bits < math.inf:
+            raise ConfigError("bits overflow a float: by slot %d the cumulative bits pass the float range"
+                              " at bandwidth_hz %g and slot_duration_s %g"
+                              % (stop, cfg.channel.bandwidth_hz, cfg.channel.slot_duration_s))
         start = stop
 
         on_cadence = stop % s_fi == 0
@@ -229,15 +241,15 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
             fi = jain_index(log.per_user_bits)
             fi_series.append((stop, fi))
             system_series.append((stop, log.system_bits))
-            if cfg.policy == "vpfa" and on_cadence and scheduler.observe_fi(fi):
-                phase_switch_slot = stop + 1
-                warmup_bits = log.per_user_bits.copy()
-                counts_at_switch = log.schedule_counts.copy()
+            if on_cadence:
+                scheduler.observe_fi(fi)
 
-    variance_counts = None if counts_at_switch is None else log.schedule_counts - counts_at_switch
+    switch = scheduler.switch_slot
+    # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults
+    variance_counts = None if switch is None else log.schedule_counts - np.bincount(decisions[:switch - 1], minlength=n)
     return SimResult(config=cfg, links=trace.links, decisions=decisions, metrics=log, fi_series=fi_series,
-                     system_series=system_series, phase_switch_slot=phase_switch_slot,
-                     vpfa_warmup_bits=warmup_bits, vpfa_variance_counts=variance_counts)
+                     system_series=system_series, phase_switch_slot=switch,
+                     vpfa_warmup_bits=scheduler.warmup_bits, vpfa_variance_counts=variance_counts)
 
 
 def _user_list(users, shown: int = 10) -> str:

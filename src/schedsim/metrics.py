@@ -26,14 +26,20 @@ def jain_index(throughputs) -> float:
 
     1.0 means perfectly equal allocation, 1/N means one user takes all.  The
     result is clamped to the mathematical range [1/N, 1] to absorb float
-    rounding on near-equal inputs.
+    rounding on near-equal inputs.  The index does not depend on scale, so
+    where the sum of squares of finite throughputs overflows it is taken
+    over the throughputs divided by their largest.
     """
     arr = np.asarray(throughputs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("throughputs must be a non-empty 1-D sequence")
     if lowest(arr) < 0:
         raise ValueError("throughputs must be non-negative")
-    sum_sq = float(np.dot(arr, arr))
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.dot(arr, arr))
+    if sum_sq == np.inf and highest(arr) < np.inf:
+        arr = arr / highest(arr)
+        sum_sq = float(np.dot(arr, arr))
     if sum_sq == 0.0:
         raise ValueError("fairness index undefined for an all-zero allocation")
     n = arr.size
@@ -69,7 +75,6 @@ class MetricsLog:
     per_user_bits: np.ndarray = field(init=False)
     schedule_counts: np.ndarray = field(init=False)
     system_bits: float = 0.0
-    slots: int = 0
 
     def __post_init__(self):
         if self.n_users < 1:
@@ -96,7 +101,6 @@ class MetricsLog:
         for b in bits.tolist():
             total += b
         self.system_bits = total
-        self.slots += chosen.size
 
     def jain(self) -> float:
         return jain_index(self.per_user_bits)

@@ -19,17 +19,13 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  ``Scheduler._pf_loop`` checks once
-per block that its rates are finite and >= 0, T_c >= 1, its averages
-finite and, for dpfa, its numerator finite and its exponents >= 0 (or
-raises before the first slot), which keeps every priority finite; it
-also proves once per block that the cold-start floor never binds.  A slot
-runs only the metric's ufuncs into one preallocated buffer, one argmax and
-the EWMA update, whose fixed decay is one array built per block.  dpfa's
-timer, exponents and numerator r^alpha are computed per block; ``maxci``
-is one ``select`` over the block and ``rr`` one arange.  vpfa's variance
-phase is one ledger argmin a slot, with one finiteness check of the ledger
-per block.  Each rule below is a vectorised function; the :class:`Scheduler`
+EWMA and vpfa's variance-phase ledger.  Both slot loops check their block
+once, before its first slot; a block that fails raises ``ValueError`` and
+changes no state.  A PF slot runs the metric's ufuncs into one
+preallocated buffer, one argmax and the EWMA update; a variance slot one
+ledger argmin.  dpfa's timer, exponents and numerator r^alpha are computed
+per block; ``maxci`` is one ``select`` over the block and ``rr`` one
+arange.  Each rule below is a vectorised function; the :class:`Scheduler`
 holds a run's state.  :func:`pf_priority` and :func:`update_avg_throughput`
 are the per-row rules the PF slot loop computes inline, kept as the
 reference the tests hold it to.
@@ -49,6 +45,7 @@ from .metrics import fi_stability_update, highest, lowest
 EPS_RATE = 1.0
 
 POLICIES = ("pfa", "dpfa", "maxci", "rr", "vpfa")
+TC_MODES = ("fixed", "growing")
 
 # center_timer's running maximum goes row by row at this many users per slot
 # or more (10-slot blocks of 1000 users), and down the columns below it (the
@@ -195,10 +192,11 @@ class Scheduler:
     """One policy's state over one run.
 
     Holds the EWMA averages of the PF family, dpfa's center timer (each block
-    derives its exponents from it), and vpfa's ledger and phase machine.  For
-    vpfa the driving loop evaluates the fairness index every ``s_fi`` slots,
-    at a block edge, and feeds it to :meth:`observe_fi`; when the stability
-    counter reaches ``l_sc`` the policy leaves its PF phase for good.
+    derives its exponents from it), and vpfa's ledger and phase machine.  The
+    driving loop evaluates the fairness index every ``s_fi`` slots, at a
+    block edge, and feeds it to :meth:`observe_fi`; when vpfa's stability
+    counter reaches ``l_sc`` the policy leaves its PF phase for good and
+    keeps the switch slot and its ledger there.
     """
 
     def __init__(self, policy: str, n_users: int, dpfa: DpfaParams, vpfa: VpfaParams,
@@ -217,6 +215,8 @@ class Scheduler:
         self.c_s = 0
         self.last_fi: float | None = None
         self.delivered_bits = np.zeros(n_users)
+        self.switch_slot: int | None = None  # vpfa's first variance-phase slot, 1-indexed
+        self.warmup_bits: np.ndarray | None = None  # vpfa's ledger at the switch
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -317,29 +317,35 @@ class Scheduler:
 
     def _serve_least_served(self, rates) -> np.ndarray:
         """vpfa's variance phase: each slot serves the least-served user,
-        lowest index on ties, and credits its rate to the ledger.  A ledger
-        entry that is not finite stays so, and argmin and argmax land on a
-        nan, so one check of the extremes after the block raises on it."""
+        lowest index on ties, and credits its rate to the ledger.  As in
+        :meth:`_pf_loop`, a block without finite rates >= 0 and a finite
+        ledger raises before its first slot; a credit can still round an
+        entry up to inf, which the next block rejects."""
         d = self.delivered_bits
+        if not (lowest(rates) >= 0 and highest(rates) < math.inf and lowest(d) > -math.inf and highest(d) < math.inf):
+            raise ValueError("a variance block needs finite rates >= 0 and a finite ledger")
         argmin, item, chosen = d.argmin, rates.item, []
         for t in range(len(rates)):
             c = argmin()
             d[c] += item(t, c)
             chosen.append(c)
-        if not (lowest(d) > -math.inf and highest(d) < math.inf):
-            raise ValueError("non-finite delivered bits; upstream state is corrupt")
         return np.array(chosen, dtype=np.int64)
 
     def observe_fi(self, fi: float) -> bool:
-        """Feed one fairness-index evaluation; True when this one fires the phase switch."""
-        if self.phase != "pf_warmup":
+        """Feed the fairness index evaluated after ``slots_elapsed`` slots;
+        True when it fires vpfa's phase switch, which records the first
+        variance-phase slot and the ledger.  Every other policy ignores it."""
+        if self.name != "vpfa" or self.phase != "pf_warmup":
             return False
         self.c_s, self.last_fi = fi_stability_update(
             self.c_s, self.last_fi, fi, signed=self.vpfa.signed_stability
         )
-        if self.c_s >= self.vpfa.l_sc:
-            self.phase = "variance"
-        return self.phase == "variance"
+        if self.c_s < self.vpfa.l_sc:
+            return False
+        self.phase = "variance"
+        self.switch_slot = self.slots_elapsed + 1
+        self.warmup_bits = self.delivered_bits.copy()
+        return True
 
 
 def make_scheduler(policy: str, n_users: int, dpfa: DpfaParams | None = None, vpfa: VpfaParams | None = None,

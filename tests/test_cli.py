@@ -16,6 +16,7 @@ from schedsim.cli import (
 )
 from schedsim.engine import SimConfig, comparison_configs, run, run_comparison
 from schedsim.errors import ConfigError
+from schedsim.metrics import jain_index
 from schedsim.sched import DpfaParams, VpfaParams
 
 
@@ -341,6 +342,49 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("schedsim: error: rate overflows a float: bandwidth_hz 1e+07 times slot_duration_s 1e+305")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("policy", ["pfa", "rr"])
+    def test_fi_of_bits_whose_squares_pass_the_float_range(self, policy, tmp_path, capsys):
+        # at 1e150 s a slot the bits, about 1e162, are finite but their squares are not
+        scaled = ["--set", "policy=" + policy, "--set", "slot_duration_s=1e150"]
+        assert main(["run", *scaled, "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        bits = run(parse_config("", overrides=scaled[1::2])).metrics.per_user_bits / 1e150
+        assert captured.out.startswith("policy %s: fi %.6g, " % (policy, jain_index(bits)))
+        if policy == "rr":  # round robin's decisions, and so its index, do not depend on scale
+            assert captured.out.startswith("policy rr: fi 0.642738, ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("policy,users,slot", [
+        ("pfa", 10, 300),
+        ("rr", 10, 500),
+        ("vpfa", 1, 1700),  # one user's ledger and bits pass the range in the segment the total does
+    ])
+    def test_bits_past_the_float_range_are_single_line_error(self, policy, users, slot, tmp_path, capsys):
+        # each rate is finite, about 1e306 bits, but a few hundred slots of them are not
+        out = tmp_path / "out"
+        assert main(["run", "--set", "policy=" + policy, "--set", "n_users=%d" % users, "--set", "slot_duration_s=1e298",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "schedsim: error: bits overflow a float: by slot %d the cumulative bits"
+                                           " pass the float range at bandwidth_hz 1e+07 and slot_duration_s 1e+298\n"
+                                           % slot)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,where", [
+        (["tx_power_dbm=-3300"], "gives user 0 a link-budget SNR below the float range, and at slot 1"),
+        (["tx_power_dbm=-3150", "shadowing_sigma_db=0"],
+         "gives user 7 a link-budget SNR of -3192.4 dB, and at slot 7584"),  # a fade takes it to 0
+    ], ids=["link budget", "fading"])
+    def test_snr_underflowing_to_zero_is_single_line_error(self, overrides, where, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["run", *args, "--out", str(out)]) == 2
+        tx = overrides[0].split("=")[1]
+        assert capsys.readouterr().err == ("schedsim: error: SNR underflows to 0: tx_power_dbm %s %s its SNR is 0\n"
+                                           % (tx, where))
         assert not out.exists()
 
     def test_dpfa_alpha_past_the_float_range_is_single_line_error(self, tmp_path, capsys):

@@ -268,9 +268,12 @@ class TestVpfaPhaseMachine:
         assert expected_switch is not None
         assert res.phase_switch_slot == expected_switch
 
-    def test_no_switch_recorded_for_other_policies(self):
-        res = run(small_config(policy="pfa"))
+    @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr"])
+    def test_no_switch_recorded_for_other_policies(self, policy):
+        # every scheduler sees each evaluation; only vpfa acts on it
+        res = run(small_config(policy=policy))
         assert res.phase_switch_slot is None
+        assert res.vpfa_warmup_bits is None and res.vpfa_variance_counts is None
 
     def test_warmup_decisions_match_pfa(self):
         cfg = small_config(policy="vpfa", total_slots=2000, n_users=5)
@@ -279,6 +282,20 @@ class TestVpfaPhaseMachine:
         assert res_v.phase_switch_slot is not None
         upto = res_v.phase_switch_slot - 1
         assert np.array_equal(res_v.decisions[:upto], res_p.decisions[:upto])
+
+    WIDE_CELL = dict(n_users=1000, placement="uniform_ring", total_slots=5000, vpfa=VpfaParams(s_fi=10))
+
+    @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")  # wide_cell seed 2 draws one
+    @pytest.mark.parametrize("seed,wide", [(s, False) for s in range(10)] + [(s, True) for s in range(3)])
+    def test_warmup_bits_equal_bits_recomputed_from_decisions(self, seed, wide):
+        # the scheduler's ledger at the switch is the log's per-user bits, summed in slot order
+        cfg = SimConfig(policy="vpfa", seed=seed, **(self.WIDE_CELL if wide else {}))
+        res = run(cfg)
+        assert res.phase_switch_slot is not None
+        served = res.decisions[:res.phase_switch_slot - 1]
+        bits = np.zeros(cfg.n_users)
+        np.add.at(bits, served, channel_trace(cfg).rates[np.arange(len(served)), served])
+        assert res.vpfa_warmup_bits.tobytes() == bits.tobytes()
 
     def test_variance_counters_recorded(self):
         cfg = small_config(policy="vpfa", total_slots=2000, n_users=5)

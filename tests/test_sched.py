@@ -467,6 +467,9 @@ class TestVpfaPhases:
         rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
         with pytest.raises(ValueError):
             sched.step(rates, np.ones_like(rates))
+        # the block is rejected before its first slot
+        assert sched.delivered_bits.tolist() == [5.0, 1.0, 3.0]
+        assert (sched.phase, sched.c_s, sched.slots_elapsed) == ("variance", 1, 0)
 
     def test_cumulative_ledger_is_nondecreasing(self):
         rates, snrs = random_stream(3, 200, 9)
