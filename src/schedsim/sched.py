@@ -21,17 +21,19 @@ State carries across calls, so any split of a trace gives the same result.
 Only what depends on earlier decisions runs slot by slot: the PF family's
 EWMA and vpfa's variance-phase ledger.  Both slot loops check their block
 once, before its first slot; a block that fails raises ``ValueError`` and
-changes no state.  A PF slot runs the metric's ufuncs into one
-preallocated buffer, one argmax and the EWMA update; a variance slot one
-ledger argmin.  dpfa's timer, exponents and numerator r^alpha are computed
-per block; ``maxci`` is one ``select`` over the block and ``rr`` one
-arange.  Each rule below is a vectorised function; the :class:`Scheduler`
+changes no state.  A PF slot runs the metric's ufuncs, bound once per
+block, into one preallocated buffer, one argmax and the EWMA update; a
+variance slot one ``heapreplace`` on a heap of (delivered bits, user)
+tuples, whose order is the least-served rule itself.  dpfa's timer,
+exponents and numerator r^alpha are computed per block; ``maxci`` is one
+``select`` over the block and ``rr`` one arange.  Each rule below is a vectorised function; the :class:`Scheduler`
 holds a run's state.  :func:`pf_priority` and :func:`update_avg_throughput`
 are the per-row rules the PF slot loop computes inline, kept as the
 reference the tests hold it to.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -211,12 +213,12 @@ class Scheduler:
         self.avg_throughput = np.full(n_users, EPS_RATE)
         self.center_slots = np.zeros(n_users, dtype=np.int64)  # B_k
         self._priority = np.empty(n_users)  # the PF family's per-slot metric
-        self.phase = "pf_warmup"  # pf_warmup | variance
         self.c_s = 0
         self.last_fi: float | None = None
         self.delivered_bits = np.zeros(n_users)
         self.switch_slot: int | None = None  # vpfa's first variance-phase slot, 1-indexed
         self.warmup_bits: np.ndarray | None = None  # vpfa's ledger at the switch
+        self._ledger_heap: list[tuple[float, int]] | None = None  # (delivered_bits[k], k)
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -276,15 +278,18 @@ class Scheduler:
         if not growing:
             # a ufunc converts a Python float operand on every call, an array operand it does not
             decays = [np.full(len(avg), decays[0])] * len(decays)
-        argmax, item, chosen = buf.argmax, rates.item, []
+        # bound once per block; out is positional to divide and power, but a
+        # keyword to maximum, where numpy deprecates a positional out
+        divide, power, maximum = np.divide, np.power, np.maximum
+        argmax, get, item, chosen = buf.argmax, avg.item, rates.item, []
         for t, (row, decay, t_c) in enumerate(zip(num, decays, t_cs)):
-            den = avg if direct else np.maximum(avg, EPS_RATE, out=buf)
+            den = avg if direct else maximum(avg, EPS_RATE, out=buf)
             if beta is not None:
-                den = np.power(den, beta[t], out=buf)
-            np.divide(row, den, out=buf)
+                den = power(den, beta[t], buf)
+            divide(row, den, buf)
             c = argmax()
             avg *= decay
-            avg[c] += item(t, c) / t_c
+            avg[c] = get(c) + item(t, c) / t_c
             chosen.append(c)
         return np.array(chosen, dtype=np.int64)
 
@@ -309,7 +314,7 @@ class Scheduler:
 
     def _choose_vpfa(self, rates, snrs) -> np.ndarray:
         # observe_fi runs between blocks, so no block spans the phase switch
-        if self.phase == "pf_warmup":
+        if self.switch_slot is None:
             chosen = self._choose_pfa(rates, snrs)
             np.add.at(self.delivered_bits, chosen, rates[np.arange(len(rates)), chosen])
             return chosen
@@ -317,17 +322,28 @@ class Scheduler:
 
     def _serve_least_served(self, rates) -> np.ndarray:
         """vpfa's variance phase: each slot serves the least-served user,
-        lowest index on ties, and credits its rate to the ledger.  As in
-        :meth:`_pf_loop`, a block without finite rates >= 0 and a finite
-        ledger raises before its first slot; a credit can still round an
-        entry up to inf, which the next block rejects."""
+        lowest index on ties, and credits its rate to the ledger.
+
+        A heap of ``(delivered_bits[k], k)`` tuples, built at the phase's
+        first block and carried across blocks, holds the ledger: tuple order,
+        fewest bits and then lowest index, is the rule itself, so each slot
+        serves ``heap[0]`` and puts it back at ``b + r``, the float the ledger
+        stores, with no guard against rounding.  As in :meth:`_pf_loop`, a
+        block without finite rates >= 0 and a finite ledger raises before its
+        first slot and changes neither; a credit can still round an entry up
+        to inf, which the next block rejects."""
         d = self.delivered_bits
         if not (lowest(rates) >= 0 and highest(rates) < math.inf and lowest(d) > -math.inf and highest(d) < math.inf):
             raise ValueError("a variance block needs finite rates >= 0 and a finite ledger")
-        argmin, item, chosen = d.argmin, rates.item, []
+        if self._ledger_heap is None:
+            self._ledger_heap = list(zip(d.tolist(), range(self.n_users)))
+            heapq.heapify(self._ledger_heap)
+        heap, replace, item, chosen = self._ledger_heap, heapq.heapreplace, rates.item, []
         for t in range(len(rates)):
-            c = argmin()
-            d[c] += item(t, c)
+            b, c = heap[0]
+            b += item(t, c)
+            replace(heap, (b, c))
+            d[c] = b
             chosen.append(c)
         return np.array(chosen, dtype=np.int64)
 
@@ -335,14 +351,13 @@ class Scheduler:
         """Feed the fairness index evaluated after ``slots_elapsed`` slots;
         True when it fires vpfa's phase switch, which records the first
         variance-phase slot and the ledger.  Every other policy ignores it."""
-        if self.name != "vpfa" or self.phase != "pf_warmup":
+        if self.name != "vpfa" or self.switch_slot is not None:
             return False
         self.c_s, self.last_fi = fi_stability_update(
             self.c_s, self.last_fi, fi, signed=self.vpfa.signed_stability
         )
         if self.c_s < self.vpfa.l_sc:
             return False
-        self.phase = "variance"
         self.switch_slot = self.slots_elapsed + 1
         self.warmup_bits = self.delivered_bits.copy()
         return True

@@ -146,7 +146,7 @@ def test_block_splits_give_equal_decisions_and_state(case):
     ref_decisions, ref = runs["one block"]
     for name, (decisions, sched) in runs.items():
         assert np.array_equal(decisions, ref_decisions), name
-        assert (sched.slots_elapsed, sched.phase) == (ref.slots_elapsed, ref.phase)
+        assert (sched.slots_elapsed, sched.switch_slot) == (ref.slots_elapsed, ref.switch_slot)
         for attr in STATE:
             a, b = getattr(sched, attr), getattr(ref, attr)
             assert np.array_equal(a, b), (name, attr)

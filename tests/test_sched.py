@@ -15,6 +15,7 @@ from schedsim.sched import (
     update_avg_throughput,
     update_beta,
 )
+from test_properties import least_served_oracle
 
 
 def argmax_oracle(values):
@@ -431,15 +432,15 @@ class TestVpfaPhases:
         sched = vpfa(3, l_sc=2)
         assert not sched.observe_fi(0.5)   # cold start -> C_s = 1
         assert sched.observe_fi(0.5005)    # stable -> C_s = 2 = L_sc
-        assert sched.phase == "variance"
+        assert sched.switch_slot == 1
         assert not sched.observe_fi(0.9)   # no effect after the switch
-        assert sched.phase == "variance"
+        assert sched.switch_slot == 1
 
     def test_variance_phase_never_selects_by_pf(self):
         rates, snrs = random_stream(3, 300, 8)
         sched = vpfa(3, l_sc=1)
         sched.observe_fi(0.7)  # force the switch immediately
-        assert sched.phase == "variance"
+        assert sched.switch_slot == 1
         for t in range(300):
             before = sched.delivered_bits.copy()
             chosen = step1(sched, rates[t], snrs[t])
@@ -469,7 +470,12 @@ class TestVpfaPhases:
             sched.step(rates, np.ones_like(rates))
         # the block is rejected before its first slot
         assert sched.delivered_bits.tolist() == [5.0, 1.0, 3.0]
-        assert (sched.phase, sched.c_s, sched.slots_elapsed) == ("variance", 1, 0)
+        assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (1, 1, 0)
+        # and the next block is served from the unchanged ledger
+        rates = np.random.default_rng(7).uniform(0.0, 1e4, (6, 3))
+        want_decisions, want_bits = least_served_oracle(np.array([5.0, 1.0, 3.0]), rates)
+        assert np.array_equal(sched.step(rates, rates), want_decisions)
+        assert np.array_equal(sched.delivered_bits, want_bits)
 
     def test_cumulative_ledger_is_nondecreasing(self):
         rates, snrs = random_stream(3, 200, 9)
