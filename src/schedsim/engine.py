@@ -242,7 +242,7 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
             fi_series.append((stop, fi))
             system_series.append((stop, log.system_bits))
             if on_cadence:
-                scheduler.observe_fi(fi)
+                scheduler.observe_fi(fi, log.per_user_bits)
 
     switch = scheduler.switch_slot
     # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults

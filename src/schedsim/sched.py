@@ -24,12 +24,15 @@ once, before its first slot; a block that fails raises ``ValueError`` and
 changes no state.  A PF slot runs the metric's ufuncs, bound once per
 block, into one preallocated buffer, one argmax and the EWMA update; a
 variance slot one ``heapreplace`` on a heap of (delivered bits, user)
-tuples, whose order is the least-served rule itself.  dpfa's timer,
-exponents and numerator r^alpha are computed per block; ``maxci`` is one
-``select`` over the block and ``rr`` one arange.  Each rule below is a vectorised function; the :class:`Scheduler`
-holds a run's state.  :func:`pf_priority` and :func:`update_avg_throughput`
-are the per-row rules the PF slot loop computes inline, kept as the
-reference the tests hold it to.
+tuples, whose order is the least-served rule itself.  That heap is seeded
+at the phase switch from the run's per-user bits, which the driving loop
+hands to :meth:`Scheduler.observe_fi`; the scheduler keeps no ledger of
+its own before it.  dpfa's timer, exponents and numerator r^alpha are
+computed per block; ``maxci`` is one ``select`` over the block and ``rr``
+one arange.  Each rule below is a vectorised function; the
+:class:`Scheduler` holds a run's state.  :func:`pf_priority` and
+:func:`update_avg_throughput` are the per-row rules the PF slot loop
+computes inline, kept as the reference the tests hold it to.
 """
 from __future__ import annotations
 
@@ -194,11 +197,12 @@ class Scheduler:
     """One policy's state over one run.
 
     Holds the EWMA averages of the PF family, dpfa's center timer (each block
-    derives its exponents from it), and vpfa's ledger and phase machine.  The
-    driving loop evaluates the fairness index every ``s_fi`` slots, at a
-    block edge, and feeds it to :meth:`observe_fi`; when vpfa's stability
-    counter reaches ``l_sc`` the policy leaves its PF phase for good and
-    keeps the switch slot and its ledger there.
+    derives its exponents from it), and vpfa's phase machine and, after its
+    switch, its ledger heap.  The driving loop evaluates the fairness index
+    every ``s_fi`` slots, at a block edge, and feeds it to :meth:`observe_fi`
+    with the run's per-user bits; when vpfa's stability counter reaches
+    ``l_sc`` the policy leaves its PF phase for good and keeps the switch
+    slot and those bits there.
     """
 
     def __init__(self, policy: str, n_users: int, dpfa: DpfaParams, vpfa: VpfaParams,
@@ -215,10 +219,9 @@ class Scheduler:
         self._priority = np.empty(n_users)  # the PF family's per-slot metric
         self.c_s = 0
         self.last_fi: float | None = None
-        self.delivered_bits = np.zeros(n_users)
         self.switch_slot: int | None = None  # vpfa's first variance-phase slot, 1-indexed
         self.warmup_bits: np.ndarray | None = None  # vpfa's ledger at the switch
-        self._ledger_heap: list[tuple[float, int]] | None = None  # (delivered_bits[k], k)
+        self._ledger_heap: list[tuple[float, int]] | None = None  # (bits delivered to k, k)
         self._choose = getattr(self, "_choose_" + policy)
 
     @property
@@ -312,55 +315,51 @@ class Scheduler:
     def _choose_rr(self, rates, snrs) -> np.ndarray:
         return (self.slots_elapsed + np.arange(len(rates))) % self.n_users
 
-    def _choose_vpfa(self, rates, snrs) -> np.ndarray:
-        # observe_fi runs between blocks, so no block spans the phase switch
-        if self.switch_slot is None:
-            chosen = self._choose_pfa(rates, snrs)
-            np.add.at(self.delivered_bits, chosen, rates[np.arange(len(rates)), chosen])
-            return chosen
-        return self._serve_least_served(rates)
+    # vpfa's warm-up is pfa; observe_fi hands later blocks to _serve_least_served
+    _choose_vpfa = _choose_pfa
 
-    def _serve_least_served(self, rates) -> np.ndarray:
+    def _serve_least_served(self, rates, snrs) -> np.ndarray:
         """vpfa's variance phase: each slot serves the least-served user,
         lowest index on ties, and credits its rate to the ledger.
 
-        A heap of ``(delivered_bits[k], k)`` tuples, built at the phase's
-        first block and carried across blocks, holds the ledger: tuple order,
-        fewest bits and then lowest index, is the rule itself, so each slot
-        serves ``heap[0]`` and puts it back at ``b + r``, the float the ledger
-        stores, with no guard against rounding.  As in :meth:`_pf_loop`, a
-        block without finite rates >= 0 and a finite ledger raises before its
-        first slot and changes neither; a credit can still round an entry up
-        to inf, which the next block rejects."""
-        d = self.delivered_bits
-        if not (lowest(rates) >= 0 and highest(rates) < math.inf and lowest(d) > -math.inf and highest(d) < math.inf):
-            raise ValueError("a variance block needs finite rates >= 0 and a finite ledger")
-        if self._ledger_heap is None:
-            self._ledger_heap = list(zip(d.tolist(), range(self.n_users)))
-            heapq.heapify(self._ledger_heap)
+        The ledger is a heap of ``(bits, k)`` tuples, seeded by
+        :meth:`observe_fi` and carried across blocks: tuple order, fewest
+        bits and then lowest index, is the rule itself, so each slot serves
+        ``heap[0]`` and puts it back at ``bits + r``, the IEEE addition the
+        run's per-user bits make, with no guard against rounding.  As in
+        :meth:`_pf_loop`, a block without finite rates >= 0 raises before
+        its first slot and changes no state.  A credit that rounds up to inf
+        stays inf, as ``inf + r`` is never nan, so tuple order stays total."""
+        if not (lowest(rates) >= 0 and highest(rates) < math.inf):
+            raise ValueError("a variance block needs finite rates >= 0")
         heap, replace, item, chosen = self._ledger_heap, heapq.heapreplace, rates.item, []
         for t in range(len(rates)):
             b, c = heap[0]
-            b += item(t, c)
-            replace(heap, (b, c))
-            d[c] = b
+            replace(heap, (b + item(t, c), c))
             chosen.append(c)
         return np.array(chosen, dtype=np.int64)
 
-    def observe_fi(self, fi: float) -> bool:
-        """Feed the fairness index evaluated after ``slots_elapsed`` slots;
-        True when it fires vpfa's phase switch, which records the first
-        variance-phase slot and the ledger.  Every other policy ignores it."""
+    def observe_fi(self, fi: float, bits) -> bool:
+        """Feed the fairness index evaluated after ``slots_elapsed`` slots and
+        the per-user bits delivered by then; True when it fires vpfa's phase
+        switch, which records the first variance-phase slot, keeps a copy of
+        ``bits`` as ``warmup_bits`` and seeds the variance phase's ledger heap
+        from it.  A ledger that is not ``n_users`` finite floats raises
+        ``ValueError`` there and changes no state.  Every other policy
+        ignores both arguments."""
         if self.name != "vpfa" or self.switch_slot is not None:
             return False
-        self.c_s, self.last_fi = fi_stability_update(
-            self.c_s, self.last_fi, fi, signed=self.vpfa.signed_stability
-        )
-        if self.c_s < self.vpfa.l_sc:
-            return False
-        self.switch_slot = self.slots_elapsed + 1
-        self.warmup_bits = self.delivered_bits.copy()
-        return True
+        c_s, last_fi = fi_stability_update(self.c_s, self.last_fi, fi, signed=self.vpfa.signed_stability)
+        if c_s >= self.vpfa.l_sc:
+            bits = np.array(bits, dtype=float)
+            if bits.shape != (self.n_users,) or not (lowest(bits) > -math.inf and highest(bits) < math.inf):
+                raise ValueError("vpfa's ledger at the switch must be %d finite floats" % self.n_users)
+            self.switch_slot, self.warmup_bits = self.slots_elapsed + 1, bits
+            self._ledger_heap = list(zip(bits.tolist(), range(self.n_users)))
+            heapq.heapify(self._ledger_heap)
+            self._choose = self._serve_least_served
+        self.c_s, self.last_fi = c_s, last_fi
+        return self.switch_slot is not None
 
 
 def make_scheduler(policy: str, n_users: int, dpfa: DpfaParams | None = None, vpfa: VpfaParams | None = None,

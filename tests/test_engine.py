@@ -15,6 +15,7 @@ from schedsim.engine import (
 )
 from schedsim.errors import ConfigError
 from schedsim.sched import VpfaParams
+from test_properties import least_served_oracle
 
 
 def small_config(**kw):
@@ -296,6 +297,20 @@ class TestVpfaPhaseMachine:
         bits = np.zeros(cfg.n_users)
         np.add.at(bits, served, channel_trace(cfg).rates[np.arange(len(served)), served])
         assert res.vpfa_warmup_bits.tobytes() == bits.tobytes()
+
+    @pytest.mark.parametrize("seed,users", [(0, None), (1, None), (2, None), (0, 200)],
+                             ids=["seed0", "seed1", "seed2", "200_users"])
+    def test_variance_phase_matches_least_served_oracle(self, seed, users):
+        # a plain least-served scan from the bits at the switch makes the
+        # run's variance-phase decisions and ends on the log's per-user bits
+        wide = dict(n_users=users, placement="uniform_ring", total_slots=2000, vpfa=VpfaParams(s_fi=10))
+        cfg = SimConfig(policy="vpfa", seed=seed, **(wide if users else {}))
+        res = run(cfg)
+        switch = res.phase_switch_slot
+        assert switch is not None
+        decisions, bits = least_served_oracle(res.vpfa_warmup_bits, channel_trace(cfg).rates[switch - 1:])
+        assert np.array_equal(res.decisions[switch - 1:], decisions)
+        assert bits.tobytes() == res.metrics.per_user_bits.tobytes()
 
     def test_variance_counters_recorded(self):
         cfg = small_config(policy="vpfa", total_slots=2000, n_users=5)

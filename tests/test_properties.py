@@ -96,20 +96,23 @@ def test_config_file_round_trip(config):
     assert parse_config(render_config(config)) == config
 
 
-STATE = ("avg_throughput", "center_slots", "delivered_bits")
+PF_STATE = ("avg_throughput", "center_slots")
+STATE = PF_STATE + ("warmup_bits",)
 
 
 def decide(sched, rates, snrs, cuts, switch_at):
     """Decide the trace in blocks ending at ``cuts``; force vpfa's phase
-    switch (l_sc = 1) once ``switch_at`` slots are decided."""
+    switch (l_sc = 1) once ``switch_at`` slots are decided, handing it the
+    bits those slots delivered."""
     edges = sorted({0, switch_at, len(rates), *cuts})
-    out = []
+    ledger, out = np.zeros(rates.shape[1]), []
     for start, stop in zip(edges, edges[1:]):
         if start == switch_at:
-            sched.observe_fi(0.5)
+            sched.observe_fi(0.5, ledger)
         out.append(sched.step(rates[start:stop], snrs[start:stop]))
+        ledger = ledger_after(ledger, rates[start:stop], out[-1])
     if switch_at == len(rates):
-        sched.observe_fi(0.5)
+        sched.observe_fi(0.5, ledger)
     return np.concatenate(out)
 
 
@@ -242,16 +245,15 @@ def test_dpfa_decisions_match_slot_reference(case):
 TINY = 5e-324  # the smallest subnormal
 
 
-def pf_slot_reference(rates, num, beta, avg, ledger, t_cs):
+def pf_slot_reference(rates, num, beta, avg, t_cs):
     """pfa, dpfa or vpfa's warm-up over one block, slot by slot from the
     per-row rules: ``pf_priority``, then ``select``, then
-    ``update_avg_throughput``.  Updates ``avg`` and the ledger of served
-    bits in place and returns the decisions."""
+    ``update_avg_throughput``.  Updates ``avg`` in place and returns the
+    decisions."""
     out = []
     for t, row in enumerate(rates):
         c = select(pf_priority(num[t], avg, 1.0 if beta is None else beta[t]))
         update_avg_throughput(avg, row, c, t_cs[t])
-        ledger[c] += row[c]
         out.append(c)
     return np.array(out, dtype=np.int64)
 
@@ -321,8 +323,8 @@ def pf_example(policy, rates, avg, tc=7.0, **dpfa):
 @example(pf_example("dpfa", [[1.0, 2.0], [1.0, math.nan]], [EPS_RATE, EPS_RATE]))
 def test_pf_loop_matches_slot_rules(case):
     """A block that breaks the PF loop's precondition raises and changes no
-    state; any other block gives the per-slot rules' decisions, averages and
-    vpfa ledger bit for bit."""
+    state; any other block gives the per-slot rules' decisions and averages
+    bit for bit."""
     policy, rates, snrs, avg, p, tc, elapsed, cuts = case
     growing = tc == "growing"
     sched = make_scheduler(policy, rates.shape[1], dpfa=p, tc_mode="growing" if growing else "fixed",
@@ -330,7 +332,7 @@ def test_pf_loop_matches_slot_rules(case):
     sched.avg_throughput[:] = avg
     sched.slots_elapsed = elapsed
     t_cs = [float(elapsed + 1 + t) if growing else tc for t in range(len(rates))]
-    avg, ledger = avg.copy(), np.zeros(rates.shape[1])
+    avg = avg.copy()
     edges = sorted({0, len(rates), *cuts})
     with np.errstate(all="ignore"):
         num = np.power(rates, p.alpha) if policy == "dpfa" else rates
@@ -340,7 +342,7 @@ def test_pf_loop_matches_slot_rules(case):
         for a, b in zip(edges, edges[1:]):
             block_beta = None if beta is None else beta[a:b]
             if not pf_block_valid(rates[a:b], num[a:b], block_beta, avg, t_cs[a]):
-                state = {attr: getattr(sched, attr).copy() for attr in STATE}
+                state = {attr: getattr(sched, attr).copy() for attr in PF_STATE}
                 with pytest.raises(ValueError):
                     sched.step(rates[a:b], snrs[a:b])
                 for attr, value in state.items():
@@ -348,11 +350,9 @@ def test_pf_loop_matches_slot_rules(case):
                 assert sched.slots_elapsed == elapsed + a
                 break
             got = sched.step(rates[a:b], snrs[a:b])
-            want = pf_slot_reference(rates[a:b], num[a:b], block_beta, avg, ledger, t_cs[a:b])
+            want = pf_slot_reference(rates[a:b], num[a:b], block_beta, avg, t_cs[a:b])
             assert np.array_equal(got, want)
             assert np.array_equal(sched.avg_throughput, avg)
-            if policy == "vpfa":
-                assert np.array_equal(sched.delivered_bits, ledger)
 
 
 def least_served_oracle(ledger, rates):
@@ -365,6 +365,14 @@ def least_served_oracle(ledger, rates):
         out.append(c := min(range(len(d)), key=lambda k: (d[k], k)))
         d[c] += row[c]
     return np.array(out), np.array(d)
+
+
+def ledger_after(ledger, rates, decisions):
+    """The start ledger plus each slot's served rate, added in slot order."""
+    d = ledger.tolist()
+    for row, c in zip(rates.tolist(), decisions.tolist()):
+        d[c] += row[c]
+    return np.array(d)
 
 
 @st.composite
@@ -410,10 +418,12 @@ def ledger_cases(draw):
 def test_variance_phase_matches_score_rule(case):
     ledger, rates, cuts = case
     sched = make_scheduler("vpfa", ledger.size, vpfa=VpfaParams(l_sc=1))
-    sched.delivered_bits[:] = ledger
-    sched.observe_fi(0.5)
+    start = ledger.copy()
+    sched.observe_fi(0.5, ledger)
     edges = sorted({0, len(rates), *cuts})
     decisions = np.concatenate([sched.step(rates[a:b], rates[a:b]) for a, b in zip(edges, edges[1:])])
     want_decisions, want_bits = least_served_oracle(ledger, rates)
     assert np.array_equal(decisions, want_decisions)
-    assert np.array_equal(sched.delivered_bits, want_bits)
+    assert np.array_equal(ledger_after(ledger, rates, decisions), want_bits)
+    # the phase serves from its own heap: the ledger handed over and its copy are left alone
+    assert np.array_equal(ledger, start) and np.array_equal(sched.warmup_bits, start)

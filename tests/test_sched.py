@@ -15,7 +15,7 @@ from schedsim.sched import (
     update_avg_throughput,
     update_beta,
 )
-from test_properties import least_served_oracle
+from test_properties import ledger_after, least_served_oracle
 
 
 def argmax_oracle(values):
@@ -419,33 +419,35 @@ class TestVpfaPhases:
     def test_signed_stability_flag_reaches_scheduler(self):
         # signed mode treats FI increases as stable, so a rising series
         # switches in the minimum number of evaluations
+        bits = np.zeros(3)
         signed = vpfa(3, l_sc=3, signed_stability=True)
-        assert not signed.observe_fi(0.50)  # cold start
-        assert not signed.observe_fi(0.60)  # +0.10, stable under signed test
-        assert signed.observe_fi(0.70)
+        assert not signed.observe_fi(0.50, bits)  # cold start
+        assert not signed.observe_fi(0.60, bits)  # +0.10, stable under signed test
+        assert signed.observe_fi(0.70, bits)
         unsigned = vpfa(3, l_sc=3)
-        assert not unsigned.observe_fi(0.50)
-        assert not unsigned.observe_fi(0.60)  # |+0.10| resets
+        assert not unsigned.observe_fi(0.50, bits)
+        assert not unsigned.observe_fi(0.60, bits)  # |+0.10| resets
         assert unsigned.c_s == 0
 
     def test_observe_fi_switches_once_and_never_back(self):
         sched = vpfa(3, l_sc=2)
-        assert not sched.observe_fi(0.5)   # cold start -> C_s = 1
-        assert sched.observe_fi(0.5005)    # stable -> C_s = 2 = L_sc
+        assert not sched.observe_fi(0.5, np.zeros(3))    # cold start -> C_s = 1
+        assert sched.observe_fi(0.5005, np.zeros(3))     # stable -> C_s = 2 = L_sc
         assert sched.switch_slot == 1
-        assert not sched.observe_fi(0.9)   # no effect after the switch
+        assert not sched.observe_fi(0.9, np.zeros(3))    # no effect after the switch
         assert sched.switch_slot == 1
 
     def test_variance_phase_never_selects_by_pf(self):
         rates, snrs = random_stream(3, 300, 8)
         sched = vpfa(3, l_sc=1)
-        sched.observe_fi(0.7)  # force the switch immediately
+        ledger = np.zeros(3)
+        sched.observe_fi(0.7, ledger)  # force the switch immediately
         assert sched.switch_slot == 1
         for t in range(300):
-            before = sched.delivered_bits.copy()
             chosen = step1(sched, rates[t], snrs[t])
             # deficit mode: the chosen user is always a current minimum
-            assert before[chosen] == before.min()
+            assert ledger[chosen] == ledger.min()
+            ledger[chosen] += rates[t, chosen]
 
     def test_deficit_mode_equalizes_heterogeneous_rates(self):
         # constant rates spread 10:1; after a long variance phase the ledger
@@ -454,37 +456,63 @@ class TestVpfaPhases:
         rates = arr(1e5, 5e4, 2e4, 1e4)
         snrs = np.ones(n)
         sched = vpfa(n, l_sc=1)
-        sched.observe_fi(0.5)
+        led = np.zeros(n)
+        sched.observe_fi(0.5, led)
         for _ in range(20_000):
-            step1(sched, rates, snrs)
-        led = sched.delivered_bits
+            c = step1(sched, rates, snrs)
+            led[c] += rates[c]
         assert led.max() - led.min() <= rates.max()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_served_rate_raises(self, bad):
         sched = vpfa(3, l_sc=1)
-        sched.delivered_bits[:] = [5.0, 1.0, 3.0]
-        sched.observe_fi(0.5)
+        sched.observe_fi(0.5, np.array([5.0, 1.0, 3.0]))
         rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
         with pytest.raises(ValueError):
             sched.step(rates, np.ones_like(rates))
         # the block is rejected before its first slot
-        assert sched.delivered_bits.tolist() == [5.0, 1.0, 3.0]
+        assert sched.warmup_bits.tolist() == [5.0, 1.0, 3.0]
         assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (1, 1, 0)
-        # and the next block is served from the unchanged ledger
+        # and the next blocks are served from the unchanged ledger
         rates = np.random.default_rng(7).uniform(0.0, 1e4, (6, 3))
         want_decisions, want_bits = least_served_oracle(np.array([5.0, 1.0, 3.0]), rates)
-        assert np.array_equal(sched.step(rates, rates), want_decisions)
-        assert np.array_equal(sched.delivered_bits, want_bits)
+        got = np.concatenate([sched.step(rates[:3], rates[:3]), sched.step(rates[3:], rates[3:])])
+        assert np.array_equal(got, want_decisions)
+        assert np.array_equal(ledger_after(np.array([5.0, 1.0, 3.0]), rates, got), want_bits)
+
+    @pytest.mark.parametrize("bad", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, -np.inf, 2.0], [1.0, 2.0]],
+                             ids=["nan", "inf", "-inf", "short"])
+    def test_bad_ledger_at_the_switch_raises(self, bad):
+        sched = vpfa(3, l_sc=2)
+        assert not sched.observe_fi(0.5, np.array(bad))  # no switch, so the ledger is not read
+        rates, snrs = random_stream(3, 4, 11)
+        sched.step(rates[:2], snrs[:2])
+        with pytest.raises(ValueError, match="ledger"):
+            sched.observe_fi(0.5005, np.array(bad))
+        # the evaluation that would fire the switch changes no state
+        assert (sched.c_s, sched.last_fi, sched.switch_slot, sched.warmup_bits) == (1, 0.5, None, None)
+        # a finite ledger then switches normally
+        assert sched.observe_fi(0.5005, np.array([1.0, 2.0, 3.0]))
+        assert (sched.c_s, sched.switch_slot, sched.warmup_bits.tolist()) == (2, 3, [1.0, 2.0, 3.0])
+        want_decisions, _ = least_served_oracle(np.array([1.0, 2.0, 3.0]), rates[2:])
+        assert np.array_equal(sched.step(rates[2:], snrs[2:]), want_decisions)
 
     def test_cumulative_ledger_is_nondecreasing(self):
+        # through the warm-up, the switch at slot 101 and the variance phase
         rates, snrs = random_stream(3, 200, 9)
-        sched = vpfa(3)
-        prev = sched.delivered_bits.copy()
+        sched = vpfa(3, l_sc=1)
+        ledger = np.zeros(3)
         for t in range(200):
-            step1(sched, rates[t], snrs[t])
-            assert np.all(sched.delivered_bits >= prev)
-            prev = sched.delivered_bits.copy()
+            if t == 100:
+                assert sched.observe_fi(0.5, ledger)
+                assert np.array_equal(sched.warmup_bits, ledger)
+            prev = ledger.copy()
+            c = step1(sched, rates[t], snrs[t])
+            ledger[c] += rates[t, c]
+            assert np.all(ledger >= prev)
+        # the switch kept a copy, which the variance phase leaves alone
+        assert sched.switch_slot == 101
+        assert not np.array_equal(sched.warmup_bits, ledger)
 
 
 class TestFactory:
