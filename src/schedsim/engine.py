@@ -3,8 +3,9 @@
 A run is a pure function of its :class:`SimConfig` (the seed included): user
 placement, shadowing and the whole per-slot fading matrix are drawn up front
 in a fixed order from one generator, so the rate trace never depends on the
-policy under test and a comparison draws it once.  The run walks the trace
-in segments ending at the fairness-index evaluations, one call per segment.
+policy under test and a comparison draws it once.  A run first decides the
+whole trace, in blocks of at most ``BLOCK_ELEMENTS`` (slot, user) elements,
+and then accounts for it in one pass over its fairness-index evaluations.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import ConfigError, check_finite
 from .metrics import MetricsLog, highest, jain_index
 from .sched import POLICIES, TC_MODES, DpfaParams, VpfaParams, make_scheduler
 
-# A segment holds at most this many (slot, user) trace elements, or one slot.
+# A decided block holds at most this many (slot, user) trace elements, or one slot.
 BLOCK_ELEMENTS = 32768
 
 # A trace's placement when caller links replaced the drawn geometry; no config has it.
@@ -197,7 +198,7 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     else:
         trace.check(cfg)
     n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
-    block = max(1, min(s_fi, BLOCK_ELEMENTS // n))
+    block = max(1, BLOCK_ELEMENTS // n)
     rates, snrs = trace.rates, trace.snrs
     # dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most max(r, 1)
     if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1:
@@ -205,44 +206,35 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
         if not np.power(peak, cfg.dpfa.alpha) < math.inf:
             raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
                               % (cfg.dpfa.alpha, peak))
-    row_starts = np.arange(0, block * n, n)  # a segment's flat index of (slot, user 0)
 
     scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
-    log = MetricsLog(n)
     decisions = np.empty(total, dtype=np.int32)
+    for start in range(0, total, block):
+        decisions[start:start + block] = scheduler.step(rates[start:start + block], snrs[start:start + block])
+
+    # account for the decided run at each FI evaluation: every s_fi slots and the last
+    served = rates[np.arange(total), decisions]
+    log = MetricsLog(n)
     fi_series: list[tuple[int, float]] = []
     system_series: list[tuple[int, float]] = []
-
-    start = 0
-    while start < total:
-        # no segment crosses an FI evaluation, so vpfa switches on a segment edge
-        stop = min(start + block, (start // s_fi + 1) * s_fi, total)
-        segment = rates[start:stop]
-        chosen = scheduler.step(segment, snrs[start:stop])
-        decisions[start:stop] = chosen
-        log.record_slot(chosen, segment.reshape(-1).take(chosen + row_starts[:stop - start]))
+    stops = [*range(0, total, s_fi), total]
+    for start, stop in zip(stops, stops[1:]):
+        log.record_slot(decisions[start:stop], served[start:stop])
         if not log.system_bits < math.inf:
             raise ConfigError("bits overflow a float: by slot %d the cumulative bits pass the float range"
                               " at bandwidth_hz %g and slot_duration_s %g"
                               % (stop, cfg.channel.bandwidth_hz, cfg.channel.slot_duration_s))
-        start = stop
-
-        on_cadence = stop % s_fi == 0
-        if on_cadence or stop == total:
-            if log.system_bits == 0:
-                if not rates.any():
-                    raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
-                                      "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
-                                      % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
-                                         cfg.channel.noise_figure_db))
-                raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
-                                  "users with rate 0 in every slot so far: %s"
-                                  % (stop, _user_list(np.flatnonzero(~rates[:stop].any(axis=0)))))
-            fi = jain_index(log.per_user_bits)
-            fi_series.append((stop, fi))
-            system_series.append((stop, log.system_bits))
-            if on_cadence:
-                scheduler.observe_fi(fi, log.per_user_bits)
+        if log.system_bits == 0:
+            if not rates.any():
+                raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
+                                  "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
+                                  % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
+                                     cfg.channel.noise_figure_db))
+            raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
+                              "users with rate 0 in every slot so far: %s"
+                              % (stop, _user_list(np.flatnonzero(~rates[:stop].any(axis=0)))))
+        fi_series.append((stop, jain_index(log.per_user_bits)))
+        system_series.append((stop, log.system_bits))
 
     switch = scheduler.switch_slot
     # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults

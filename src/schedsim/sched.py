@@ -19,20 +19,20 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  Both slot loops check their block
-once, before its first slot; a block that fails raises ``ValueError`` and
-changes no state.  A PF slot runs the metric's ufuncs, bound once per
-block, into one preallocated buffer, one argmax and the EWMA update; a
-variance slot one ``heapreplace`` on a heap of (delivered bits, user)
-tuples, whose order is the least-served rule itself.  That heap is seeded
-at the phase switch from the run's per-user bits, which the driving loop
-hands to :meth:`Scheduler.observe_fi`; the scheduler keeps no ledger of
-its own before it.  dpfa's timer, exponents and numerator r^alpha are
-computed per block; ``maxci`` is one ``select`` over the block and ``rr``
-one arange.  Each rule below is a vectorised function; the
-:class:`Scheduler` holds a run's state.  :func:`pf_priority` and
-:func:`update_avg_throughput` are the per-row rules the PF slot loop
-computes inline, kept as the reference the tests hold it to.
+EWMA and vpfa's variance-phase ledger.  Both slot loops check what they
+decide once, before its first slot; a block that fails raises
+``ValueError`` and changes no state, except that vpfa's warm-up decides a
+block in pieces that end at each FI evaluation, so a failing piece leaves
+the pieces before it decided.  A PF slot runs the metric's ufuncs, bound
+once per block, into one preallocated buffer, one argmax and the EWMA
+update; a variance slot one ``heapreplace`` on a heap of (delivered bits,
+user) tuples, whose order is the least-served rule itself.  vpfa's switch
+is its own: the warm-up credits its decisions to a ledger of per-user bits
+and folds the ledger's Jain index into the stability counter every
+``s_fi`` slots, and at the switch that ledger seeds the heap.  dpfa's
+timer, exponents and numerator r^alpha are computed per block; ``maxci``
+is one ``select`` over the block and ``rr`` one arange.  Each rule below
+is a vectorised function; the :class:`Scheduler` holds a run's state.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_finite
-from .metrics import fi_stability_update, highest, lowest
+from .metrics import fi_stability_update, highest, jain_index, lowest
 
 # Cold-start floor for the average-throughput denominator, in bits/slot.
 # R_k starts here so the first slots degenerate to max-C/I instead of 0/0.
@@ -53,8 +53,8 @@ POLICIES = ("pfa", "dpfa", "maxci", "rr", "vpfa")
 TC_MODES = ("fixed", "growing")
 
 # center_timer's running maximum goes row by row at this many users per slot
-# or more (10-slot blocks of 1000 users), and down the columns below it (the
-# defaults' 100-slot blocks of 10); the two cost about the same at 16 x 256.
+# or more (32-slot blocks of 1000 users), and down the columns below it (the
+# defaults' 3276-slot blocks of 10); the two cost about the same at 16 x 256.
 ROW_MAX_USERS_PER_SLOT = 16
 
 
@@ -115,28 +115,6 @@ class VpfaParams:
 # Rules: one vectorised definition each, over all users at once
 # ---------------------------------------------------------------------------
 
-def pf_priority(num: np.ndarray, avg: np.ndarray, beta=1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """The PF family's metric num / max(R, EPS_RATE)^beta, written into ``out``
-    when given: pfa's r / R at the default beta = 1 (x^1 is x bit for bit),
-    dpfa's from its numerator r^alpha and per-user exponents.
-
-    A large beta overflows the denominator, driving the priority to 0 as
-    intended; callers hold ``np.errstate(over="ignore")`` around a block.
-    """
-    den = np.maximum(avg, EPS_RATE, out=out)
-    return np.divide(num, np.power(den, beta, out=den), out=den)
-
-
-def update_avg_throughput(avg: np.ndarray, rates: np.ndarray, chosen: int, t_c: float) -> None:
-    """EWMA average-throughput update of every user, in place.
-
-    Scheduled user:   (1 - 1/T_c) * R + (1/T_c) * r
-    Everyone else:    (1 - 1/T_c) * R
-    """
-    avg *= 1.0 - 1.0 / t_c
-    avg[chosen] += rates.item(chosen) / t_c
-
-
 def center_timer(center, snrs, delta: float) -> np.ndarray:
     """Cell-center residence timer B after each slot of a (slots x users)
     SNR block, continuing ``center``: the slots since the user's last edge
@@ -189,6 +167,28 @@ def select(priorities):
     return int(arr.argmax()) if arr.ndim < 2 else arr.argmax(axis=-1)
 
 
+def least_served(heap: list, rates) -> np.ndarray:
+    """vpfa's variance phase over a (slots x users) block: each slot serves
+    the least-served user, lowest index on ties, and credits its rate.
+
+    ``heap`` holds one ``(bits delivered to k, k)`` tuple per user and is
+    updated in place.  Tuple order, fewest bits and then lowest index, is
+    the rule itself, so each slot serves ``heap[0]`` and puts it back at
+    ``bits + r``, the IEEE addition the run's per-user bits make, with no
+    guard against rounding.  A block without finite rates >= 0 raises
+    ``ValueError`` before its first slot and leaves the heap alone.  A
+    credit that rounds up to inf stays inf, as ``inf + r`` is never nan, so
+    tuple order stays total."""
+    if not (lowest(rates) >= 0 and highest(rates) < math.inf):
+        raise ValueError("a variance block needs finite rates >= 0")
+    replace, item, chosen = heapq.heapreplace, rates.item, []
+    for t in range(len(rates)):
+        b, c = heap[0]
+        replace(heap, (b + item(t, c), c))
+        chosen.append(c)
+    return np.array(chosen, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Per-run state
 # ---------------------------------------------------------------------------
@@ -197,12 +197,12 @@ class Scheduler:
     """One policy's state over one run.
 
     Holds the EWMA averages of the PF family, dpfa's center timer (each block
-    derives its exponents from it), and vpfa's phase machine and, after its
-    switch, its ledger heap.  The driving loop evaluates the fairness index
-    every ``s_fi`` slots, at a block edge, and feeds it to :meth:`observe_fi`
-    with the run's per-user bits; when vpfa's stability counter reaches
-    ``l_sc`` the policy leaves its PF phase for good and keeps the switch
-    slot and those bits there.
+    derives its exponents from it) and vpfa's phase machine.  vpfa's warm-up
+    credits its own decisions to a ledger of per-user bits and, every
+    ``s_fi`` slots, folds the ledger's Jain index into its stability
+    counter; when that reaches ``l_sc`` the policy leaves its PF phase for
+    good, keeps the switch slot and the ledger there, and serves from the
+    ledger heap.
     """
 
     def __init__(self, policy: str, n_users: int, dpfa: DpfaParams, vpfa: VpfaParams,
@@ -221,6 +221,7 @@ class Scheduler:
         self.last_fi: float | None = None
         self.switch_slot: int | None = None  # vpfa's first variance-phase slot, 1-indexed
         self.warmup_bits: np.ndarray | None = None  # vpfa's ledger at the switch
+        self._ledger = np.zeros(n_users)  # bits vpfa's warm-up delivered to each user
         self._ledger_heap: list[tuple[float, int]] | None = None  # (bits delivered to k, k)
         self._choose = getattr(self, "_choose_" + policy)
 
@@ -238,11 +239,14 @@ class Scheduler:
         if rates.ndim != 2 or rates.shape[1] != self.n_users or snrs.shape != rates.shape:
             raise ValueError("rates/snrs must be (slots, %d) blocks, got %s/%s"
                              % (self.n_users, rates.shape, snrs.shape))
-        if not len(rates):
-            return np.empty(0, dtype=np.int64)
-        chosen = self._choose(rates, snrs)
-        self.slots_elapsed += len(rates)
-        return chosen
+        pieces = [np.empty(0, dtype=np.int64)]  # so an empty block concatenates
+        while len(rates):
+            # a policy decides the whole block, vpfa's warm-up up to its next FI evaluation
+            chosen = self._choose(rates, snrs)
+            self.slots_elapsed += len(chosen)
+            pieces.append(chosen)
+            rates, snrs = rates[len(chosen):], snrs[len(chosen):]
+        return np.concatenate(pieces)
 
     def _pf_loop(self, rates, num, beta=None) -> np.ndarray:
         """Serve each slot's argmax of num / max(R, EPS_RATE)^beta (exponent
@@ -315,51 +319,31 @@ class Scheduler:
     def _choose_rr(self, rates, snrs) -> np.ndarray:
         return (self.slots_elapsed + np.arange(len(rates))) % self.n_users
 
-    # vpfa's warm-up is pfa; observe_fi hands later blocks to _serve_least_served
-    _choose_vpfa = _choose_pfa
+    def _choose_vpfa(self, rates, snrs) -> np.ndarray:
+        """vpfa's warm-up: pfa up to the next FI evaluation, its decisions
+        credited to the ledger in slot order, as the run's per-user bits are.
 
-    def _serve_least_served(self, rates, snrs) -> np.ndarray:
-        """vpfa's variance phase: each slot serves the least-served user,
-        lowest index on ties, and credits its rate to the ledger.
+        At the evaluation the ledger's Jain index steps the stability
+        counter, unless the ledger is all zero, where the index is undefined
+        (a run stops there).  When the counter reaches ``l_sc`` the ledger as
+        it stands, an infinite credit included, becomes ``warmup_bits`` and
+        seeds the variance phase's heap; a sorted list is a heap."""
+        p = self.vpfa
+        rates = rates[:p.s_fi - self.slots_elapsed % p.s_fi]
+        chosen = self._pf_loop(rates, rates)
+        np.add.at(self._ledger, chosen, rates[np.arange(len(rates)), chosen])
+        elapsed = self.slots_elapsed + len(rates)
+        if elapsed % p.s_fi == 0 and highest(self._ledger) > 0:
+            fi = jain_index(self._ledger)
+            self.c_s, self.last_fi = fi_stability_update(self.c_s, self.last_fi, fi, signed=p.signed_stability)
+            if self.c_s >= p.l_sc:
+                self.switch_slot, self.warmup_bits = elapsed + 1, self._ledger
+                self._ledger_heap = sorted(zip(self._ledger.tolist(), range(self.n_users)))
+                self._choose = self._choose_least_served
+        return chosen
 
-        The ledger is a heap of ``(bits, k)`` tuples, seeded by
-        :meth:`observe_fi` and carried across blocks: tuple order, fewest
-        bits and then lowest index, is the rule itself, so each slot serves
-        ``heap[0]`` and puts it back at ``bits + r``, the IEEE addition the
-        run's per-user bits make, with no guard against rounding.  As in
-        :meth:`_pf_loop`, a block without finite rates >= 0 raises before
-        its first slot and changes no state.  A credit that rounds up to inf
-        stays inf, as ``inf + r`` is never nan, so tuple order stays total."""
-        if not (lowest(rates) >= 0 and highest(rates) < math.inf):
-            raise ValueError("a variance block needs finite rates >= 0")
-        heap, replace, item, chosen = self._ledger_heap, heapq.heapreplace, rates.item, []
-        for t in range(len(rates)):
-            b, c = heap[0]
-            replace(heap, (b + item(t, c), c))
-            chosen.append(c)
-        return np.array(chosen, dtype=np.int64)
-
-    def observe_fi(self, fi: float, bits) -> bool:
-        """Feed the fairness index evaluated after ``slots_elapsed`` slots and
-        the per-user bits delivered by then; True when it fires vpfa's phase
-        switch, which records the first variance-phase slot, keeps a copy of
-        ``bits`` as ``warmup_bits`` and seeds the variance phase's ledger heap
-        from it.  A ledger that is not ``n_users`` finite floats raises
-        ``ValueError`` there and changes no state.  Every other policy
-        ignores both arguments."""
-        if self.name != "vpfa" or self.switch_slot is not None:
-            return False
-        c_s, last_fi = fi_stability_update(self.c_s, self.last_fi, fi, signed=self.vpfa.signed_stability)
-        if c_s >= self.vpfa.l_sc:
-            bits = np.array(bits, dtype=float)
-            if bits.shape != (self.n_users,) or not (lowest(bits) > -math.inf and highest(bits) < math.inf):
-                raise ValueError("vpfa's ledger at the switch must be %d finite floats" % self.n_users)
-            self.switch_slot, self.warmup_bits = self.slots_elapsed + 1, bits
-            self._ledger_heap = list(zip(bits.tolist(), range(self.n_users)))
-            heapq.heapify(self._ledger_heap)
-            self._choose = self._serve_least_served
-        self.c_s, self.last_fi = c_s, last_fi
-        return self.switch_slot is not None
+    def _choose_least_served(self, rates, snrs) -> np.ndarray:
+        return least_served(self._ledger_heap, rates)
 
 
 def make_scheduler(policy: str, n_users: int, dpfa: DpfaParams | None = None, vpfa: VpfaParams | None = None,

@@ -373,6 +373,36 @@ class TestMain:
                                            % slot)
         assert not out.exists()
 
+    def test_bits_overflow_is_named_at_the_fi_evaluation_after_it(self, tmp_path, capsys):
+        # the total passes the float range at slot 177; a run decided in 32-slot
+        # blocks is accounted for at each FI evaluation, every 100 slots
+        out = tmp_path / "out"
+        assert main(["run", "--set", "n_users=1000", "--set", "total_slots=2000", "--set", "placement=uniform_ring",
+                     "--set", "slot_duration_s=1e298", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("schedsim: error: bits overflow a float: by slot 200 the cumulative bits"
+                                           " pass the float range at bandwidth_hz 1e+07 and slot_duration_s 1e+298\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides,err", [
+        # every ledger vpfa's warm-up evaluates is all zero: the scheduler skips
+        # it, whose index is undefined, and the accounting stops the run
+        (["n_users=3", "total_slots=50", "vpfa_s_fi=1", "shadowing_sigma_db=400", "seed=8"],
+         "no bits were delivered: every rate is 0 under this link budget (tx_power_dbm 46, bandwidth_hz 1e+07,"
+         " noise_figure_db 9)"),
+        # the ledger passes the float range in the warm-up (the switch would come
+        # at slot 5001): the scheduler carries inf on, and the accounting stops the run
+        (["n_users=1", "slot_duration_s=1e298", "vpfa_l_sc=50"],
+         "bits overflow a float: by slot 1700 the cumulative bits pass the float range at bandwidth_hz 1e+07"
+         " and slot_duration_s 1e+298"),
+    ], ids=["zero ledger", "infinite ledger"])
+    def test_vpfa_warmup_leaves_errors_to_the_accounting(self, overrides, err, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [arg for item in ["policy=vpfa", *overrides] for arg in ("--set", item)]
+        assert main(["run", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "schedsim: error: %s\n" % err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides,where", [
         (["tx_power_dbm=-3300"], "gives user 0 a link-budget SNR below the float range, and at slot 1"),
         (["tx_power_dbm=-3150", "shadowing_sigma_db=0"],

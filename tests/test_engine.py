@@ -271,7 +271,7 @@ class TestVpfaPhaseMachine:
 
     @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr"])
     def test_no_switch_recorded_for_other_policies(self, policy):
-        # every scheduler sees each evaluation; only vpfa acts on it
+        # only vpfa's scheduler evaluates the fairness index, and only it switches
         res = run(small_config(policy=policy))
         assert res.phase_switch_slot is None
         assert res.vpfa_warmup_bits is None and res.vpfa_variance_counts is None

@@ -1,8 +1,10 @@
 """Invariants of whole runs over random small configs (N <= 8, T <= 400), of
-deciding one trace in different block splits, of dpfa's one-timer exponent
-against the paper's two-timer rule, of the PF family's block-checked slot loop
-against its per-slot rules, and of vpfa's variance phase against a plain
-least-served scan."""
+deciding one trace in different block splits, of a vpfa scheduler driven by
+``step`` alone against ``run``, of dpfa's one-timer exponent against the
+paper's two-timer rule, of the PF family's block-checked slot loop against
+its per-slot rules, and of vpfa's variance phase against a plain least-served
+scan."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,17 +14,16 @@ from hypothesis import strategies as st
 
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
-from schedsim.engine import SimConfig, run
+from schedsim.engine import SimConfig, channel_trace, run
 from schedsim.sched import (
     EPS_RATE,
     POLICIES,
     DpfaParams,
     VpfaParams,
     center_timer,
+    least_served,
     make_scheduler,
-    pf_priority,
     select,
-    update_avg_throughput,
     update_beta,
 )
 
@@ -100,20 +101,10 @@ PF_STATE = ("avg_throughput", "center_slots")
 STATE = PF_STATE + ("warmup_bits",)
 
 
-def decide(sched, rates, snrs, cuts, switch_at):
-    """Decide the trace in blocks ending at ``cuts``; force vpfa's phase
-    switch (l_sc = 1) once ``switch_at`` slots are decided, handing it the
-    bits those slots delivered."""
-    edges = sorted({0, switch_at, len(rates), *cuts})
-    ledger, out = np.zeros(rates.shape[1]), []
-    for start, stop in zip(edges, edges[1:]):
-        if start == switch_at:
-            sched.observe_fi(0.5, ledger)
-        out.append(sched.step(rates[start:stop], snrs[start:stop]))
-        ledger = ledger_after(ledger, rates[start:stop], out[-1])
-    if switch_at == len(rates):
-        sched.observe_fi(0.5, ledger)
-    return np.concatenate(out)
+def decide(sched, rates, snrs, cuts):
+    """Decide the trace through ``step`` alone, in blocks ending at ``cuts``."""
+    edges = sorted({0, len(rates), *cuts})
+    return np.concatenate([sched.step(rates[a:b], snrs[a:b]) for a, b in zip(edges, edges[1:])])
 
 
 @st.composite
@@ -128,16 +119,17 @@ def block_cases(draw):
         theta=draw(st.integers(1, 6)),  # short: timers cross block edges
         alpha=draw(st.sampled_from([1.0, 0.8])),
     )
-    vpfa = VpfaParams(l_sc=1)
+    # short: vpfa's evaluations, and often its switch, fall inside blocks
+    vpfa = VpfaParams(s_fi=draw(st.integers(1, 20)), l_sc=draw(st.integers(1, 4)),
+                      signed_stability=draw(st.booleans()))
     tc_mode = draw(st.sampled_from(("fixed", "growing")))
-    switch_at = draw(st.integers(0, total))
-    return n, total, cuts, seed, policy, dpfa, vpfa, tc_mode, switch_at
+    return n, total, cuts, seed, policy, dpfa, vpfa, tc_mode
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(block_cases())
 def test_block_splits_give_equal_decisions_and_state(case):
-    n, total, cuts, seed, policy, dpfa, vpfa, tc_mode, switch_at = case
+    n, total, cuts, seed, policy, dpfa, vpfa, tc_mode = case
     rng = np.random.default_rng(seed)
     rates = rng.uniform(1e3, 2e5, size=(total, n))
     snrs = rng.exponential(1.0, size=(total, n))
@@ -145,14 +137,30 @@ def test_block_splits_give_equal_decisions_and_state(case):
     runs = {}
     for name, split in splits.items():
         sched = make_scheduler(policy, n, dpfa=dpfa, vpfa=vpfa, tc_mode=tc_mode, tc_slots=7.0)
-        runs[name] = (decide(sched, rates, snrs, split, switch_at), sched)
+        runs[name] = (decide(sched, rates, snrs, split), sched)
     ref_decisions, ref = runs["one block"]
     for name, (decisions, sched) in runs.items():
         assert np.array_equal(decisions, ref_decisions), name
-        assert (sched.slots_elapsed, sched.switch_slot) == (ref.slots_elapsed, ref.switch_slot)
+        assert ((sched.slots_elapsed, sched.switch_slot, sched.c_s, sched.last_fi)
+                == (ref.slots_elapsed, ref.switch_slot, ref.c_s, ref.last_fi))
         for attr in STATE:
             a, b = getattr(sched, attr), getattr(ref, attr)
             assert np.array_equal(a, b), (name, attr)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(configs.map(lambda c: dataclasses.replace(c, policy="vpfa")), st.data())
+def test_vpfa_step_alone_matches_run(config, data):
+    """A vpfa scheduler driven by ``step`` alone, in any block split, makes
+    ``run``'s decisions and switches where it does, on the same ledger."""
+    res = run(config)
+    trace = channel_trace(config)
+    cuts = data.draw(st.lists(st.integers(1, config.total_slots), max_size=12))
+    sched = make_scheduler("vpfa", config.n_users, vpfa=config.vpfa, tc_mode=config.tc_mode,
+                           tc_slots=config.tc_slots)
+    assert np.array_equal(decide(sched, trace.rates, trace.snrs, cuts), res.decisions)
+    assert sched.switch_slot == res.phase_switch_slot
+    assert np.array_equal(sched.warmup_bits, res.vpfa_warmup_bits)
 
 
 def two_timer_beta(edge, center, snrs, p, b):
@@ -235,14 +243,29 @@ def test_dpfa_decisions_match_slot_reference(case):
     rates = rng.uniform(0.0, 2e5, size=(total, n))
     snrs = rng.exponential(p.delta, size=(total, n))
     sched = make_scheduler("dpfa", n, dpfa=p, tc_slots=7.0)
-    edges = sorted({0, total, *cuts})
-    decisions = np.concatenate([sched.step(rates[a:b], snrs[a:b]) for a, b in zip(edges, edges[1:])])
+    decisions = decide(sched, rates, snrs, cuts)
     want_decisions, want_avg = dpfa_slot_reference(rates, snrs, p, floor, 7.0)
     assert np.array_equal(decisions, want_decisions)
     assert np.array_equal(sched.avg_throughput, want_avg)
 
 
 TINY = 5e-324  # the smallest subnormal
+
+
+def pf_priority(num, avg, beta=1.0, out=None):
+    """The PF family's metric num / max(R, EPS_RATE)^beta, written into ``out``
+    when given: pfa's r / R at the default beta = 1 (x^1 is x bit for bit),
+    dpfa's from its numerator r^alpha and per-user exponents.  The slot loop
+    computes it inline; this is the per-row rule it is held to."""
+    den = np.maximum(avg, EPS_RATE, out=out)
+    return np.divide(num, np.power(den, beta, out=den), out=den)
+
+
+def update_avg_throughput(avg, rates, chosen, t_c):
+    """EWMA average-throughput update of every user, in place: the scheduled
+    user's (1 - 1/T_c) R + r / T_c, everyone else's (1 - 1/T_c) R."""
+    avg *= 1.0 - 1.0 / t_c
+    avg[chosen] += rates.item(chosen) / t_c
 
 
 def pf_slot_reference(rates, num, beta, avg, t_cs):
@@ -367,6 +390,12 @@ def least_served_oracle(ledger, rates):
     return np.array(out), np.array(d)
 
 
+def ledger_heap(ledger):
+    """The variance phase's heap over ``ledger``, a sorted list as the switch
+    seeds it."""
+    return sorted(zip(ledger.tolist(), range(ledger.size)))
+
+
 def ledger_after(ledger, rates, decisions):
     """The start ledger plus each slot's served rate, added in slot order."""
     d = ledger.tolist()
@@ -417,13 +446,11 @@ def ledger_cases(draw):
 @example((np.array([0.0, TINY, 0.0]), np.ones((2, 3)), []))
 def test_variance_phase_matches_score_rule(case):
     ledger, rates, cuts = case
-    sched = make_scheduler("vpfa", ledger.size, vpfa=VpfaParams(l_sc=1))
-    start = ledger.copy()
-    sched.observe_fi(0.5, ledger)
+    heap = ledger_heap(ledger)
     edges = sorted({0, len(rates), *cuts})
-    decisions = np.concatenate([sched.step(rates[a:b], rates[a:b]) for a, b in zip(edges, edges[1:])])
+    decisions = np.concatenate([least_served(heap, rates[a:b]) for a, b in zip(edges, edges[1:])])
     want_decisions, want_bits = least_served_oracle(ledger, rates)
     assert np.array_equal(decisions, want_decisions)
     assert np.array_equal(ledger_after(ledger, rates, decisions), want_bits)
-    # the phase serves from its own heap: the ledger handed over and its copy are left alone
-    assert np.array_equal(ledger, start) and np.array_equal(sched.warmup_bits, start)
+    # and the heap ends on the oracle's ledger, float for float
+    assert np.array_equal([b for b, _ in sorted(heap, key=lambda entry: entry[1])], want_bits)

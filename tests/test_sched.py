@@ -9,13 +9,12 @@ from schedsim.sched import (
     DpfaParams,
     VpfaParams,
     center_timer,
+    least_served,
     make_scheduler,
-    pf_priority,
     select,
-    update_avg_throughput,
     update_beta,
 )
-from test_properties import ledger_after, least_served_oracle
+from test_properties import ledger_after, ledger_heap, least_served_oracle, pf_priority, update_avg_throughput
 
 
 def argmax_oracle(values):
@@ -410,41 +409,63 @@ class TestStep:
 
 class TestVpfaPhases:
     def test_warmup_is_decision_identical_to_pfa(self):
+        # up to the switch, which the scheduler fires on its own at an FI evaluation
         rates, snrs = random_stream(5, 1500, 7)
         pfa = make_scheduler("pfa", 5)
         sched = vpfa(5)
-        for t in range(1500):
-            assert step1(pfa, rates[t], snrs[t]) == step1(sched, rates[t], snrs[t])
+        got = [step1(sched, rates[t], snrs[t]) for t in range(1500)]
+        want = [step1(pfa, rates[t], snrs[t]) for t in range(1500)]
+        assert sched.switch_slot is not None and sched.switch_slot % 100 == 1
+        assert got[:sched.switch_slot - 1] == want[:sched.switch_slot - 1]
 
     def test_signed_stability_flag_reaches_scheduler(self):
-        # signed mode treats FI increases as stable, so a rising series
-        # switches in the minimum number of evaluations
-        bits = np.zeros(3)
-        signed = vpfa(3, l_sc=3, signed_stability=True)
-        assert not signed.observe_fi(0.50, bits)  # cold start
-        assert not signed.observe_fi(0.60, bits)  # +0.10, stable under signed test
-        assert signed.observe_fi(0.70, bits)
-        unsigned = vpfa(3, l_sc=3)
-        assert not unsigned.observe_fi(0.50, bits)
-        assert not unsigned.observe_fi(0.60, bits)  # |+0.10| resets
-        assert unsigned.c_s == 0
+        # each slot's one user with rate 1 is served, so the index after slots
+        # 1, 2 and 3 rises 1/3, 2/3, 1: stable under the signed test, which
+        # switches in the minimum number of evaluations, and not under |change|
+        rates = np.eye(3)
+        signed = vpfa(3, s_fi=1, l_sc=3, signed_stability=True)
+        assert signed.step(rates, rates).tolist() == [0, 1, 2]
+        assert (signed.c_s, signed.switch_slot) == (3, 4)
+        unsigned = vpfa(3, s_fi=1, l_sc=3)
+        assert unsigned.step(rates[:2], rates[:2]).tolist() == [0, 1]
+        assert (unsigned.c_s, unsigned.switch_slot) == (0, None)
 
-    def test_observe_fi_switches_once_and_never_back(self):
-        sched = vpfa(3, l_sc=2)
-        assert not sched.observe_fi(0.5, np.zeros(3))    # cold start -> C_s = 1
-        assert sched.observe_fi(0.5005, np.zeros(3))     # stable -> C_s = 2 = L_sc
-        assert sched.switch_slot == 1
-        assert not sched.observe_fi(0.9, np.zeros(3))    # no effect after the switch
-        assert sched.switch_slot == 1
+    def test_switches_once_and_never_back(self):
+        # user 0 alone has bits after slots 1 and 2, so the index stays at 1/3
+        sched = vpfa(3, s_fi=1, l_sc=2)
+        first = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert sched.step(first, first).tolist() == [0, 0]
+        assert (sched.c_s, sched.switch_slot, sched.warmup_bits.tolist()) == (2, 3, [2.0, 0.0, 0.0])
+        # no evaluation after the switch: the counter and the switch slot stay, and the variance phase serves
+        rates, snrs = random_stream(3, 50, 10)
+        decisions = sched.step(rates, snrs)
+        assert (sched.c_s, sched.switch_slot) == (2, 3)
+        assert np.array_equal(decisions, least_served_oracle(np.array([2.0, 0.0, 0.0]), rates)[0])
+
+    def test_all_zero_ledger_is_not_folded(self):
+        # its index is undefined, and a run stops at that evaluation; the counter waits for bits
+        sched = vpfa(3, s_fi=1, l_sc=1)
+        zeros = np.zeros((4, 3))
+        sched.step(zeros, zeros)
+        assert (sched.c_s, sched.last_fi, sched.switch_slot) == (0, None, None)
+        sched.step(np.eye(3)[:1], np.ones((1, 3)))
+        assert (sched.c_s, sched.switch_slot, sched.warmup_bits.tolist()) == (1, 6, [1.0, 0.0, 0.0])
+
+    def test_infinite_ledger_seeds_the_heap_as_it_is(self):
+        # user 0's two slots of 1e308 bits pass the float range: a run stops on
+        # its bits after deciding, so the scheduler switches and serves on
+        sched = vpfa(2, s_fi=2, l_sc=1)
+        rates = np.array([[1e308, 0.0], [1e308, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        with np.errstate(over="ignore"):  # as a run holds it
+            assert sched.step(rates, rates).tolist() == [0, 0, 1, 1]
+        assert (sched.switch_slot, sched.warmup_bits.tolist()) == (3, [np.inf, 0.0])
 
     def test_variance_phase_never_selects_by_pf(self):
-        rates, snrs = random_stream(3, 300, 8)
-        sched = vpfa(3, l_sc=1)
+        rates = random_stream(3, 300, 8)[0]
         ledger = np.zeros(3)
-        sched.observe_fi(0.7, ledger)  # force the switch immediately
-        assert sched.switch_slot == 1
+        heap = ledger_heap(ledger)
         for t in range(300):
-            chosen = step1(sched, rates[t], snrs[t])
+            chosen = int(least_served(heap, rates[t:t + 1])[0])
             # deficit mode: the chosen user is always a current minimum
             assert ledger[chosen] == ledger.min()
             ledger[chosen] += rates[t, chosen]
@@ -452,66 +473,46 @@ class TestVpfaPhases:
     def test_deficit_mode_equalizes_heterogeneous_rates(self):
         # constant rates spread 10:1; after a long variance phase the ledger
         # spread is bounded by the largest single-slot delivery
-        n = 4
-        rates = arr(1e5, 5e4, 2e4, 1e4)
-        snrs = np.ones(n)
-        sched = vpfa(n, l_sc=1)
-        led = np.zeros(n)
-        sched.observe_fi(0.5, led)
-        for _ in range(20_000):
-            c = step1(sched, rates, snrs)
-            led[c] += rates[c]
+        rates = np.tile(arr(1e5, 5e4, 2e4, 1e4), (20_000, 1))
+        led = ledger_after(np.zeros(4), rates, least_served(ledger_heap(np.zeros(4)), rates))
         assert led.max() - led.min() <= rates.max()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_served_rate_raises(self, bad):
-        sched = vpfa(3, l_sc=1)
-        sched.observe_fi(0.5, np.array([5.0, 1.0, 3.0]))
+        start = np.array([5.0, 1.0, 3.0])
+        heap = ledger_heap(start)
         rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
         with pytest.raises(ValueError):
-            sched.step(rates, np.ones_like(rates))
+            least_served(heap, rates)
         # the block is rejected before its first slot
-        assert sched.warmup_bits.tolist() == [5.0, 1.0, 3.0]
-        assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (1, 1, 0)
+        assert heap == ledger_heap(start)
         # and the next blocks are served from the unchanged ledger
-        rates = np.random.default_rng(7).uniform(0.0, 1e4, (6, 3))
-        want_decisions, want_bits = least_served_oracle(np.array([5.0, 1.0, 3.0]), rates)
-        got = np.concatenate([sched.step(rates[:3], rates[:3]), sched.step(rates[3:], rates[3:])])
+        good = np.random.default_rng(7).uniform(0.0, 1e4, (6, 3))
+        want_decisions, want_bits = least_served_oracle(start, good)
+        got = np.concatenate([least_served(heap, good[:3]), least_served(heap, good[3:])])
         assert np.array_equal(got, want_decisions)
-        assert np.array_equal(ledger_after(np.array([5.0, 1.0, 3.0]), rates, got), want_bits)
-
-    @pytest.mark.parametrize("bad", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, -np.inf, 2.0], [1.0, 2.0]],
-                             ids=["nan", "inf", "-inf", "short"])
-    def test_bad_ledger_at_the_switch_raises(self, bad):
-        sched = vpfa(3, l_sc=2)
-        assert not sched.observe_fi(0.5, np.array(bad))  # no switch, so the ledger is not read
-        rates, snrs = random_stream(3, 4, 11)
-        sched.step(rates[:2], snrs[:2])
-        with pytest.raises(ValueError, match="ledger"):
-            sched.observe_fi(0.5005, np.array(bad))
-        # the evaluation that would fire the switch changes no state
-        assert (sched.c_s, sched.last_fi, sched.switch_slot, sched.warmup_bits) == (1, 0.5, None, None)
-        # a finite ledger then switches normally
-        assert sched.observe_fi(0.5005, np.array([1.0, 2.0, 3.0]))
-        assert (sched.c_s, sched.switch_slot, sched.warmup_bits.tolist()) == (2, 3, [1.0, 2.0, 3.0])
-        want_decisions, _ = least_served_oracle(np.array([1.0, 2.0, 3.0]), rates[2:])
-        assert np.array_equal(sched.step(rates[2:], snrs[2:]), want_decisions)
+        assert np.array_equal(ledger_after(start, good, got), want_bits)
+        # a switched scheduler rejects it the same way, with no change of state
+        sched = vpfa(3, s_fi=1, l_sc=1)
+        sched.step(np.eye(3)[:1], np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            sched.step(rates, rates)
+        assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (2, 1, 1)
 
     def test_cumulative_ledger_is_nondecreasing(self):
-        # through the warm-up, the switch at slot 101 and the variance phase
+        # through the warm-up, the switch the first evaluation fires at slot 101, and the variance phase
         rates, snrs = random_stream(3, 200, 9)
         sched = vpfa(3, l_sc=1)
         ledger = np.zeros(3)
         for t in range(200):
+            assert sched.switch_slot == (None if t < 100 else 101)
             if t == 100:
-                assert sched.observe_fi(0.5, ledger)
                 assert np.array_equal(sched.warmup_bits, ledger)
             prev = ledger.copy()
             c = step1(sched, rates[t], snrs[t])
             ledger[c] += rates[t, c]
             assert np.all(ledger >= prev)
-        # the switch kept a copy, which the variance phase leaves alone
-        assert sched.switch_slot == 101
+        # the warm-up ledger stops at the switch; the variance phase credits its heap
         assert not np.array_equal(sched.warmup_bits, ledger)
 
 
