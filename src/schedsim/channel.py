@@ -100,12 +100,9 @@ def cost231_path_loss(distance_m: float, params: ChannelParams) -> float:
 
     with ``a(h_m)`` the large-city mobile antenna correction and C = 3 dB in
     the metro class, 0 dB suburban.  Valid for carriers in 1500..2000 MHz;
-    distances below 20 m are clamped with a warning.
+    distances below 20 m are clamped with a warning.  ``params`` is taken as
+    ``ChannelParams.validate`` left it, and ``distance_m`` as finite and > 0.
     """
-    if distance_m <= 0:
-        raise ConfigError("distance_m must be > 0")
-    params.validate()
-
     if distance_m < MIN_PATH_LOSS_DISTANCE_M:
         warnings.warn(
             "distance %.3g m below the %.0f m model floor; clamping"
@@ -135,8 +132,6 @@ def draw_shadowing(rng: np.random.Generator, sigma_db: float, size=None):
     One draw per user per simulation; positions are static so the shadow
     never re-rolls.
     """
-    if sigma_db < 0:
-        raise ConfigError("shadowing_sigma_db must be >= 0")
     out = rng.normal(0.0, sigma_db, size=size)
     return float(out) if size is None else out
 
@@ -194,15 +189,7 @@ def place_users(n: int, radius_m: float, mode: str, rng: np.random.Generator | N
     ``equal_spacing`` puts user k at radius*k/n (k = 1..n, deterministic);
     ``uniform_ring`` draws distances with uniform area density over the disc.
     """
-    if n < 1:
-        raise ConfigError("n_users must be >= 1")
-    if radius_m <= 0:
-        raise ConfigError("cell_radius_m must be > 0")
     if mode == "equal_spacing":
         return radius_m * np.arange(1, n + 1) / n
-    if mode == "uniform_ring":
-        if rng is None:
-            raise ConfigError("uniform_ring placement needs an RNG")
-        # 1 - U is uniform on (0, 1], keeping every distance strictly positive.
-        return radius_m * np.sqrt(1.0 - rng.random(n))
-    raise ConfigError("placement must be one of %s" % (PLACEMENT_MODES,))
+    # 1 - U is uniform on (0, 1], keeping every distance strictly positive.
+    return radius_m * np.sqrt(1.0 - rng.random(n))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,10 @@ class SimConfig:
 
     def validate(self) -> None:
         self.channel.validate()
+        for key, count in dict(n_users=self.n_users, total_slots=self.total_slots, seed=self.seed,
+                               dpfa_theta=self.dpfa.theta, vpfa_s_fi=self.vpfa.s_fi, vpfa_l_sc=self.vpfa.l_sc).items():
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):  # numpy ints are Integral
+                raise ConfigError("%s must be an integer, got %r" % (key, count))
         if self.n_users < 1:
             raise ConfigError("n_users must be >= 1")
         if self.total_slots < 1:
@@ -147,7 +152,11 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
     configs that differ only in policy gives identical matrices.
     Caller-supplied ``links`` (custom geometries) skip the placement and
     shadowing draws, so their fading starts at the head of the seed's stream.
+    Validates the config once, and rejects a caller link without a finite
+    ``distance_m > 0`` and ``shadowing_db`` by its user; with an SNR of 0 and
+    a rate past the float range rejected too, every trace has finite rates >= 0.
     """
+    config.validate()
     rng = np.random.default_rng(config.seed)
     placement = config.placement if links is None else CALLER_LINKS
     if links is None:
@@ -156,6 +165,11 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
         links = [UserLink(k, float(d), float(s)) for k, (d, s) in enumerate(zip(distances, shadows))]
     elif len(links) != config.n_users:
         raise ConfigError("got %d links for n_users %d" % (len(links), config.n_users))
+    else:
+        for k, link in enumerate(links):
+            if not (0 < link.distance_m < math.inf and math.isfinite(link.shadowing_db)):
+                raise ConfigError("user %d's link needs a finite distance_m > 0 and a finite shadowing_db,"
+                                  " got %r and %r" % (k, link.distance_m, link.shadowing_db))
     base = np.array([snr(config.channel, link, 1.0) for link in links])
     if config.channel.fast_fading_enabled:
         snrs = draw_fast_fading(rng, size=(config.total_slots, len(links)))
@@ -192,7 +206,7 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     config.validate()
     cfg = resolved_config(config)
     if trace is None:
-        trace = channel_trace(cfg, links)
+        trace = channel_trace(config, links)  # as given: a resolved delta of 0 would mask the trace's error
     elif links is not None:
         raise ConfigError("pass links or a trace, not both")
     else:
@@ -299,7 +313,6 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     if reference not in policies:
         raise ConfigError("reference policy %r not among %s" % (reference, policies))
 
-    first.validate()
     trace = channel_trace(first)
     results = {cfg.policy: run(cfg, trace=trace) for cfg in configs}
     ref_bits = results[reference].metrics.system_bits

@@ -19,20 +19,19 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  Both slot loops check what they
-decide once, before its first slot; a block that fails raises
-``ValueError`` and changes no state, except that vpfa's warm-up decides a
-block in pieces that end at each FI evaluation, so a failing piece leaves
-the pieces before it decided.  A PF slot runs the metric's ufuncs, bound
-once per block, into one preallocated buffer, one argmax and the EWMA
-update; a variance slot one ``heapreplace`` on a heap of (delivered bits,
-user) tuples, whose order is the least-served rule itself.  vpfa's switch
-is its own: the warm-up credits its decisions to a ledger of per-user bits
-and folds the ledger's Jain index into the stability counter every
-``s_fi`` slots, and at the switch that ledger seeds the heap.  dpfa's
-timer, exponents and numerator r^alpha are computed per block; ``maxci``
-is one ``select`` over the block and ``rr`` one arange.  Each rule below
-is a vectorised function; the :class:`Scheduler` holds a run's state.
+EWMA and vpfa's variance-phase ledger.  ``step`` checks a block's rates
+once, before any policy decides, and the PF loop its own state once per
+block; a block that fails raises ``ValueError`` and changes no state.  A PF
+slot runs the metric's ufuncs, bound once per block, into one preallocated
+buffer, one argmax and the EWMA update; a variance slot one ``heapreplace``
+on a heap of (delivered bits, user) tuples, whose order is the least-served
+rule itself.  vpfa's switch is its own: the warm-up credits its decisions to
+a ledger of per-user bits and folds the ledger's Jain index into the
+stability counter every ``s_fi`` slots, and at the switch that ledger seeds
+the heap.  dpfa's timer, exponents and numerator r^alpha are computed per
+block; ``maxci`` is one ``select`` over the block and ``rr`` one arange.
+Each rule below is a vectorised function; the :class:`Scheduler` holds a
+run's state.
 """
 from __future__ import annotations
 
@@ -175,12 +174,9 @@ def least_served(heap: list, rates) -> np.ndarray:
     updated in place.  Tuple order, fewest bits and then lowest index, is
     the rule itself, so each slot serves ``heap[0]`` and puts it back at
     ``bits + r``, the IEEE addition the run's per-user bits make, with no
-    guard against rounding.  A block without finite rates >= 0 raises
-    ``ValueError`` before its first slot and leaves the heap alone.  A
-    credit that rounds up to inf stays inf, as ``inf + r`` is never nan, so
-    tuple order stays total."""
-    if not (lowest(rates) >= 0 and highest(rates) < math.inf):
-        raise ValueError("a variance block needs finite rates >= 0")
+    guard against rounding.  ``Scheduler.step`` has checked the rates
+    finite and >= 0, so a credit that rounds up to inf stays inf, as
+    ``inf + r`` is never nan, and tuple order stays total."""
     replace, item, chosen = heapq.heapreplace, rates.item, []
     for t in range(len(rates)):
         b, c = heap[0]
@@ -233,12 +229,16 @@ class Scheduler:
 
     def step(self, rates, snrs) -> np.ndarray:
         """Decide a (slots x users) block in slot order and return its
-        decisions; every piece of state carries over to the next call."""
+        decisions; every piece of state carries over to the next call.  The
+        rates must be finite and >= 0, checked once before any policy decides,
+        so a block without them raises ``ValueError`` and changes no state."""
         rates = np.asarray(rates, dtype=float)
         snrs = np.asarray(snrs, dtype=float)
         if rates.ndim != 2 or rates.shape[1] != self.n_users or snrs.shape != rates.shape:
             raise ValueError("rates/snrs must be (slots, %d) blocks, got %s/%s"
                              % (self.n_users, rates.shape, snrs.shape))
+        if rates.size and not (lowest(rates) >= 0 and highest(rates) < math.inf):
+            raise ValueError("a block needs finite rates >= 0, got a negative or non-finite one")
         pieces = [np.empty(0, dtype=np.int64)]  # so an empty block concatenates
         while len(rates):
             # a policy decides the whole block, vpfa's warm-up up to its next FI evaluation
@@ -252,15 +252,16 @@ class Scheduler:
         """Serve each slot's argmax of num / max(R, EPS_RATE)^beta (exponent
         1 when ``beta`` is None), then update the EWMA R in place.
 
-        Precondition, checked once per block: finite served rates >= 0, a
-        first T_c >= 1, finite averages and, for dpfa, a finite numerator and
-        exponents >= 0; a block without it raises before its first slot and
-        changes no state.  With it each denominator lies in [1, inf] and no
-        priority is nan or inf: an update (1 - 1/T_c) R + r/T_c can round an
-        average up to inf but not to nan, which takes 0 * inf, and a decay
-        of 0 (T_c = 1) comes only at a growing run's first slot or in every
-        slot of a fixed T_c = 1, where each update leaves 0 or r; so only an
-        infinite start average could, and a slot serves the plain argmax.
+        Precondition: finite rates >= 0, which ``step`` checks, and, checked
+        here once per block, a first T_c >= 1, finite averages and, for dpfa,
+        a finite numerator and exponents >= 0; a block without it raises
+        before its first slot and changes no state.  With it each denominator
+        lies in [1, inf] and no priority is nan or inf: an update
+        (1 - 1/T_c) R + r/T_c can round an average up to inf but not to nan,
+        which takes 0 * inf, and a decay of 0 (T_c = 1) comes only at a
+        growing run's first slot or in every slot of a fixed T_c = 1, where
+        each update leaves 0 or r; so only an infinite start average could,
+        and a slot serves the plain argmax.
 
         The floor never binds when min(R) at block start, multiplied in
         slot order by the decay 1 - 1/T_c of every slot but the last, is
@@ -274,10 +275,9 @@ class Scheduler:
         t_cs = [first + t for t in range(len(rates))] if growing else [first] * len(rates)
         decays = [1.0 - 1.0 / t_c for t_c in t_cs]
         lo = lowest(avg)
-        if not (lowest(rates) >= 0 and highest(rates) < math.inf and t_cs[0] >= 1
-                and lo > -math.inf and highest(avg) < math.inf
+        if not (t_cs[0] >= 1 and lo > -math.inf and highest(avg) < math.inf
                 and (beta is None or (highest(num) < math.inf and lowest(beta) >= 0))):
-            raise ValueError("a PF block needs finite rates >= 0, T_c >= 1, finite averages"
+            raise ValueError("a PF block needs T_c >= 1, finite averages"
                              " and, for dpfa, a finite numerator and exponents >= 0")
         for d in decays[:-1]:
             lo *= d
@@ -348,13 +348,11 @@ class Scheduler:
 
 def make_scheduler(policy: str, n_users: int, dpfa: DpfaParams | None = None, vpfa: VpfaParams | None = None,
                    tc_mode: str = "fixed", tc_slots: float = 1000.0) -> Scheduler:
-    """Fresh state for one run of ``policy``.
+    """Fresh state for one run of ``policy``, one of ``POLICIES``.
 
-    Parameter ranges are checked by ``SimConfig.validate``; this only
-    rejects what a config cannot express.
+    The policy and the parameter ranges are checked by ``SimConfig.validate``;
+    this only rejects what a config cannot express.
     """
-    if policy not in POLICIES:
-        raise ConfigError("policy must be one of %s" % (POLICIES,))
     dpfa = dpfa or DpfaParams()
     if policy == "dpfa" and dpfa.delta is None:
         raise ConfigError("dpfa_delta must be resolved before scheduling")

@@ -13,6 +13,7 @@ from schedsim.channel import (
     place_users,
     snr,
 )
+from schedsim.engine import SimConfig
 from schedsim.errors import ConfigError
 
 # Independent hand evaluation of the COST-231 formula at the reference point
@@ -47,17 +48,6 @@ class TestCost231:
             clamped = cost231_path_loss(5.0, p)
         assert clamped == cost231_path_loss(20.0, p)
 
-    def test_invalid_inputs_raise(self):
-        p = default_params()
-        with pytest.raises(ConfigError):
-            cost231_path_loss(0.0, p)
-        with pytest.raises(ConfigError):
-            cost231_path_loss(-3.0, p)
-        with pytest.raises(ConfigError):
-            cost231_path_loss(500.0, default_params(carrier_freq_mhz=900.0))
-        with pytest.raises(ConfigError):
-            cost231_path_loss(500.0, default_params(bs_height_m=10.0))
-
     def test_strictly_increasing_in_distance(self):
         p = default_params()
         d = np.linspace(20.0, 2000.0, 100)
@@ -86,10 +76,6 @@ class TestShadowing:
         a = draw_shadowing(np.random.default_rng(42), 8.0)
         b = draw_shadowing(np.random.default_rng(42), 8.0)
         assert a == b
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ConfigError):
-            draw_shadowing(np.random.default_rng(0), -1.0)
 
 
 class TestFastFading:
@@ -200,8 +186,9 @@ class TestPlacement:
         assert place_users(1, 1000.0, "equal_spacing")[0] == 1000.0
 
     def test_zero_users_rejected(self):
-        with pytest.raises(ConfigError):
-            place_users(0, 1000.0, "equal_spacing")
+        # by the config, which place_users trusts
+        with pytest.raises(ConfigError, match="n_users"):
+            SimConfig(n_users=0, placement="equal_spacing").validate()
 
     def test_uniform_ring_area_density(self):
         rng = np.random.default_rng(11)
@@ -211,8 +198,9 @@ class TestPlacement:
         assert abs(frac_inner - 0.25) < 0.01
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            place_users(4, 1000.0, "grid")
+        # by the config, which place_users trusts
+        with pytest.raises(ConfigError, match="placement"):
+            SimConfig(n_users=4, placement="grid").validate()
 
 
 class TestParamsValidation:
@@ -234,6 +222,8 @@ class TestParamsValidation:
             dict(slot_duration_s=float("nan")),
             dict(shadowing_sigma_db=float("nan")),
             dict(cell_radius_m=float("inf")),
+            dict(carrier_freq_mhz=900.0),
+            dict(bs_height_m=10.0),
         ],
     )
     def test_bad_params_rejected(self, kw):

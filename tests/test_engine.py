@@ -14,7 +14,7 @@ from schedsim.engine import (
     run_comparison,
 )
 from schedsim.errors import ConfigError
-from schedsim.sched import VpfaParams
+from schedsim.sched import DpfaParams, VpfaParams
 from test_properties import least_served_oracle
 
 
@@ -40,6 +40,42 @@ class TestValidation:
     def test_link_count_must_match_n_users(self):
         with pytest.raises(ConfigError, match="links"):
             run(small_config(n_users=4), links=[UserLink(0, 500.0, 0.0)])
+
+    @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr", "vpfa"])
+    @pytest.mark.parametrize("distance, shadowing", [
+        (np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0), (-3.0, 0.0),
+        (500.0, np.nan), (500.0, np.inf), (500.0, -np.inf),
+    ])
+    def test_bad_caller_link_rejected(self, policy, distance, shadowing):
+        links = [UserLink(k, 500.0, 0.0) for k in range(4)]
+        links[2] = UserLink(2, distance, shadowing)
+        with pytest.raises(ConfigError, match=r"^user 2's link needs a finite distance_m > 0 and a finite"):
+            run(small_config(policy=policy), links=links)
+
+    @pytest.mark.parametrize("key", ["n_users", "total_slots", "seed", "dpfa_theta", "vpfa_s_fi", "vpfa_l_sc"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", True])
+    def test_non_integer_count_rejected(self, key, value):
+        cfg = small_config()
+        owner, attr = {"dpfa_theta": (cfg.dpfa, "theta"), "vpfa_s_fi": (cfg.vpfa, "s_fi"),
+                       "vpfa_l_sc": (cfg.vpfa, "l_sc")}.get(key, (cfg, key))
+        setattr(owner, attr, value)
+        with pytest.raises(ConfigError, match="^%s must be an integer, got " % key):
+            cfg.validate()
+
+    def test_numpy_int_counts_accepted(self):
+        cfg = small_config(n_users=np.int64(4), total_slots=np.int32(50), seed=np.uint8(3),
+                           dpfa=DpfaParams(theta=np.int64(20)), vpfa=VpfaParams(s_fi=np.int16(10), l_sc=np.int64(5)))
+        cfg.validate()
+        assert np.array_equal(run(cfg).decisions, run(small_config(total_slots=50, vpfa=VpfaParams(s_fi=10))).decisions)
+
+    @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
+    def test_trace_validates_the_channel_once(self, monkeypatch):
+        calls = []
+        validate = ChannelParams.validate
+        monkeypatch.setattr(ChannelParams, "validate", lambda self: calls.append(1) or validate(self))
+        trace = channel_trace(SimConfig(n_users=1000, total_slots=2))
+        assert trace.rates.shape == (2, 1000)
+        assert len(calls) == 1
 
 
 class TestNoBitsDelivered:

@@ -5,6 +5,7 @@ from schedsim.engine import SimConfig
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
+    POLICIES,
     ROW_MAX_USERS_PER_SLOT,
     DpfaParams,
     VpfaParams,
@@ -290,6 +291,27 @@ class TestStep:
         rates, snrs = random_stream(3, 1, 0)
         assert sched.step(rates, snrs).shape == (1,)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejected_block_changes_no_state(self, policy, bad):
+        # the bad rate is in the block's last slot, slot 8; vpfa's warm-up decides
+        # the block in two pieces, cut at the FI evaluation after slot 6
+        rates, snrs = random_stream(3, 12, 11)
+        sched, twin = (make_scheduler(policy, 3, dpfa=DpfaParams(delta=3.0), vpfa=VpfaParams(s_fi=2)) for _ in range(2))
+        sched.step(rates[:4], snrs[:4])
+        twin.step(rates[:4], snrs[:4])
+        block = rates[4:8].copy()
+        block[3, 1] = bad
+        with pytest.raises(ValueError, match="finite rates >= 0"):
+            sched.step(block, snrs[4:8])
+        for attr in ("slots_elapsed", "c_s", "last_fi", "switch_slot"):
+            assert getattr(sched, attr) == getattr(twin, attr), attr
+        for attr in ("avg_throughput", "center_slots", "_ledger"):
+            assert np.array_equal(getattr(sched, attr), getattr(twin, attr)), attr
+        # and it decides on as if the block had never come
+        assert np.array_equal(sched.step(rates[4:], snrs[4:]), twin.step(rates[4:], snrs[4:]))
+        assert np.array_equal(sched.avg_throughput, twin.avg_throughput)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_maxci_rejects_non_finite_rates(self, bad):
         rates, snrs = random_stream(3, 4, 0)
@@ -479,25 +501,24 @@ class TestVpfaPhases:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_served_rate_raises(self, bad):
-        start = np.array([5.0, 1.0, 3.0])
-        heap = ledger_heap(start)
+        # switched at slot 2 with the ledger [1, 0, 0]
+        sched = vpfa(3, s_fi=1, l_sc=1)
+        sched.step(np.eye(3)[:1], np.ones((1, 3)))
+        start = np.array([1.0, 0.0, 0.0])
+        assert sched.warmup_bits.tolist() == start.tolist()
         rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
         with pytest.raises(ValueError):
-            least_served(heap, rates)
+            sched.step(rates, rates)
         # the block is rejected before its first slot
-        assert heap == ledger_heap(start)
+        assert sched._ledger_heap == ledger_heap(start)
+        assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (2, 1, 1)
         # and the next blocks are served from the unchanged ledger
         good = np.random.default_rng(7).uniform(0.0, 1e4, (6, 3))
         want_decisions, want_bits = least_served_oracle(start, good)
-        got = np.concatenate([least_served(heap, good[:3]), least_served(heap, good[3:])])
+        got = np.concatenate([sched.step(good[:3], good[:3]), sched.step(good[3:], good[3:])])
         assert np.array_equal(got, want_decisions)
         assert np.array_equal(ledger_after(start, good, got), want_bits)
-        # a switched scheduler rejects it the same way, with no change of state
-        sched = vpfa(3, s_fi=1, l_sc=1)
-        sched.step(np.eye(3)[:1], np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            sched.step(rates, rates)
-        assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (2, 1, 1)
+        assert sorted(sched._ledger_heap) == ledger_heap(want_bits)
 
     def test_cumulative_ledger_is_nondecreasing(self):
         # through the warm-up, the switch the first evaluation fires at slot 101, and the variance phase
@@ -518,8 +539,9 @@ class TestVpfaPhases:
 
 class TestFactory:
     def test_unknown_policy(self):
-        with pytest.raises(ConfigError):
-            make_scheduler("flying", 3)
+        # by the config, which make_scheduler trusts
+        with pytest.raises(ConfigError, match="policy"):
+            SimConfig(policy="flying").validate()
 
     def test_all_policies_constructible(self):
         for name in ("pfa", "dpfa", "maxci", "rr", "vpfa"):
