@@ -5,7 +5,9 @@ placement, shadowing and the whole per-slot fading matrix are drawn up front
 in a fixed order from one generator, so the rate trace never depends on the
 policy under test and a comparison draws it once.  A run first decides the
 whole trace, in blocks of at most ``BLOCK_ELEMENTS`` (slot, user) elements,
-and then accounts for it in one pass over its fairness-index evaluations.
+and then accounts for it in one pass: the run is credited once, and its
+fairness-index series is read off per-user ledger rows built a block of
+evaluations at a time.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .channel import (
     snr,
 )
 from .errors import ConfigError, check_finite
-from .metrics import MetricsLog, highest, jain_index
+from .metrics import MetricsLog, highest, ledger_fi
 from .sched import POLICIES, TC_MODES, DpfaParams, VpfaParams, make_scheduler
 
 # A decided block holds at most this many (slot, user) trace elements, or one slot.
@@ -153,7 +155,8 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
     Caller-supplied ``links`` (custom geometries) skip the placement and
     shadowing draws, so their fading starts at the head of the seed's stream.
     Validates the config once, and rejects a caller link without a finite
-    ``distance_m > 0`` and ``shadowing_db`` by its user; with an SNR of 0 and
+    ``distance_m > 0`` and ``shadowing_db``, or whose own shadowing or distance
+    takes its SNR out of the float range, by its user; with an SNR of 0 and
     a rate past the float range rejected too, every trace has finite rates >= 0.
     """
     config.validate()
@@ -170,7 +173,12 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
             if not (0 < link.distance_m < math.inf and math.isfinite(link.shadowing_db)):
                 raise ConfigError("user %d's link needs a finite distance_m > 0 and a finite shadowing_db,"
                                   " got %r and %r" % (k, link.distance_m, link.shadowing_db))
-    base = np.array([snr(config.channel, link, 1.0) for link in links])
+    base = np.array([_budget_snr(config.channel, link) for link in links])
+    for k in np.flatnonzero((base == 0) | (base == math.inf)):  # out of the float range
+        if placement == CALLER_LINKS:
+            _check_caller_link(config.channel, k, links[k], base[k])
+        if base[k] == math.inf:
+            snr(config.channel, links[k], 1.0)  # raises the config's own error
     if config.channel.fast_fading_enabled:
         snrs = draw_fast_fading(rng, size=(config.total_slots, len(links)))
     else:
@@ -194,6 +202,28 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
                           " its SNR is 0" % (config.channel.tx_power_dbm, k, level, t + 1)) from None
     return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
                         config.total_slots, links, snrs, rates)
+
+
+def _budget_snr(channel: ChannelParams, link: UserLink) -> float:
+    """A link's SNR with no fast fading, inf where it overflows a float."""
+    try:
+        return snr(channel, link, 1.0)
+    except ConfigError:
+        return math.inf
+
+
+def _check_caller_link(channel: ChannelParams, k: int, link: UserLink, value: float) -> None:
+    """Reject caller link ``k``, whose link-budget SNR ``value`` is 0 or inf,
+    where the link, not the config, put it there: where the SNR would be in
+    range with the link's ``shadowing_db`` at 0, the error names the
+    shadowing; where it would be at ``shadowing_db`` 0 and the cell radius,
+    the distance.  Otherwise the config is at fault, and the trace names it."""
+    for name, neutral in (("shadowing_db", UserLink(k, link.distance_m, 0.0)),
+                          ("distance_m", UserLink(k, channel.cell_radius_m, 0.0))):
+        if 0 < _budget_snr(channel, neutral) < math.inf:
+            raise ConfigError("SNR %s: user %d's link has %s %g, which takes its link-budget SNR %s the float range"
+                              % ("overflows a float" if value else "underflows to 0", k, name,
+                                 getattr(link, name), "past" if value else "below"))
 
 
 @np.errstate(over="ignore")  # a value past the float range becomes inf, which the checks below reject
@@ -227,18 +257,15 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
         decisions[start:start + block] = scheduler.step(rates[start:start + block], snrs[start:start + block])
 
     # account for the decided run at each FI evaluation: every s_fi slots and the last
-    served = rates[np.arange(total), decisions]
-    log = MetricsLog(n)
-    fi_series: list[tuple[int, float]] = []
-    system_series: list[tuple[int, float]] = []
-    stops = [*range(0, total, s_fi), total]
-    for start, stop in zip(stops, stops[1:]):
-        log.record_slot(decisions[start:stop], served[start:stop])
-        if not log.system_bits < math.inf:
+    log, stops, system, fi = account(decisions, rates[np.arange(total), decisions], n, s_fi)
+    bad = np.flatnonzero(~(system < math.inf) | (system == 0) | np.isnan(fi))
+    if bad.size:  # the first evaluation that fails, as the run would meet it
+        stop, bits = stops[bad[0]], system[bad[0]]
+        if not bits < math.inf:
             raise ConfigError("bits overflow a float: by slot %d the cumulative bits pass the float range"
                               " at bandwidth_hz %g and slot_duration_s %g"
                               % (stop, cfg.channel.bandwidth_hz, cfg.channel.slot_duration_s))
-        if log.system_bits == 0:
+        if bits == 0:
             if not rates.any():
                 raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
                                   "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
@@ -247,8 +274,9 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
             raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
                               "users with rate 0 in every slot so far: %s"
                               % (stop, _user_list(np.flatnonzero(~rates[:stop].any(axis=0)))))
-        fi_series.append((stop, jain_index(log.per_user_bits)))
-        system_series.append((stop, log.system_bits))
+        raise ValueError("fairness index undefined for an all-zero allocation")  # every square underflows
+    fi_series = list(zip(stops, fi.tolist()))
+    system_series = list(zip(stops, system.tolist()))
 
     switch = scheduler.switch_slot
     # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults
@@ -256,6 +284,26 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     return SimResult(config=cfg, links=trace.links, decisions=decisions, metrics=log, fi_series=fi_series,
                      system_series=system_series, phase_switch_slot=switch,
                      vpfa_warmup_bits=scheduler.warmup_bits, vpfa_variance_counts=variance_counts)
+
+
+@np.errstate(over="ignore")  # a sum past the float range is inf, which run rejects
+def account(decisions, served, n_users: int, s_fi: int):
+    """Credit a decided run to a fresh :class:`MetricsLog` in one call and
+    read it at each FI evaluation: every ``s_fi`` slots and the last.
+
+    Returns the log, the evaluations' slot counts, the system bits there,
+    read off one slot-order ``np.add.accumulate``, and the Jain index of the
+    per-user bits there, from :func:`ledger_fi` a block of ``BLOCK_ELEMENTS``
+    at a time.  Each equals what crediting the run an interval at a time
+    and reading the log after each would give; an evaluation with no bits
+    yet reads 0 bits and a nan index.
+    """
+    log = MetricsLog(n_users)
+    log.record_slot(decisions, served)
+    total = len(decisions)
+    stops = [*range(s_fi, total, s_fi), total]
+    system = np.add.accumulate(served)[np.subtract(stops, 1)]
+    return log, stops, system, ledger_fi(decisions, served, n_users, stops, BLOCK_ELEMENTS)
 
 
 def _user_list(users, shown: int = 10) -> str:

@@ -28,23 +28,66 @@ def jain_index(throughputs) -> float:
     result is clamped to the mathematical range [1/N, 1] to absorb float
     rounding on near-equal inputs.  The index does not depend on scale, so
     where the sum of squares of finite throughputs overflows it is taken
-    over the throughputs divided by their largest.
+    over the throughputs divided by their largest.  One row of
+    :func:`_jain_rows`, which the run's FI series and vpfa's warm-up use too.
     """
     arr = np.asarray(throughputs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("throughputs must be a non-empty 1-D sequence")
     if lowest(arr) < 0:
         raise ValueError("throughputs must be non-negative")
-    with np.errstate(over="ignore"):
-        sum_sq = float(np.dot(arr, arr))
-    if sum_sq == np.inf and highest(arr) < np.inf:
-        arr = arr / highest(arr)
-        sum_sq = float(np.dot(arr, arr))
-    if sum_sq == 0.0:
+    fi = _jain_rows(arr[None]).item()
+    if fi != fi:
         raise ValueError("fairness index undefined for an all-zero allocation")
-    n = arr.size
-    total = float(np.add.reduce(arr))  # what arr.sum() calls, so the same pairwise sum
-    return min(1.0, max(1.0 / n, total * total / (n * sum_sq)))
+    return fi
+
+
+@np.errstate(all="ignore")  # inf and nan entries give nan in the ratio, which the clamp maps to 1/N
+def _jain_rows(rows: np.ndarray) -> np.ndarray:
+    """Jain index of each row of a (rows x users) block of throughputs >= 0,
+    nan for a row whose sum of squares is 0.
+
+    Each row's sum of squares is its own ``np.dot`` and its sum a pairwise
+    ``np.add.reduce``, so a row's index is the one it has alone.  A row whose
+    squares overflow while its entries are finite is divided by its largest
+    entry first.  ``np.fmax`` skips nan as Python's ``max(1/N, nan)`` does,
+    so a row with an infinite or nan entry clamps to 1/N.
+    """
+    sum_sq = np.array([np.dot(row, row) for row in rows])
+    total = np.add.reduce(rows, axis=1)
+    for k in np.flatnonzero(sum_sq == np.inf):
+        row = rows[k]
+        if highest(row) < np.inf:
+            row = row / highest(row)
+            sum_sq[k], total[k] = np.dot(row, row), np.add.reduce(row)
+    n = rows.shape[1]
+    fi = np.fmin(1.0, np.fmax(1.0 / n, total * total / (n * sum_sq)))
+    fi[sum_sq == 0] = np.nan
+    return fi
+
+
+def ledger_fi(chosen, bits, n_users: int, stops, max_elements: int) -> np.ndarray:
+    """Jain index of the per-user bits after each slot count in ``stops``.
+
+    The ledger is built a block of stops at a time, at most ``max_elements``
+    (stop, user) entries or one row: each row copies the one before it and
+    adds its interval's credits with ``np.add.at``, in slot order, as
+    :meth:`MetricsLog.record_slot` does, and each block takes one
+    :func:`_jain_rows` call.  ``chosen`` and ``bits`` must be what
+    ``record_slot`` accepts; a ledger still all zero reads nan.
+    """
+    fi = np.empty(len(stops))
+    per_block = max(1, max_elements // n_users)
+    row, start = np.zeros(n_users), 0
+    for first in range(0, len(stops), per_block):
+        block_stops = stops[first:first + per_block]
+        block = np.empty((len(block_stops), n_users))
+        for out, stop in zip(block, block_stops):
+            np.copyto(out, row)
+            np.add.at(out, chosen[start:stop], bits[start:stop])
+            row, start = out, stop
+        fi[first:first + len(block)] = _jain_rows(block)
+    return fi
 
 
 def fi_stability_update(
@@ -83,8 +126,12 @@ class MetricsLog:
         self.schedule_counts = np.zeros(self.n_users, dtype=np.int64)
 
     def record_slot(self, chosen, delivered_bits) -> None:
-        """Credit one slot, or a run of consecutive slots, to the chosen users;
-        every sum accumulates in slot order, as a running ``+=`` would."""
+        """Credit one slot, or a run of consecutive slots, to the chosen users.
+
+        The run is checked once, before any credit.  Every sum accumulates in
+        slot order, as a running ``+=`` would: the per-user bits and counts by
+        ``np.add.at``, the system bits by one ``np.add.accumulate`` that starts
+        from the total so far."""
         chosen = np.atleast_1d(chosen)
         bits = np.atleast_1d(np.asarray(delivered_bits, dtype=float))
         if chosen.size and not (0 <= lowest(chosen) and highest(chosen) < self.n_users):
@@ -97,10 +144,10 @@ class MetricsLog:
             raise ValueError("chosen must be one user or a 1-D run of users")
         np.add.at(self.per_user_bits, chosen, bits)
         np.add.at(self.schedule_counts, chosen, 1)
-        total = self.system_bits
-        for b in bits.tolist():
-            total += b
-        self.system_bits = total
+        running = np.empty(bits.size + 1)
+        running[0], running[1:] = self.system_bits, bits
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, as a Python float's is
+            self.system_bits = np.add.accumulate(running, out=running).item(-1)
 
     def jain(self) -> float:
         return jain_index(self.per_user_bits)

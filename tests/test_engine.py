@@ -52,6 +52,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^user 2's link needs a finite distance_m > 0 and a finite"):
             run(small_config(policy=policy), links=links)
 
+    @pytest.mark.parametrize("link, message", [
+        (UserLink(1, 500.0, 1e308), "SNR overflows a float: user 1's link has shadowing_db 1e+308,"
+                                    " which takes its link-budget SNR past the float range"),
+        (UserLink(1, 500.0, -4000.0), "SNR underflows to 0: user 1's link has shadowing_db -4000,"
+                                      " which takes its link-budget SNR below the float range"),
+        (UserLink(1, 1e300, 0.0), "SNR underflows to 0: user 1's link has distance_m 1e+300,"
+                                  " which takes its link-budget SNR below the float range"),
+    ], ids=["shadowing overflows", "shadowing underflows", "distance underflows"])
+    def test_caller_link_that_puts_the_snr_out_of_range_is_named(self, link, message):
+        with pytest.raises(ConfigError) as err:
+            run(SimConfig(n_users=2, total_slots=10), links=[UserLink(0, 500.0, 0.0), link])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("tx_power_dbm, message", [
+        (4000.0, "SNR overflows a float: tx_power_dbm 4000 puts the received power 3964.81 dB above the noise floor"),
+        (-4000.0, "SNR underflows to 0: tx_power_dbm -4000 gives user 0 a link-budget SNR below the float range,"
+                  " and at slot 1 its SNR is 0"),
+    ])
+    def test_config_that_puts_the_snr_out_of_range_is_named_with_caller_links(self, tx_power_dbm, message):
+        cfg = SimConfig(n_users=2, total_slots=10, channel=ChannelParams(tx_power_dbm=tx_power_dbm))
+        with pytest.raises(ConfigError) as err:
+            channel_trace(cfg, links=[UserLink(0, 500.0, 0.0), UserLink(1, 500.0, 0.0)])
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("key", ["n_users", "total_slots", "seed", "dpfa_theta", "vpfa_s_fi", "vpfa_l_sc"])
     @pytest.mark.parametrize("value", [2.5, 4.0, "4", True])
     def test_non_integer_count_rejected(self, key, value):
@@ -87,6 +111,11 @@ class TestNoBitsDelivered:
                                               r"users with rate 0 in every slot so far: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9 "
                                               r"and 2 more$"):
             run(cfg, links=links)
+
+    def test_bits_whose_squares_underflow_stop_the_run_as_the_scalar_index_does(self):
+        # 1e-300 s slots deliver at most ~1.5e-292 bits a slot, so every square, and their sum, is 0
+        with pytest.raises(ValueError, match="^fairness index undefined for an all-zero allocation$"):
+            run(SimConfig(total_slots=300, channel=ChannelParams(slot_duration_s=1e-300)))
 
     def test_a_later_evaluation_with_bits_passes(self):
         links = [UserLink(0, 500.0, -400.0), UserLink(1, 500.0, 0.0)]
