@@ -159,18 +159,19 @@ def snr(params: ChannelParams, link: UserLink, fading_gain: float = 1.0) -> floa
         ) from None
 
 
-def instantaneous_rate(snr_linear, params: ChannelParams):
+def instantaneous_rate(snr_linear, params: ChannelParams, out=None):
     """Shannon rate over the full bandwidth, in bits per slot.
 
     rate = bandwidth * log2(1 + SNR) * slot_duration.  Accepts scalars or
     arrays; strictly increasing in SNR.  A rate past the float range is a
-    ConfigError naming the two scale factors.
+    ConfigError naming the two scale factors.  ``out``, an array of the
+    SNRs' shape, receives the rates in place of a fresh one.
     """
     arr = np.asarray(snr_linear, dtype=float)
     # fmin skips nan, so this is np.any(arr <= 0) without a bool array of the trace
     if arr.size and np.fmin.reduce(arr, axis=None) <= 0:
         raise ValueError("SNR must be > 0")
-    rate = np.add(arr, 1.0, out=np.empty(arr.shape))  # one buffer, scaled in place
+    rate = np.add(arr, 1.0, out=np.empty(arr.shape) if out is None else out)  # one buffer, scaled in place
     np.log2(rate, out=rate)
     try:
         with np.errstate(over="raise"):  # the flag costs no pass over the trace

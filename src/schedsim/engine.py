@@ -1,11 +1,14 @@
 """Block driver: channel traces in, scheduler decisions and metrics out.
 
 A run is a pure function of its :class:`SimConfig` (the seed included): user
-placement, shadowing and the whole per-slot fading matrix are drawn up front
-in a fixed order from one generator, so the rate trace never depends on the
-policy under test and a comparison draws it once.  A run first decides the
-whole trace, in blocks of at most ``BLOCK_ELEMENTS`` (slot, user) elements,
-and then accounts for it in one pass: the run is credited once, and its
+placement and shadowing are drawn first, then the per-slot fading, in a
+fixed order from one generator, so the rate trace never depends on the
+policy under test and a comparison draws it once.  Every trace comes from
+one source, which draws, scales and checks it in blocks of at most
+``BLOCK_ELEMENTS`` (slot, user) elements in stream order.  A single run
+decides each block as it is drawn and then drops it; a comparison holds
+its trace, and each policy's run decides the same blocks from it.  A
+decided run is accounted for in one pass: it is credited once, and its
 fairness-index series is read off per-user ledger rows built a block of
 evaluations at a time.
 """
@@ -29,7 +32,7 @@ from .channel import (
     snr,
 )
 from .errors import ConfigError, check_finite
-from .metrics import MetricsLog, highest, ledger_fi
+from .metrics import MetricsLog, highest, ledger_fi, lowest
 from .sched import POLICIES, TC_MODES, DpfaParams, VpfaParams, make_scheduler
 
 # A decided block holds at most this many (slot, user) trace elements, or one slot.
@@ -158,8 +161,22 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
     ``distance_m > 0`` and ``shadowing_db``, or whose own shadowing or distance
     takes its SNR out of the float range, by its user; with an SNR of 0 and
     a rate past the float range rejected too, every trace has finite rates >= 0.
+    The matrices are written a block at a time by the source a streamed
+    :func:`run` decides from, in place, so the trace is the same bit for bit.
     """
     config.validate()
+    rng, links, placement, base = _trace_links(config, links)
+    shape = (config.total_slots, len(links))
+    snrs, rates = np.empty(shape), np.empty(shape)
+    for _ in _trace_blocks(config, rng, links, placement, base, snrs, rates):
+        pass
+    return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
+                        config.total_slots, links, snrs, rates)
+
+
+def _trace_links(config: SimConfig, links: list[UserLink] | None):
+    """The generator, links, placement and link-budget SNRs of a validated
+    config's trace, the generator past the placement and shadowing draws."""
     rng = np.random.default_rng(config.seed)
     placement = config.placement if links is None else CALLER_LINKS
     if links is None:
@@ -175,33 +192,76 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
                                   " got %r and %r" % (k, link.distance_m, link.shadowing_db))
     base = np.array([_budget_snr(config.channel, link) for link in links])
     for k in np.flatnonzero((base == 0) | (base == math.inf)):  # out of the float range
-        if placement == CALLER_LINKS:
-            _check_caller_link(config.channel, k, links[k], base[k])
+        fault = _link_fault(config.channel, placement, k, links[k], 1.0)
+        if fault:
+            raise ConfigError("SNR %s: %s, which takes its link-budget SNR %s the float range"
+                              % ("overflows a float" if base[k] else "underflows to 0", fault,
+                                 "past" if base[k] else "below"))
         if base[k] == math.inf:
             snr(config.channel, links[k], 1.0)  # raises the config's own error
-    if config.channel.fast_fading_enabled:
-        snrs = draw_fast_fading(rng, size=(config.total_slots, len(links)))
-    else:
-        snrs = np.ones((config.total_slots, len(links)))
-    try:
-        with np.errstate(over="raise"):  # the flag costs no pass over the trace
-            snrs *= base
-    except FloatingPointError:
-        t, k = divmod(int(np.argmax(snrs == math.inf)), len(links))  # the first (slot, user) past the range
-        raise ConfigError("SNR overflows a float: tx_power_dbm %g puts user %d %.1f dB above the noise floor,"
-                          " and the fading at slot %d takes its SNR past the float range"
-                          % (config.channel.tx_power_dbm, k, 10.0 * math.log10(base[k]), t + 1)) from None
-    try:
-        rates = instantaneous_rate(snrs, config.channel)
-    except ConfigError:  # a rate past the float range, already named
-        raise
-    except ValueError:  # an SNR of 0
-        t, k = divmod(int(np.argmax(snrs <= 0)), len(links))  # the first (slot, user) at 0
-        level = "of %.1f dB" % (10.0 * math.log10(base[k])) if base[k] else "below the float range"
-        raise ConfigError("SNR underflows to 0: tx_power_dbm %g gives user %d a link-budget SNR %s, and at slot %d"
-                          " its SNR is 0" % (config.channel.tx_power_dbm, k, level, t + 1)) from None
-    return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
-                        config.total_slots, links, snrs, rates)
+    return rng, links, placement, base
+
+
+def _trace_blocks(config: SimConfig, rng, links, placement: str, base, snrs=None, rates=None):
+    """The trace's blocks in slot order, as (first slot, SNRs, rates), each of
+    ``max(1, BLOCK_ELEMENTS // n_users)`` slots or the rest.
+
+    Each block's fading is ``draw_fast_fading`` of its shape, which continues
+    the generator's stream, so the blocks join to one whole draw bit for bit.
+    It is scaled by the link-budget SNRs and mapped to rates, in place: into
+    the rows of the (slots x users) ``snrs`` and ``rates`` where given, else
+    into one block of each, which every block overwrites, so a block is
+    valid until the next is drawn.  A block that fails a check is not
+    yielded: the rest of the trace is drawn only to settle which error wins,
+    as over a whole trace.  The first SNR past the float range in slot order
+    comes first, then the first SNR of 0, then a rate past the float range.
+    """
+    channel, n, total = config.channel, len(links), config.total_slots
+    rows = max(1, BLOCK_ELEMENTS // n)
+    held = snrs is not None
+    if not held:
+        snrs, rates = np.empty((min(rows, total), n)), np.empty((min(rows, total), n))
+    underflow = rate_overflow = None
+    for start in range(0, total, rows):
+        shape = (min(rows, total - start), n)
+        block = slice(start, start + shape[0]) if held else slice(0, shape[0])
+        gains = draw_fast_fading(rng, size=shape) if channel.fast_fading_enabled else np.ones(shape)
+        block_snrs = snrs[block]
+        try:
+            with np.errstate(over="raise"):  # the flag costs no pass over the block
+                np.multiply(gains, base, out=block_snrs)
+        except FloatingPointError:
+            t, k = divmod(int(np.argmax(block_snrs == math.inf)), n)  # the first (slot, user) past the range
+            cause = (_link_fault(channel, placement, k, links[k], gains.item(t, k))
+                     or "tx_power_dbm %g puts user %d %.1f dB above the noise floor"
+                     % (channel.tx_power_dbm, k, 10.0 * math.log10(base[k])))
+            raise ConfigError("SNR overflows a float: %s, and the fading at slot %d takes its SNR past the float range"
+                              % (cause, start + t + 1)) from None
+        if underflow is not None:  # only an SNR past the float range comes before it
+            continue
+        try:
+            block_rates = instantaneous_rate(block_snrs, channel, rates[block])
+        except ConfigError as exc:  # a rate past the float range, already named
+            rate_overflow = rate_overflow or exc
+            continue
+        except ValueError:  # an SNR of 0
+            t, k = divmod(int(np.argmax(block_snrs <= 0)), n)  # the first (slot, user) at 0
+            level = "of %.1f dB" % (10.0 * math.log10(base[k])) if base[k] else "below the float range"
+            cause = (_link_fault(channel, placement, k, links[k], gains.item(t, k))
+                     or "tx_power_dbm %g gives user %d a link-budget SNR %s" % (channel.tx_power_dbm, k, level))
+            underflow = ConfigError("SNR underflows to 0: %s, and at slot %d its SNR is 0" % (cause, start + t + 1))
+            continue
+        if rate_overflow is None:
+            yield start, block_snrs, block_rates
+    if underflow or rate_overflow:
+        raise underflow or rate_overflow
+
+
+def _held_blocks(trace: ChannelTrace):
+    """A drawn trace's blocks, as :func:`_trace_blocks` yields them."""
+    rows = max(1, BLOCK_ELEMENTS // trace.n_users)
+    for start in range(0, trace.total_slots, rows):
+        yield start, trace.snrs[start:start + rows], trace.rates[start:start + rows]
 
 
 def _budget_snr(channel: ChannelParams, link: UserLink) -> float:
@@ -212,18 +272,19 @@ def _budget_snr(channel: ChannelParams, link: UserLink) -> float:
         return math.inf
 
 
-def _check_caller_link(channel: ChannelParams, k: int, link: UserLink, value: float) -> None:
-    """Reject caller link ``k``, whose link-budget SNR ``value`` is 0 or inf,
-    where the link, not the config, put it there: where the SNR would be in
-    range with the link's ``shadowing_db`` at 0, the error names the
-    shadowing; where it would be at ``shadowing_db`` 0 and the cell radius,
-    the distance.  Otherwise the config is at fault, and the trace names it."""
-    for name, neutral in (("shadowing_db", UserLink(k, link.distance_m, 0.0)),
-                          ("distance_m", UserLink(k, channel.cell_radius_m, 0.0))):
-        if 0 < _budget_snr(channel, neutral) < math.inf:
-            raise ConfigError("SNR %s: user %d's link has %s %g, which takes its link-budget SNR %s the float range"
-                              % ("overflows a float" if value else "underflows to 0", k, name,
-                                 getattr(link, name), "past" if value else "below"))
+def _link_fault(channel: ChannelParams, placement: str, k: int, link: UserLink, gain: float) -> str | None:
+    """Where caller link ``k``, not the config, takes its SNR at fading
+    ``gain`` out of the float range, the field at fault and its value, as
+    "user k's link has shadowing_db 3070"; else None, as for drawn links.
+    The shadowing is at fault where the SNR would be in range with the
+    link's ``shadowing_db`` at 0; the distance where it would be at
+    ``shadowing_db`` 0 and the cell radius."""
+    if placement == CALLER_LINKS:
+        for name, neutral in (("shadowing_db", UserLink(k, link.distance_m, 0.0)),
+                              ("distance_m", UserLink(k, channel.cell_radius_m, 0.0))):
+            if 0 < _budget_snr(channel, neutral) * gain < math.inf:
+                return "user %d's link has %s %g" % (k, name, getattr(link, name))
+    return None
 
 
 @np.errstate(over="ignore")  # a value past the float range becomes inf, which the checks below reject
@@ -232,58 +293,86 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
 
     ``links`` replaces the drawn geometry as in :func:`channel_trace`.
     ``trace`` is one already drawn for this config; any other is rejected.
+    Without one, the run draws its trace a block at a time and decides each
+    block as it is drawn, so it holds one block and what it keeps per slot
+    and per user, not the (slots x users) matrices; its decisions, results
+    and errors are those of a run over ``channel_trace(config, links)``.
     """
     config.validate()
     cfg = resolved_config(config)
     if trace is None:
-        trace = channel_trace(config, links)  # as given: a resolved delta of 0 would mask the trace's error
+        rng, links, placement, base = _trace_links(cfg, links)
+        blocks = _trace_blocks(cfg, rng, links, placement, base)
     elif links is not None:
         raise ConfigError("pass links or a trace, not both")
     else:
         trace.check(cfg)
+        links, blocks = trace.links, _held_blocks(trace)
     n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
-    block = max(1, BLOCK_ELEMENTS // n)
-    rates, snrs = trace.rates, trace.snrs
-    # dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most max(r, 1)
-    if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1:
-        peak = highest(rates)
-        if not np.power(peak, cfg.dpfa.alpha) < math.inf:
-            raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
-                              % (cfg.dpfa.alpha, peak))
-
     scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
-    decisions = np.empty(total, dtype=np.int32)
-    for start in range(0, total, block):
-        decisions[start:start + block] = scheduler.step(rates[start:start + block], snrs[start:start + block])
+    decisions, served, first_nonzero = _decide(cfg, scheduler, blocks)
 
     # account for the decided run at each FI evaluation: every s_fi slots and the last
-    log, stops, system, fi = account(decisions, rates[np.arange(total), decisions], n, s_fi)
-    bad = np.flatnonzero(~(system < math.inf) | (system == 0) | np.isnan(fi))
+    log, stops, system, fi = account(decisions, served, n, s_fi)
+    bad = np.flatnonzero(~(system < math.inf) | (system == 0))
     if bad.size:  # the first evaluation that fails, as the run would meet it
         stop, bits = stops[bad[0]], system[bad[0]]
         if not bits < math.inf:
             raise ConfigError("bits overflow a float: by slot %d the cumulative bits pass the float range"
                               " at bandwidth_hz %g and slot_duration_s %g"
                               % (stop, cfg.channel.bandwidth_hz, cfg.channel.slot_duration_s))
-        if bits == 0:
-            if not rates.any():
-                raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
-                                  "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
-                                  % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
-                                     cfg.channel.noise_figure_db))
-            raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
-                              "users with rate 0 in every slot so far: %s"
-                              % (stop, _user_list(np.flatnonzero(~rates[:stop].any(axis=0)))))
-        raise ValueError("fairness index undefined for an all-zero allocation")  # every square underflows
+        if lowest(first_nonzero) == total:
+            raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
+                              "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
+                              % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
+                                 cfg.channel.noise_figure_db))
+        raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
+                          "users with rate 0 in every slot so far: %s"
+                          % (stop, _user_list(np.flatnonzero(first_nonzero >= stop))))
     fi_series = list(zip(stops, fi.tolist()))
     system_series = list(zip(stops, system.tolist()))
 
     switch = scheduler.switch_slot
     # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults
     variance_counts = None if switch is None else log.schedule_counts - np.bincount(decisions[:switch - 1], minlength=n)
-    return SimResult(config=cfg, links=trace.links, decisions=decisions, metrics=log, fi_series=fi_series,
+    return SimResult(config=cfg, links=links, decisions=decisions, metrics=log, fi_series=fi_series,
                      system_series=system_series, phase_switch_slot=switch,
                      vpfa_warmup_bits=scheduler.warmup_bits, vpfa_variance_counts=variance_counts)
+
+
+def _decide(cfg: SimConfig, scheduler, blocks):
+    """Decide a trace's blocks in slot order.  Returns the decisions, the
+    rate each served, and each user's first slot with a nonzero rate
+    (``total_slots`` for a user with none).
+
+    dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most
+    max(r, 1).  At alpha > 1, deciding stops at the first block whose peak
+    rate takes it past the float range, and the rest of the trace is drawn
+    only for its own errors, which come first, and for the peak of the
+    whole trace, which the message names.
+    """
+    n, total = cfg.n_users, cfg.total_slots
+    alpha = cfg.dpfa.alpha if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1 else None
+    decisions, served = np.empty(total, dtype=np.int32), np.empty(total)
+    first_nonzero = np.full(n, total)
+    peak = 0.0
+    for start, snrs, rates in blocks:
+        if alpha is not None:
+            peak = max(peak, highest(rates))
+            if not np.power(peak, alpha) < math.inf:
+                for _, _, rest in blocks:
+                    peak = max(peak, highest(rest))
+                raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
+                                  % (alpha, peak))
+        chosen = scheduler.step(rates, snrs)
+        stop = start + len(chosen)
+        decisions[start:stop] = chosen
+        served[start:stop] = rates[np.arange(len(chosen)), chosen]
+        if highest(first_nonzero) == total:  # some user has had no nonzero rate yet
+            nonzero = rates != 0
+            new = (first_nonzero == total) & nonzero.any(axis=0)
+            first_nonzero[new] = start + nonzero[:, new].argmax(axis=0)
+    return decisions, served, first_nonzero
 
 
 @np.errstate(over="ignore")  # a sum past the float range is inf, which run rejects

@@ -27,9 +27,10 @@ def jain_index(throughputs) -> float:
     1.0 means perfectly equal allocation, 1/N means one user takes all.  The
     result is clamped to the mathematical range [1/N, 1] to absorb float
     rounding on near-equal inputs.  The index does not depend on scale, so
-    where the sum of squares of finite throughputs overflows it is taken
-    over the throughputs divided by their largest.  One row of
-    :func:`_jain_rows`, which the run's FI series and vpfa's warm-up use too.
+    where the sum of squares of finite throughputs overflows, or underflows
+    to 0 while one is > 0, it is taken over the throughputs divided by their
+    largest.  One row of :func:`_jain_rows`, which the run's FI series and
+    vpfa's warm-up use too.
     """
     arr = np.asarray(throughputs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -49,15 +50,16 @@ def _jain_rows(rows: np.ndarray) -> np.ndarray:
 
     Each row's sum of squares is its own ``np.dot`` and its sum a pairwise
     ``np.add.reduce``, so a row's index is the one it has alone.  A row whose
-    squares overflow while its entries are finite is divided by its largest
-    entry first.  ``np.fmax`` skips nan as Python's ``max(1/N, nan)`` does,
-    so a row with an infinite or nan entry clamps to 1/N.
+    squares overflow while its entries are finite, or underflow to 0 while
+    an entry is not, is divided by its largest entry first.  ``np.fmax``
+    skips nan as Python's ``max(1/N, nan)`` does, so a row with an infinite
+    or nan entry clamps to 1/N.
     """
     sum_sq = np.array([np.dot(row, row) for row in rows])
     total = np.add.reduce(rows, axis=1)
-    for k in np.flatnonzero(sum_sq == np.inf):
+    for k in np.flatnonzero((sum_sq == np.inf) | (sum_sq == 0)):
         row = rows[k]
-        if highest(row) < np.inf:
+        if 0 < highest(row) < np.inf:
             row = row / highest(row)
             sum_sq[k], total[k] = np.dot(row, row), np.add.reduce(row)
     n = rows.shape[1]

@@ -4,8 +4,10 @@ row-wise Jain core against the scalar index.
 ``interval_loop_reference`` is that loop: one credit per FI interval, a
 running ``+=`` for the system bits and one scalar Jain index per
 evaluation.  ``scalar_jain_index`` is the scalar index it called, with the
-overflow rescale and Python's ``min``/``max`` clamp.  Both are kept here as
-oracles; the pass and the core must equal them bit for bit.
+rescale of a sum of squares past the float range and Python's
+``min``/``max`` clamp, restated to rescale a sum of squares that underflows
+to 0 too.  Both are kept here as oracles; the pass and the core must equal
+them bit for bit.
 """
 import math
 
@@ -24,11 +26,12 @@ INF = math.inf
 
 def scalar_jain_index(throughputs) -> float:
     """One vector's Jain index, in Python floats past the sums, as
-    ``jain_index`` computed it before the row-wise core."""
+    ``jain_index`` computed it before the row-wise core, and with squares
+    that underflow to 0 rescaled as ones that overflow are."""
     arr = np.asarray(throughputs, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         sum_sq = float(np.dot(arr, arr))
-    if sum_sq == INF and arr.max() < INF:
+    if sum_sq in (0.0, INF) and 0.0 < arr.max() < INF:
         arr = arr / arr.max()
         sum_sq = float(np.dot(arr, arr))
     if sum_sq == 0.0:
@@ -64,6 +67,7 @@ CREDITS = {
     "rates": st.floats(0.0, 2e5),
     "zeros and rates": st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.0, 2e5),
     "squares overflow": st.floats(1e160, 1e300),
+    "squares underflow": st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 1e-170),
     "infinite ledger": st.sampled_from([0.0, 3.5, 1e300, INF]),
 }
 
@@ -94,6 +98,7 @@ class TestAccountMatchesIntervalLoop:
     @example((np.arange(5) % 2, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2, 9))      # s_fi past the run
     @example((np.arange(10) % 3, np.arange(10.0), 3, 4))                        # zero rates, an uneven last interval
     @example((np.arange(6) % 2, np.full(6, 1e200), 2, 2))                       # the squares overflow
+    @example((np.arange(6) % 2, np.array([1e-300, 0.0, 3e-200, 5e-324, 0.0, 1e-170]), 2, 2))  # ... or underflow
     @example((np.arange(6) % 3, np.array([1.0, INF, 2.0, 3.0, 4.0, 5.0]), 3, 2))  # an infinite ledger
     def test_series_bits_and_counts_bit_for_bit(self, case):
         decisions, served, n, s_fi = case
@@ -139,6 +144,7 @@ def jain_blocks(draw):
         st.floats(0.0, 1e6),
         st.sampled_from([0.0, 0.0, 2.0]),
         st.floats(1e160, 1.7e308),                       # the rescale branch
+        st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 1e-170),  # ... where the squares underflow
         st.sampled_from([0.0, 1.0, 1e300, INF]),         # infinite rows
         st.floats(0.0, 1e6) | st.floats(1e160, 1e300) | st.sampled_from([0.0, INF]),
     ]))
@@ -149,6 +155,7 @@ class TestJainRows:
     @settings(max_examples=200, deadline=None, database=None)
     @given(jain_blocks())
     @example(np.array([[1e200, 1e200, 0.0], [1e300, 1.0, 2.0]]))  # the rescale branch
+    @example(np.array([[1e-200, 3e-300, 0.0], [5e-324, 0.0, 0.0]]))  # ... where the squares underflow
     @example(np.array([[INF, 1.0, 0.0], [INF, INF, INF]]))        # infinite rows: 1/N
     @example(np.array([[3.0], [0.0], [INF]]))                     # one user
     @example(np.array([[0.0, 0.0], [0.0, 4.0], [2.0, 2.0]]))      # zero entries, an all-zero row
@@ -156,9 +163,7 @@ class TestJainRows:
         got = _jain_rows(rows)
         assert got.shape == (len(rows),)
         for row, fi in zip(rows, got.tolist()):
-            with np.errstate(over="ignore"):
-                all_zero = np.dot(row, row) == 0
-            if all_zero:
+            if not row.any():
                 assert math.isnan(fi)
                 with pytest.raises(ValueError, match="all-zero allocation"):
                     jain_index(row)
@@ -173,3 +178,5 @@ class TestJainRows:
     def test_the_rescale_keeps_the_index_of_the_scaled_row(self):
         big, small = np.array([[3e200, 1e200, 0.0]]), np.array([[3.0, 1.0, 0.0]])
         assert _jain_rows(big)[0] == pytest.approx(_jain_rows(small)[0], rel=1e-15)
+        tiny = np.array([[3e-200, 1e-200, 0.0]])  # its sum of squares underflows to 0
+        assert _jain_rows(tiny)[0] == pytest.approx(_jain_rows(small)[0], rel=1e-15)

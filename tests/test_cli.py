@@ -4,6 +4,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schedsim.channel import ChannelParams
@@ -356,6 +357,18 @@ class TestMain:
         assert captured.out.startswith("policy %s: fi %.6g, " % (policy, jain_index(bits)))
         if policy == "rr":  # round robin's decisions, and so its index, do not depend on scale
             assert captured.out.startswith("policy rr: fi 0.642738, ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("policy", ["pfa", "vpfa"])
+    def test_fi_of_bits_whose_squares_underflow_to_zero(self, policy, tmp_path, capsys):
+        # at 1e-300 s a slot the bits, about 1e-292, are > 0 but their squares are 0
+        scaled = ["--set", "policy=" + policy, "--set", "slot_duration_s=1e-300"]
+        assert main(["run", *scaled, "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        bits = run(parse_config("", overrides=scaled[1::2])).metrics.per_user_bits
+        assert np.dot(bits, bits) == 0
+        assert captured.out.startswith("policy %s: fi %.6g, " % (policy, jain_index(bits / bits.max())))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("policy,users,slot", [

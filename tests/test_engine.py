@@ -59,7 +59,13 @@ class TestValidation:
                                       " which takes its link-budget SNR below the float range"),
         (UserLink(1, 1e300, 0.0), "SNR underflows to 0: user 1's link has distance_m 1e+300,"
                                   " which takes its link-budget SNR below the float range"),
-    ], ids=["shadowing overflows", "shadowing underflows", "distance underflows"])
+        # the link-budget SNRs are in range, and the fading takes them out
+        (UserLink(1, 500.0, 3070.0), "SNR overflows a float: user 1's link has shadowing_db 3070,"
+                                     " and the fading at slot 3 takes its SNR past the float range"),
+        (UserLink(1, 500.0, -3244.0), "SNR underflows to 0: user 1's link has shadowing_db -3244,"
+                                      " and at slot 2 its SNR is 0"),
+    ], ids=["shadowing overflows", "shadowing underflows", "distance underflows",
+            "fading overflows", "fading underflows"])
     def test_caller_link_that_puts_the_snr_out_of_range_is_named(self, link, message):
         with pytest.raises(ConfigError) as err:
             run(SimConfig(n_users=2, total_slots=10), links=[UserLink(0, 500.0, 0.0), link])
@@ -112,10 +118,27 @@ class TestNoBitsDelivered:
                                               r"and 2 more$"):
             run(cfg, links=links)
 
-    def test_bits_whose_squares_underflow_stop_the_run_as_the_scalar_index_does(self):
+    @pytest.mark.parametrize("policy", ["pfa", "vpfa"])
+    def test_bits_whose_squares_underflow_are_indexed_rescaled(self, policy):
         # 1e-300 s slots deliver at most ~1.5e-292 bits a slot, so every square, and their sum, is 0
-        with pytest.raises(ValueError, match="^fairness index undefined for an all-zero allocation$"):
-            run(SimConfig(total_slots=300, channel=ChannelParams(slot_duration_s=1e-300)))
+        res = run(SimConfig(policy=policy, total_slots=300, channel=ChannelParams(slot_duration_s=1e-300)))
+        bits = np.zeros(res.config.n_users)
+        served = channel_trace(res.config).rates[np.arange(300), res.decisions]
+        for (stop, fi), start in zip(res.fi_series, (0, 100, 200)):
+            np.add.at(bits, res.decisions[start:stop], served[start:stop])
+            assert 0 < bits.max() and np.dot(bits, bits) == 0
+            scaled = bits / bits.max()
+            assert fi == min(1.0, max(1.0 / len(bits), scaled.sum() ** 2 / (len(bits) * np.dot(scaled, scaled))))
+
+    def test_a_user_whose_first_rate_comes_after_the_evaluation_is_listed(self):
+        # user 1's rate is 0 in slots 1 and 2 and > 0 in slot 3; users 0 and 2 have none
+        links = [UserLink(0, 500.0, -400.0), UserLink(1, 500.0, -170.0), UserLink(2, 500.0, -400.0)]
+        cfg = SimConfig(policy="rr", n_users=3, total_slots=30, seed=25, vpfa=VpfaParams(s_fi=2))
+        rates = channel_trace(cfg, links).rates[:3, 1]
+        assert rates[0] == rates[1] == 0 < rates[2]
+        with pytest.raises(ConfigError, match=r"^fairness index undefined at slot 2: no bits were delivered yet; "
+                                              r"users with rate 0 in every slot so far: 0, 1, 2$"):
+            run(cfg, links=links)
 
     def test_a_later_evaluation_with_bits_passes(self):
         links = [UserLink(0, 500.0, -400.0), UserLink(1, 500.0, 0.0)]

@@ -1,6 +1,10 @@
 """Golden digests: a change to a scheduling rule, the channel trace or the
 output format that moves one decision or one output byte fails here.
 
+A run draws its trace a block at a time and decides each block as it is
+drawn; the default and variant digests also hold a run over the whole
+trace drawn first by ``channel_trace``.
+
 A decisions digest is the SHA-256 of ``SimResult.decisions`` as
 little-endian int64, so a change of the array's dtype alone does not change
 it.  The tree digest hashes every file that ``schedsim run`` writes at
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from schedsim.cli import main, parse_config
-from schedsim.engine import SimConfig, run
+from schedsim.engine import SimConfig, channel_trace, run
 
 DEFAULT_DIGESTS = {
     ("pfa", 0): "0f74a27b4dba8ba1bdeed985576f6cb1432815e679d996e32b7f11fa0973cd9f",
@@ -136,6 +140,27 @@ def test_variant_decisions(policy, overrides, digest):
         ],
     )
     assert decisions_digest(run(config).decisions) == digest
+
+
+@pytest.mark.parametrize(
+    "policy,seed,digest",
+    [(p, s, d) for (p, s), d in DEFAULT_DIGESTS.items()],
+    ids=["%s-seed%d" % key for key in DEFAULT_DIGESTS],
+)
+def test_default_decisions_from_a_held_trace(policy, seed, digest):
+    config = SimConfig(policy=policy, seed=seed)
+    assert decisions_digest(run(config, trace=channel_trace(config)).decisions) == digest
+
+
+@pytest.mark.parametrize(
+    "policy,overrides,digest",
+    [case[1:] for case in VARIANTS],
+    ids=[case[0] for case in VARIANTS],
+)
+def test_variant_decisions_from_a_held_trace(policy, overrides, digest):
+    config = parse_config("", overrides=["policy=%s" % policy, "seed=%d" % VARIANT_SEED,
+                                         "total_slots=%d" % VARIANT_SLOTS, *overrides])
+    assert decisions_digest(run(config, trace=channel_trace(config)).decisions) == digest
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,14 @@ class TestJainIndex:
             assert jain_index(c * v) == pytest.approx(jain_index(v), rel=1e-12)
         assert jain_index([1e300, 0.0]) == 0.5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scale_invariance_where_the_squares_underflow_to_zero(self):
+        v = np.random.default_rng(5).uniform(0.1, 100.0, size=16)
+        for c in (1e-200, 1e-300):  # throughputs > 0 whose sum of squares is 0
+            assert np.dot(c * v, c * v) == 0
+            assert jain_index(c * v) == pytest.approx(jain_index(v), rel=1e-12)
+        assert jain_index([5e-324, 0.0]) == 0.5
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         v = rng.uniform(0.0, 10.0, size=12)
@@ -319,6 +327,9 @@ def reference_jain_index(throughputs) -> float:
     if arr.min() < 0:
         raise ValueError("throughputs must be non-negative")
     sum_sq = float(np.dot(arr, arr))
+    if sum_sq == 0.0 and arr.max() > 0:  # squares that underflow: the index of the values over their largest
+        arr = arr / arr.max()
+        sum_sq = float(np.dot(arr, arr))
     if sum_sq == 0.0:
         raise ValueError("fairness index undefined for an all-zero allocation")
     n = arr.size
@@ -373,10 +384,11 @@ class TestExtremesParity:
             values = random_values(rng, int(rng.integers(0, 40)))
             if rng.random() < 0.3:
                 values = np.where(rng.random(values.size) < 0.5, values, 0.0)  # zeros, sometimes all
-            with np.errstate(all="ignore"):  # inf - inf once a nan hides the -inf
-                got, want = outcome(jain_index, values), outcome(reference_jain_index, values)
-            assert got[0] == want[0]
-            assert got[1] == want[1] or (got[1] != got[1] and want[1] != want[1])
+            for scaled in (values, values * 1e-300):  # the second's squares underflow to 0
+                with np.errstate(all="ignore"):  # inf - inf once a nan hides the -inf
+                    got, want = outcome(jain_index, scaled), outcome(reference_jain_index, scaled)
+                assert got[0] == want[0]
+                assert got[1] == want[1] or (got[1] != got[1] and want[1] != want[1])
 
     @pytest.mark.parametrize("bits", [[NAN, -1.0], [-1.0, NAN]])
     def test_nan_hides_a_negative_as_min_does(self, bits):
