@@ -136,9 +136,9 @@ def draw_shadowing(rng: np.random.Generator, sigma_db: float, size=None):
     return float(out) if size is None else out
 
 
-def draw_fast_fading(rng: np.random.Generator, size=None):
-    """Unit-mean exponential power gain (Rayleigh amplitude fading), i.i.d. per user per slot."""
-    out = rng.standard_exponential(size=size)  # exactly rng.exponential(1.0, size), without the scale pass
+def draw_fast_fading(rng: np.random.Generator, size=None, out=None):
+    """Unit-mean exponential power gain (Rayleigh amplitude fading), i.i.d. per user per slot, into ``out`` if given."""
+    out = rng.standard_exponential(size=size, out=out)  # exactly rng.exponential(1.0, size), without the scale pass
     return float(out) if size is None else out
 
 

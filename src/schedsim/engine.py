@@ -5,12 +5,11 @@ placement and shadowing are drawn first, then the per-slot fading, in a
 fixed order from one generator, so the rate trace never depends on the
 policy under test and a comparison draws it once.  Every trace comes from
 one source, which draws, scales and checks it in blocks of at most
-``BLOCK_ELEMENTS`` (slot, user) elements in stream order.  A single run
-decides each block as it is drawn and then drops it; a comparison holds
-its trace, and each policy's run decides the same blocks from it.  A
-decided run is accounted for in one pass: it is credited once, and its
-fairness-index series is read off per-user ledger rows built a block of
-evaluations at a time.
+``BLOCK_ELEMENTS`` (slot, user) elements in stream order.  A run, or a
+comparison of policies, decides each block for every policy as it is drawn
+and then drops it.  Each decided run is accounted for in one pass: it is
+credited once, and its fairness-index series is read off per-user ledger
+rows built a block of evaluations at a time.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from .channel import (
 )
 from .errors import ConfigError, check_finite
 from .metrics import MetricsLog, highest, ledger_fi, lowest
-from .sched import POLICIES, TC_MODES, DpfaParams, VpfaParams, make_scheduler
+from .sched import POLICIES, TC_MODES, DpfaParams, Scheduler, VpfaParams, make_scheduler
 
 # A decided block holds at most this many (slot, user) trace elements, or one slot.
 BLOCK_ELEMENTS = 32768
@@ -225,7 +224,8 @@ def _trace_blocks(config: SimConfig, rng, links, placement: str, base, snrs=None
     for start in range(0, total, rows):
         shape = (min(rows, total - start), n)
         block = slice(start, start + shape[0]) if held else slice(0, shape[0])
-        gains = draw_fast_fading(rng, size=shape) if channel.fast_fading_enabled else np.ones(shape)
+        # the fading is drawn into the block's rates, which hold it until the rates are written over it
+        gains = draw_fast_fading(rng, size=shape, out=rates[block]) if channel.fast_fading_enabled else np.ones(shape)
         block_snrs = snrs[block]
         try:
             with np.errstate(over="raise"):  # the flag costs no pass over the block
@@ -244,7 +244,7 @@ def _trace_blocks(config: SimConfig, rng, links, placement: str, base, snrs=None
         except ConfigError as exc:  # a rate past the float range, already named
             rate_overflow = rate_overflow or exc
             continue
-        except ValueError:  # an SNR of 0
+        except ValueError:  # an SNR of 0, rejected before any rate is written over the gains
             t, k = divmod(int(np.argmax(block_snrs <= 0)), n)  # the first (slot, user) at 0
             level = "of %.1f dB" % (10.0 * math.log10(base[k])) if base[k] else "below the float range"
             cause = (_link_fault(channel, placement, k, links[k], gains.item(t, k))
@@ -287,8 +287,22 @@ def _link_fault(channel: ChannelParams, placement: str, k: int, link: UserLink, 
     return None
 
 
-@np.errstate(over="ignore")  # a value past the float range becomes inf, which the checks below reject
-def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTrace | None = None) -> SimResult:
+@dataclass(eq=False)
+class Decided:
+    """One config's share of a decide pass, which :func:`run` accounts for."""
+
+    config: SimConfig  # resolved, unless its own error came first
+    links: list[UserLink]
+    first_nonzero: np.ndarray  # each user's first slot with a nonzero rate: the trace's, shared
+    decisions: np.ndarray  # chosen user per slot
+    served: np.ndarray  # the rate each decision served
+    scheduler: Scheduler | None = None
+    alpha: float | None = None  # dpfa's alpha where > 1, which a peak rate can overflow
+    error: ValueError | None = None  # what stopped it
+
+
+def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTrace | None = None,
+        decided: Decided | None = None) -> SimResult:
     """Execute one simulation; deterministic in (config, seed, links).
 
     ``links`` replaces the drawn geometry as in :func:`channel_trace`.
@@ -297,23 +311,18 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
     block as it is drawn, so it holds one block and what it keeps per slot
     and per user, not the (slots x users) matrices; its decisions, results
     and errors are those of a run over ``channel_trace(config, links)``.
+    ``decided`` is this config's share of :func:`run_comparison`'s pass,
+    already decided, so the run only accounts for it.
     """
-    config.validate()
-    cfg = resolved_config(config)
-    if trace is None:
-        rng, links, placement, base = _trace_links(cfg, links)
-        blocks = _trace_blocks(cfg, rng, links, placement, base)
-    elif links is not None:
-        raise ConfigError("pass links or a trace, not both")
-    else:
-        trace.check(cfg)
-        links, blocks = trace.links, _held_blocks(trace)
+    if decided is None:
+        (decided,) = _decide([config], links, trace)
+    if decided.error is not None:
+        raise decided.error
+    cfg, decisions, scheduler = decided.config, decided.decisions, decided.scheduler
     n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
-    scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
-    decisions, served, first_nonzero = _decide(cfg, scheduler, blocks)
 
     # account for the decided run at each FI evaluation: every s_fi slots and the last
-    log, stops, system, fi = account(decisions, served, n, s_fi)
+    log, stops, system, fi = account(decisions, decided.served, n, s_fi)
     bad = np.flatnonzero(~(system < math.inf) | (system == 0))
     if bad.size:  # the first evaluation that fails, as the run would meet it
         stop, bits = stops[bad[0]], system[bad[0]]
@@ -321,58 +330,85 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
             raise ConfigError("bits overflow a float: by slot %d the cumulative bits pass the float range"
                               " at bandwidth_hz %g and slot_duration_s %g"
                               % (stop, cfg.channel.bandwidth_hz, cfg.channel.slot_duration_s))
-        if lowest(first_nonzero) == total:
+        if lowest(decided.first_nonzero) == total:
             raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
                               "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
                               % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
                                  cfg.channel.noise_figure_db))
         raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
                           "users with rate 0 in every slot so far: %s"
-                          % (stop, _user_list(np.flatnonzero(first_nonzero >= stop))))
+                          % (stop, _user_list(np.flatnonzero(decided.first_nonzero >= stop))))
     fi_series = list(zip(stops, fi.tolist()))
     system_series = list(zip(stops, system.tolist()))
 
     switch = scheduler.switch_slot
     # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults
     variance_counts = None if switch is None else log.schedule_counts - np.bincount(decisions[:switch - 1], minlength=n)
-    return SimResult(config=cfg, links=links, decisions=decisions, metrics=log, fi_series=fi_series,
+    return SimResult(config=cfg, links=decided.links, decisions=decisions, metrics=log, fi_series=fi_series,
                      system_series=system_series, phase_switch_slot=switch,
                      vpfa_warmup_bits=scheduler.warmup_bits, vpfa_variance_counts=variance_counts)
 
 
-def _decide(cfg: SimConfig, scheduler, blocks):
-    """Decide a trace's blocks in slot order.  Returns the decisions, the
-    rate each served, and each user's first slot with a nonzero rate
-    (``total_slots`` for a user with none).
+@np.errstate(over="ignore")  # a value past the float range becomes inf, which the checks reject
+def _decide(configs: list[SimConfig], links: list[UserLink] | None = None,
+            trace: ChannelTrace | None = None) -> list[Decided]:
+    """Draw the first config's trace once, or walk a held one, and decide
+    each block for every config in order before the next is drawn.  What
+    belongs to the trace, the first-nonzero vector and the peak rate, is
+    computed once.  Errors come as from a run per config over the whole
+    trace: the first config's check, the links' and the trace's are raised;
+    a config's own, from its check, its ``dpfa_delta``, its steps or its
+    peak, stops its deciding and waits in its share for :func:`run`.
 
     dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most
-    max(r, 1).  At alpha > 1, deciding stops at the first block whose peak
-    rate takes it past the float range, and the rest of the trace is drawn
-    only for its own errors, which come first, and for the peak of the
-    whole trace, which the message names.
+    max(r, 1).  At alpha > 1 dpfa stops at the first block whose peak rate
+    takes it past the float range; its message names the trace's peak.
     """
-    n, total = cfg.n_users, cfg.total_slots
-    alpha = cfg.dpfa.alpha if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1 else None
-    decisions, served = np.empty(total, dtype=np.int32), np.empty(total)
+    first = configs[0]
+    first.validate()
+    if trace is None:
+        rng, links, placement, base = _trace_links(first, links)
+        blocks = _trace_blocks(first, rng, links, placement, base)
+    elif links is not None:
+        raise ConfigError("pass links or a trace, not both")
+    else:
+        trace.check(first)
+        links, blocks = trace.links, _held_blocks(trace)
+    n, total = first.n_users, first.total_slots
     first_nonzero = np.full(n, total)
-    peak = 0.0
+    shares = [Decided(c, links, first_nonzero, np.empty(total, dtype=np.int32), np.empty(total)) for c in configs]
+    for share in shares:
+        try:  # after the links' check, so a link budget past the float range is named by its user
+            share.config.validate()
+            share.config = cfg = resolved_config(share.config)
+            share.scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
+            share.alpha = cfg.dpfa.alpha if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1 else None
+        except ConfigError as exc:
+            share.error = exc
+    peak, peaked = 0.0, any(share.alpha for share in shares)
     for start, snrs, rates in blocks:
-        if alpha is not None:
+        if peaked:
             peak = max(peak, highest(rates))
-            if not np.power(peak, alpha) < math.inf:
-                for _, _, rest in blocks:
-                    peak = max(peak, highest(rest))
-                raise ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
-                                  % (alpha, peak))
-        chosen = scheduler.step(rates, snrs)
-        stop = start + len(chosen)
-        decisions[start:stop] = chosen
-        served[start:stop] = rates[np.arange(len(chosen)), chosen]
+        for share in shares:
+            if share.error or (share.alpha and not np.power(peak, share.alpha) < math.inf):  # stopped
+                continue
+            try:
+                chosen = share.scheduler.step(rates, snrs)
+            except ValueError as exc:
+                share.error = exc
+                continue
+            stop = start + len(chosen)
+            share.decisions[start:stop] = chosen
+            share.served[start:stop] = rates[np.arange(len(chosen)), chosen]
         if highest(first_nonzero) == total:  # some user has had no nonzero rate yet
             nonzero = rates != 0
             new = (first_nonzero == total) & nonzero.any(axis=0)
             first_nonzero[new] = start + nonzero[:, new].argmax(axis=0)
-    return decisions, served, first_nonzero
+    for share in shares:  # a dpfa stopped by its peak names the trace's, known only now
+        if not share.error and share.alpha and not np.power(peak, share.alpha) < math.inf:
+            share.error = ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
+                                      % (share.alpha, peak))
+    return shares
 
 
 @np.errstate(over="ignore")  # a sum past the float range is inf, which run rejects
@@ -431,8 +467,10 @@ def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
     """Run several policies over one channel trace and tabulate them.
 
-    The trace is drawn once from the shared seed and passed to each policy's
-    :func:`run`, so every policy sees identical links, SNRs and rates.
+    The trace is drawn once from the shared seed, a block at a time; each
+    block is decided for every policy in config order, then dropped, and each
+    policy's :func:`run` accounts for its share.  Results and errors are
+    those of a run per policy over ``channel_trace(configs[0])``.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.
@@ -450,8 +488,7 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     if reference not in policies:
         raise ConfigError("reference policy %r not among %s" % (reference, policies))
 
-    trace = channel_trace(first)
-    results = {cfg.policy: run(cfg, trace=trace) for cfg in configs}
+    results = {cfg.policy: run(cfg, decided=share) for cfg, share in zip(configs, _decide(configs))}
     ref_bits = results[reference].metrics.system_bits
     summary = [
         SummaryRow(p, r.metrics.jain(), r.metrics.system_bits, (ref_bits - r.metrics.system_bits) / ref_bits * 100.0)

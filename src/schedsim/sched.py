@@ -133,7 +133,7 @@ def center_timer(center, snrs, delta: float) -> np.ndarray:
         for prev, row in zip(last_edge, last_edge[1:]):
             np.maximum(prev, row, out=row)
     else:
-        last_edge = np.maximum.accumulate(last_edge, axis=0)
+        np.maximum.accumulate(last_edge, axis=0, out=last_edge)
     return np.subtract(run, last_edge, out=last_edge)
 
 
@@ -150,7 +150,9 @@ def update_beta(center, snrs, params: DpfaParams) -> np.ndarray:
     """
     if params.beta_override is not None:
         return np.full(np.shape(snrs), params.beta_override, dtype=float)
-    return np.where(center > params.theta, snrs / params.delta, 1.0)
+    beta = snrs / params.delta
+    beta[center <= params.theta] = 1.0
+    return beta
 
 
 def select(priorities):

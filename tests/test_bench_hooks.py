@@ -7,12 +7,13 @@ renames or bypasses ``Scheduler.step``, ``select``, ``MetricsLog.record_slot``,
 without its per-layer metrics; this test fails first.
 """
 import importlib
+import math
 from pathlib import Path
 
 import pytest
 
 import schedsim.cli  # noqa: F401  (the cli and svgplot hooks resolve only once loaded)
-from schedsim.engine import SimConfig, comparison_configs, run_comparison
+from schedsim.engine import BLOCK_ELEMENTS, SimConfig, comparison_configs, run_comparison
 from schedsim.sched import POLICIES, VpfaParams
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -34,3 +35,17 @@ def test_every_hook_resolves_and_fires(spans):
     for key in ("sched.select", "metrics.record_slot", "metrics.jain_index", "engine.run"):
         assert inst.records[key].calls >= 1, key
     assert sorted(r.config.policy for r in inst.results) == sorted(comp.results)
+
+
+@pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
+@pytest.mark.parametrize("n_users,total_slots", [(4, 300), (40, 2000), (1000, 70)])
+def test_a_comparison_steps_every_policy_once_a_block(spans, n_users, total_slots):
+    # the benchmark's decision checks read the captured results, and its per-policy spans the steps
+    base = SimConfig(n_users=n_users, total_slots=total_slots, seed=1, vpfa=VpfaParams(s_fi=10))
+    with spans.Instrument(timing=True, capture=True) as inst:
+        comp = run_comparison(comparison_configs(base, list(POLICIES)))
+    assert [r.config.policy for r in inst.results] == list(POLICIES)
+    assert all(comp.results[r.config.policy] is r for r in inst.results)
+    blocks = math.ceil(total_slots / max(1, BLOCK_ELEMENTS // n_users))
+    for policy in POLICIES:
+        assert inst.records["sched.step.%s" % policy].calls == blocks, policy

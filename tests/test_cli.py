@@ -455,7 +455,7 @@ class TestMain:
         assert not out.exists()
 
     def test_trace_past_memory_is_single_line_error(self, tmp_path, capsys, monkeypatch):
-        def no_memory(rng, size):
+        def no_memory(rng, size, out=None):
             raise MemoryError()
 
         monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_memory)

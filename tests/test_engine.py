@@ -244,10 +244,11 @@ class TestSharedTrace:
         import schedsim.engine as engine
 
         drawn = []
-        original = engine.channel_trace
-        monkeypatch.setattr(engine, "channel_trace", lambda *a: drawn.append(a) or original(*a))
+        original = engine.draw_fast_fading
+        monkeypatch.setattr(engine, "draw_fast_fading",
+                            lambda rng, size, out: drawn.append(size) or original(rng, size, out))
         comp = run_comparison(comparison_configs(small_config(), ["pfa", "dpfa", "rr"]))
-        assert len(drawn) == 1
+        assert sum(rows * users for rows, users in drawn) == 500 * 4  # every (slot, user) sample once
         for policy in ("pfa", "dpfa", "rr"):
             alone = run(small_config(policy=policy))
             assert np.array_equal(comp.results[policy].decisions, alone.decisions)

@@ -1,7 +1,9 @@
 """The two block sources: a run that draws its trace a block at a time and
 decides each block as it is drawn, and a run over a trace drawn whole by
 ``channel_trace``.  Both give the same results and the same errors, and the
-streamed run holds one block, not the trace.
+streamed run holds one block, not the trace.  So does a comparison, which
+decides each block for every policy before it draws the next: it gives what
+a run per policy over the trace drawn whole gives.
 """
 import dataclasses
 import tracemalloc
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from schedsim.channel import ChannelParams, UserLink, draw_fast_fading, snr
 from schedsim.cli import parse_config
-from schedsim.engine import BLOCK_ELEMENTS, SimConfig, channel_trace, run
+from schedsim.engine import BLOCK_ELEMENTS, SimConfig, channel_trace, comparison_configs, run, run_comparison
+from schedsim.errors import ConfigError
 from schedsim.sched import POLICIES, DpfaParams, VpfaParams
 
 
@@ -24,6 +27,12 @@ def held_run(config, links=None):
     if links is not None:
         trace = dataclasses.replace(trace, placement=config.placement)
     return run(config, trace=trace)
+
+
+def held_comparison(configs):
+    """A comparison as a run per config over the trace drawn whole for the first."""
+    trace = channel_trace(configs[0])
+    return {cfg.policy: run(cfg, trace=trace) for cfg in configs}
 
 
 def outcome(fn, *args, **kwargs):
@@ -104,6 +113,30 @@ class TestStreamedEqualsHeld:
             assert_same_result(streamed, held)
 
 
+def assert_same_outcome(lockstep, held):
+    """Both comparisons raised the same error, or gave the same runs in the same order."""
+    if isinstance(lockstep, tuple) or isinstance(held, tuple):
+        assert lockstep == held
+    else:
+        assert list(lockstep) == list(held)
+        for policy in held:
+            assert_same_result(lockstep[policy], held[policy])
+
+
+class TestLockstepEqualsHeld:
+    @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(stream_cases(), st.permutations(POLICIES), st.integers(1, len(POLICIES)))
+    @example((SimConfig(n_users=BLOCK_ELEMENTS + 1, total_slots=3, vpfa=VpfaParams(s_fi=1, l_sc=1)), None),
+             POLICIES, len(POLICIES))  # one slot a block
+    @example((SimConfig(n_users=200, total_slots=600, seed=1, vpfa=VpfaParams(s_fi=7, l_sc=2)), None),
+             POLICIES[::-1], len(POLICIES))  # vpfa switches at slot 183, in the second 163-slot block
+    def test_every_policy_gives_the_same_runs(self, case, order, count):
+        configs = comparison_configs(case[0], list(order[:count]))
+        lockstep = outcome(lambda: run_comparison(configs, reference=configs[0].policy).results)
+        assert_same_outcome(lockstep, outcome(held_comparison, configs))
+
+
 def cli_config(*overrides):
     return parse_config("", overrides=list(overrides)), None
 
@@ -146,7 +179,14 @@ ERROR_CASES = {
     "distance underflows": links_config([(500.0, 0.0), (1e300, 0.0)], n_users=2, total_slots=10),
     "fading overflows a link": links_config([(500.0, 0.0), (500.0, 3070.0)], n_users=2, total_slots=2000),
     "fading underflows a link": links_config([(500.0, 0.0), (500.0, -3244.0)], n_users=2, total_slots=10),
-    # (at tx_power_dbm 4000 run stops at its resolved dpfa_delta, before any trace, so the forms differ)
+    "budget overflows at a user": cli_config("tx_power_dbm=4000", "n_users=2", "total_slots=50"),
+    "budget overflows with links": links_config([(500.0, 0.0)] * 2, n_users=2, total_slots=50,
+                                                channel=ChannelParams(tx_power_dbm=4000.0)),
+    # dpfa_delta's reference link, at 60% of the cell radius, overflows too: the trace's error comes first
+    "fading overflows, the reference too": cli_config("n_users=1", "shadowing_sigma_db=0", "tx_power_dbm=3124",
+                                                      "total_slots=2000"),
+    "only the reference overflows": cli_config("n_users=1", "shadowing_sigma_db=0", "tx_power_dbm=3122",
+                                               "total_slots=5"),
     "config underflows with links": links_config([(500.0, 0.0)] * 2, n_users=2, total_slots=10,
                                                  channel=ChannelParams(tx_power_dbm=-4000.0)),
     "no bits with links": links_config([(500.0, -400.0 if k < 12 else 0.0) for k in range(14)], policy="rr",
@@ -188,17 +228,59 @@ class TestSameErrorsBothWays:
         assert streamed[1] == message
 
 
+# the comparisons of every entry above without caller links, which a comparison does not take
+DRAWN_ERROR_CASES = {name: cfg for name, (cfg, links) in
+                     [*ERROR_CASES.items(), *((name, case) for name, (case, _) in LATER_BLOCK_CASES.items())]
+                     if links is None}
+
+
+class TestSameErrorsInLockstep:
+    # each list holds dpfa, rr and vpfa, the policies that some case fails alone
+    @pytest.mark.parametrize("policies", [POLICIES, POLICIES[::-1], ("vpfa", "rr", "dpfa")], ids="-".join)
+    @pytest.mark.parametrize("cfg", list(DRAWN_ERROR_CASES.values()), ids=list(DRAWN_ERROR_CASES))
+    def test_error_configs(self, cfg, policies):
+        configs = comparison_configs(cfg, list(policies))
+        held = outcome(held_comparison, configs)
+        assert isinstance(held, tuple), "ran without an error"
+        assert outcome(run_comparison, configs, policies[0]) == held
+
+    def test_one_config_names_one_link(self):
+        cfg, _ = ERROR_CASES["budget overflows at a user"]
+        errors = {outcome(fn) for fn in (lambda: run(cfg), lambda: channel_trace(cfg),
+                                         lambda: run_comparison(comparison_configs(cfg, list(POLICIES))))}
+        assert errors == {(ConfigError, "SNR overflows a float: tx_power_dbm 4000 puts the received power"
+                                        " 3965.82 dB above the noise floor")}
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
 def test_a_run_holds_one_block_not_the_trace():
-    run(SimConfig(n_users=200, total_slots=10))  # imports and caches that a first run loads
-    peaks = {}
-    for total in (2000, 8000):
-        tracemalloc.start()
-        try:
-            run(SimConfig(n_users=200, total_slots=total))
-            peaks[total] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peaks[total] < 200 * total * 16 / 4  # the SNR and rate matrices take 200 * total * 16 bytes
-    # the matrices would grow by 19.2 MB; the decisions, the served rates and their sums grow by ~0.15 MB
+    for policy in ("pfa", "dpfa"):  # dpfa also holds its block's timers and exponents
+        run(SimConfig(n_users=200, total_slots=10, policy=policy))  # imports and caches that a first run loads
+        peaks = {total: traced_peak(run, SimConfig(n_users=200, total_slots=total, policy=policy))
+                 for total in (2000, 8000)}
+        for total, peak in peaks.items():
+            assert peak < 200 * total * 16 / 4, policy  # the SNR and rate matrices take 200 * total * 16 bytes
+        # the matrices would grow by 19.2 MB; the decisions, the served rates and their sums grow by ~0.15 MB
+        assert peaks[8000] - peaks[2000] < 200 * 6000 * 16 / 32, policy
+
+
+@pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
+def test_a_comparison_holds_one_block_not_the_trace():
+    def compare(total):
+        run_comparison(comparison_configs(SimConfig(n_users=200, total_slots=total), list(POLICIES)))
+
+    compare(10)
+    peaks = {total: traced_peak(compare, total) for total in (2000, 8000)}
+    for total, peak in peaks.items():
+        assert peak < 200 * total * 16 / 4, total
+    # five policies' decisions and served rates grow by ~0.36 MB
     assert peaks[8000] - peaks[2000] < 200 * 6000 * 16 / 32
