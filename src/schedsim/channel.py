@@ -20,6 +20,10 @@ MIN_PATH_LOSS_DISTANCE_M = 20.0
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
+# The largest gain draw_fast_fading can return: numpy's ziggurat draws its
+# tail as r - log1p(-U), with r its base strip's edge and U <= 1 - 2**-53.
+MAX_FADING_GAIN = 7.69711747013104972 + 53 * math.log(2)
+
 ENV_CLASSES = ("metro", "suburban")
 PLACEMENT_MODES = ("uniform_ring", "equal_spacing")
 
@@ -163,14 +167,15 @@ def instantaneous_rate(snr_linear, params: ChannelParams, out=None):
     """Shannon rate over the full bandwidth, in bits per slot.
 
     rate = bandwidth * log2(1 + SNR) * slot_duration.  Accepts scalars or
-    arrays; strictly increasing in SNR.  A rate past the float range is a
-    ConfigError naming the two scale factors.  ``out``, an array of the
+    arrays; strictly increasing in SNR, and 0 at an SNR of 0, as a deep fade
+    gives.  A negative SNR is a ValueError, and a rate past the float range
+    a ConfigError naming the two scale factors.  ``out``, an array of the
     SNRs' shape, receives the rates in place of a fresh one.
     """
     arr = np.asarray(snr_linear, dtype=float)
-    # fmin skips nan, so this is np.any(arr <= 0) without a bool array of the trace
-    if arr.size and np.fmin.reduce(arr, axis=None) <= 0:
-        raise ValueError("SNR must be > 0")
+    # fmin skips nan, so this is np.any(arr < 0) without a bool array of the trace
+    if arr.size and np.fmin.reduce(arr, axis=None) < 0:
+        raise ValueError("SNR must be >= 0")
     rate = np.add(arr, 1.0, out=np.empty(arr.shape) if out is None else out)  # one buffer, scaled in place
     np.log2(rate, out=rate)
     try:

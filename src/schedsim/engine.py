@@ -4,7 +4,8 @@ A run is a pure function of its :class:`SimConfig` (the seed included): user
 placement and shadowing are drawn first, then the per-slot fading, in a
 fixed order from one generator, so the rate trace never depends on the
 policy under test and a comparison draws it once.  Every trace comes from
-one source, which draws, scales and checks it in blocks of at most
+one source, which checks the config against the largest fading gain before
+its first draw, then draws and scales the trace in blocks of at most
 ``BLOCK_ELEMENTS`` (slot, user) elements in stream order.  A run, or a
 comparison of policies, decides each block for every policy as it is drawn
 and then drops it.  Each decided run is accounted for in one pass: it is
@@ -16,11 +17,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import (
+    MAX_FADING_GAIN,
     PLACEMENT_MODES,
     ChannelParams,
     UserLink,
@@ -36,9 +39,6 @@ from .sched import POLICIES, TC_MODES, DpfaParams, Scheduler, VpfaParams, make_s
 
 # A decided block holds at most this many (slot, user) trace elements, or one slot.
 BLOCK_ELEMENTS = 32768
-
-# A trace's placement when caller links replaced the drawn geometry; no config has it.
-CALLER_LINKS = "caller links"
 
 # "Cell edge" for the timer threshold default: the SNR a user would see at
 # this fraction of the cell radius with no shadowing and no fading.
@@ -110,23 +110,11 @@ TRACE_FIELDS = ("channel", "n_users", "placement", "seed", "total_slots")
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
-    """One drawn channel trace and the config fields it was drawn for."""
+    """One drawn channel trace: its links and its (slots x users) matrices."""
 
-    channel: ChannelParams
-    n_users: int
-    placement: str  # or CALLER_LINKS
-    seed: int
-    total_slots: int
     links: list[UserLink]
     snrs: np.ndarray   # (slots x users) linear SNR
     rates: np.ndarray  # (slots x users) bits per slot
-
-    def check(self, config: SimConfig) -> None:
-        """Reject a config this trace was not drawn for."""
-        for name in TRACE_FIELDS:
-            drawn, wanted = getattr(self, name), getattr(config, name)
-            if drawn != wanted:
-                raise ConfigError("trace was drawn for %s %r, not %r" % (name, drawn, wanted))
 
 
 def resolve_delta(channel: ChannelParams) -> float:
@@ -156,31 +144,35 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
     configs that differ only in policy gives identical matrices.
     Caller-supplied ``links`` (custom geometries) skip the placement and
     shadowing draws, so their fading starts at the head of the seed's stream.
-    Validates the config once, and rejects a caller link without a finite
-    ``distance_m > 0`` and ``shadowing_db``, or whose own shadowing or distance
-    takes its SNR out of the float range, by its user; with an SNR of 0 and
-    a rate past the float range rejected too, every trace has finite rates >= 0.
-    The matrices are written a block at a time by the source a streamed
-    :func:`run` decides from, in place, so the trace is the same bit for bit.
+    The config and links are checked as by :func:`run`, and the matrices are
+    a run's blocks in slot order, so they hold finite rates >= 0.
     """
     config.validate()
-    rng, links, placement, base = _trace_links(config, links)
+    rng, links, base, _ = _trace_links(config, links)
     shape = (config.total_slots, len(links))
     snrs, rates = np.empty(shape), np.empty(shape)
-    for _ in _trace_blocks(config, rng, links, placement, base, snrs, rates):
-        pass
-    return ChannelTrace(dataclasses.replace(config.channel), config.n_users, placement, config.seed,
-                        config.total_slots, links, snrs, rates)
+    for start, block_snrs, block_rates in _trace_blocks(config, rng, base):
+        snrs[start:start + len(block_snrs)] = block_snrs
+        rates[start:start + len(block_rates)] = block_rates
+    return ChannelTrace(links, snrs, rates)
 
 
+@np.errstate(over="ignore")  # an SNR bound past the float range is inf, which the checks reject
 def _trace_links(config: SimConfig, links: list[UserLink] | None):
-    """The generator, links, placement and link-budget SNRs of a validated
-    config's trace, the generator past the placement and shadowing draws."""
+    """The generator, past the placement and shadowing draws, the links, the
+    link-budget SNRs and the rate bound of a validated config's trace.
+
+    No fading gain passes ``MAX_FADING_GAIN`` (1 without fast fading), so
+    the link budget bounds every SNR, rate and sum of bits of any seed's
+    trace.  A config whose bounds leave the float range fails here, before
+    the first draw, naming the input at fault; the bits are bounded by
+    twice the slots times the rate bound, which covers the rounding of sums.
+    """
     rng = np.random.default_rng(config.seed)
-    placement = config.placement if links is None else CALLER_LINKS
-    if links is None:
-        distances = place_users(config.n_users, config.channel.cell_radius_m, config.placement, rng)
-        shadows = draw_shadowing(rng, config.channel.shadowing_sigma_db, size=config.n_users)
+    channel, caller = config.channel, links is not None
+    if not caller:
+        distances = place_users(config.n_users, channel.cell_radius_m, config.placement, rng)
+        shadows = draw_shadowing(rng, channel.shadowing_sigma_db, size=config.n_users)
         links = [UserLink(k, float(d), float(s)) for k, (d, s) in enumerate(zip(distances, shadows))]
     elif len(links) != config.n_users:
         raise ConfigError("got %d links for n_users %d" % (len(links), config.n_users))
@@ -189,79 +181,46 @@ def _trace_links(config: SimConfig, links: list[UserLink] | None):
             if not (0 < link.distance_m < math.inf and math.isfinite(link.shadowing_db)):
                 raise ConfigError("user %d's link needs a finite distance_m > 0 and a finite shadowing_db,"
                                   " got %r and %r" % (k, link.distance_m, link.shadowing_db))
-    base = np.array([_budget_snr(config.channel, link) for link in links])
-    for k in np.flatnonzero((base == 0) | (base == math.inf)):  # out of the float range
-        fault = _link_fault(config.channel, placement, k, links[k], 1.0)
-        if fault:
-            raise ConfigError("SNR %s: %s, which takes its link-budget SNR %s the float range"
-                              % ("overflows a float" if base[k] else "underflows to 0", fault,
-                                 "past" if base[k] else "below"))
-        if base[k] == math.inf:
-            snr(config.channel, links[k], 1.0)  # raises the config's own error
-    return rng, links, placement, base
+    gain = MAX_FADING_GAIN if channel.fast_fading_enabled else 1.0
+    base = np.array([_budget_snr(channel, link) for link in links])
+    bound = base * gain
+    for k in np.flatnonzero((base == 0) | (bound == math.inf))[:1]:  # the first user out of the range
+        fault = caller and _link_fault(channel, k, links[k], gain)
+        who = fault + ", which takes its" if fault else "tx_power_dbm %g takes user %d's" % (channel.tx_power_dbm, k)
+        if base[k] == 0:
+            raise ConfigError("SNR underflows to 0: %s link-budget SNR below the float range" % who)
+        what = "link-budget SNR" if base[k] == math.inf else "SNR at the largest fading gain, %.6g," % gain
+        raise ConfigError("SNR overflows a float: %s %s past the float range" % (who, what))
+    rate_bound = instantaneous_rate(float(bound.max()), channel)  # raises where it passes the float range
+    if rate_bound and config.total_slots > sys.float_info.max / (2.0 * rate_bound):  # int vs float, exact
+        raise ConfigError("bits overflow a float: total_slots %d at bandwidth_hz %g and slot_duration_s %g can"
+                          " take the cumulative bits past the float range"
+                          % (config.total_slots, channel.bandwidth_hz, channel.slot_duration_s))
+    return rng, links, base, rate_bound
 
 
-def _trace_blocks(config: SimConfig, rng, links, placement: str, base, snrs=None, rates=None):
+def _trace_blocks(config: SimConfig, rng, base):
     """The trace's blocks in slot order, as (first slot, SNRs, rates), each of
     ``max(1, BLOCK_ELEMENTS // n_users)`` slots or the rest.
 
     Each block's fading is ``draw_fast_fading`` of its shape, which continues
     the generator's stream, so the blocks join to one whole draw bit for bit.
-    It is scaled by the link-budget SNRs and mapped to rates, in place: into
-    the rows of the (slots x users) ``snrs`` and ``rates`` where given, else
-    into one block of each, which every block overwrites, so a block is
-    valid until the next is drawn.  A block that fails a check is not
-    yielded: the rest of the trace is drawn only to settle which error wins,
-    as over a whole trace.  The first SNR past the float range in slot order
-    comes first, then the first SNR of 0, then a rate past the float range.
+    It is scaled by the link-budget SNRs and mapped to rates, in place, into
+    one block of each, which every block overwrites, so a block is valid
+    until the next is drawn.  :func:`_trace_links` has bounded every SNR and
+    rate, so no block fails a check.
     """
-    channel, n, total = config.channel, len(links), config.total_slots
+    channel, n, total = config.channel, len(base), config.total_slots
     rows = max(1, BLOCK_ELEMENTS // n)
-    held = snrs is not None
-    if not held:
-        snrs, rates = np.empty((min(rows, total), n)), np.empty((min(rows, total), n))
-    underflow = rate_overflow = None
+    snrs, rates = np.empty((min(rows, total), n)), np.empty((min(rows, total), n))
     for start in range(0, total, rows):
         shape = (min(rows, total - start), n)
-        block = slice(start, start + shape[0]) if held else slice(0, shape[0])
+        block_snrs, block_rates = snrs[:shape[0]], rates[:shape[0]]
         # the fading is drawn into the block's rates, which hold it until the rates are written over it
-        gains = draw_fast_fading(rng, size=shape, out=rates[block]) if channel.fast_fading_enabled else np.ones(shape)
-        block_snrs = snrs[block]
-        try:
-            with np.errstate(over="raise"):  # the flag costs no pass over the block
-                np.multiply(gains, base, out=block_snrs)
-        except FloatingPointError:
-            t, k = divmod(int(np.argmax(block_snrs == math.inf)), n)  # the first (slot, user) past the range
-            cause = (_link_fault(channel, placement, k, links[k], gains.item(t, k))
-                     or "tx_power_dbm %g puts user %d %.1f dB above the noise floor"
-                     % (channel.tx_power_dbm, k, 10.0 * math.log10(base[k])))
-            raise ConfigError("SNR overflows a float: %s, and the fading at slot %d takes its SNR past the float range"
-                              % (cause, start + t + 1)) from None
-        if underflow is not None:  # only an SNR past the float range comes before it
-            continue
-        try:
-            block_rates = instantaneous_rate(block_snrs, channel, rates[block])
-        except ConfigError as exc:  # a rate past the float range, already named
-            rate_overflow = rate_overflow or exc
-            continue
-        except ValueError:  # an SNR of 0, rejected before any rate is written over the gains
-            t, k = divmod(int(np.argmax(block_snrs <= 0)), n)  # the first (slot, user) at 0
-            level = "of %.1f dB" % (10.0 * math.log10(base[k])) if base[k] else "below the float range"
-            cause = (_link_fault(channel, placement, k, links[k], gains.item(t, k))
-                     or "tx_power_dbm %g gives user %d a link-budget SNR %s" % (channel.tx_power_dbm, k, level))
-            underflow = ConfigError("SNR underflows to 0: %s, and at slot %d its SNR is 0" % (cause, start + t + 1))
-            continue
-        if rate_overflow is None:
-            yield start, block_snrs, block_rates
-    if underflow or rate_overflow:
-        raise underflow or rate_overflow
-
-
-def _held_blocks(trace: ChannelTrace):
-    """A drawn trace's blocks, as :func:`_trace_blocks` yields them."""
-    rows = max(1, BLOCK_ELEMENTS // trace.n_users)
-    for start in range(0, trace.total_slots, rows):
-        yield start, trace.snrs[start:start + rows], trace.rates[start:start + rows]
+        gains = draw_fast_fading(rng, size=shape, out=block_rates) if channel.fast_fading_enabled else np.ones(shape)
+        with np.errstate(over="raise"):  # asserts the gain bound at no cost of a pass over the block
+            np.multiply(gains, base, out=block_snrs)
+        yield start, block_snrs, instantaneous_rate(block_snrs, channel, block_rates)
 
 
 def _budget_snr(channel: ChannelParams, link: UserLink) -> float:
@@ -272,18 +231,16 @@ def _budget_snr(channel: ChannelParams, link: UserLink) -> float:
         return math.inf
 
 
-def _link_fault(channel: ChannelParams, placement: str, k: int, link: UserLink, gain: float) -> str | None:
+def _link_fault(channel: ChannelParams, k: int, link: UserLink, gain: float) -> str | None:
     """Where caller link ``k``, not the config, takes its SNR at fading
     ``gain`` out of the float range, the field at fault and its value, as
-    "user k's link has shadowing_db 3070"; else None, as for drawn links.
-    The shadowing is at fault where the SNR would be in range with the
-    link's ``shadowing_db`` at 0; the distance where it would be at
-    ``shadowing_db`` 0 and the cell radius."""
-    if placement == CALLER_LINKS:
-        for name, neutral in (("shadowing_db", UserLink(k, link.distance_m, 0.0)),
-                              ("distance_m", UserLink(k, channel.cell_radius_m, 0.0))):
-            if 0 < _budget_snr(channel, neutral) * gain < math.inf:
-                return "user %d's link has %s %g" % (k, name, getattr(link, name))
+    "user k's link has shadowing_db 3070"; else None.  The shadowing is at
+    fault where the SNR would be in range at ``shadowing_db`` 0, the
+    distance where it would be at ``shadowing_db`` 0 and the cell radius."""
+    for name, neutral in (("shadowing_db", UserLink(k, link.distance_m, 0.0)),
+                          ("distance_m", UserLink(k, channel.cell_radius_m, 0.0))):
+        if 0 < _budget_snr(channel, neutral) * gain < math.inf:
+            return "user %d's link has %s %g" % (k, name, getattr(link, name))
     return None
 
 
@@ -297,25 +254,23 @@ class Decided:
     decisions: np.ndarray  # chosen user per slot
     served: np.ndarray  # the rate each decision served
     scheduler: Scheduler | None = None
-    alpha: float | None = None  # dpfa's alpha where > 1, which a peak rate can overflow
     error: ValueError | None = None  # what stopped it
 
 
-def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTrace | None = None,
-        decided: Decided | None = None) -> SimResult:
+def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided | None = None) -> SimResult:
     """Execute one simulation; deterministic in (config, seed, links).
 
-    ``links`` replaces the drawn geometry as in :func:`channel_trace`.
-    ``trace`` is one already drawn for this config; any other is rejected.
-    Without one, the run draws its trace a block at a time and decides each
-    block as it is drawn, so it holds one block and what it keeps per slot
-    and per user, not the (slots x users) matrices; its decisions, results
-    and errors are those of a run over ``channel_trace(config, links)``.
-    ``decided`` is this config's share of :func:`run_comparison`'s pass,
-    already decided, so the run only accounts for it.
+    ``links`` replaces the drawn geometry as in :func:`channel_trace`.  The
+    run draws its trace a block at a time and decides each block as it is
+    drawn, so it holds one block and what it keeps per slot and per user,
+    not the (slots x users) matrices; its decisions, results and errors are
+    the same bit for bit at any ``BLOCK_ELEMENTS``, one slot a block or the
+    whole trace in one.  ``decided`` is this config's share of
+    :func:`run_comparison`'s pass, already decided, so the run only
+    accounts for it.
     """
     if decided is None:
-        (decided,) = _decide([config], links, trace)
+        (decided,) = _decide([config], links)
     if decided.error is not None:
         raise decided.error
     cfg, decisions, scheduler = decided.config, decided.decisions, decided.scheduler
@@ -323,18 +278,14 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
 
     # account for the decided run at each FI evaluation: every s_fi slots and the last
     log, stops, system, fi = account(decisions, decided.served, n, s_fi)
-    bad = np.flatnonzero(~(system < math.inf) | (system == 0))
-    if bad.size:  # the first evaluation that fails, as the run would meet it
-        stop, bits = stops[bad[0]], system[bad[0]]
-        if not bits < math.inf:
-            raise ConfigError("bits overflow a float: by slot %d the cumulative bits pass the float range"
-                              " at bandwidth_hz %g and slot_duration_s %g"
-                              % (stop, cfg.channel.bandwidth_hz, cfg.channel.slot_duration_s))
+    bad = np.flatnonzero(system == 0)
+    if bad.size:  # the first evaluation with no bits, as the run would meet it
         if lowest(decided.first_nonzero) == total:
             raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
                               "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
                               % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
                                  cfg.channel.noise_figure_db))
+        stop = stops[bad[0]]
         raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
                           "users with rate 0 in every slot so far: %s"
                           % (stop, _user_list(np.flatnonzero(decided.first_nonzero >= stop))))
@@ -349,31 +300,23 @@ def run(config: SimConfig, links: list[UserLink] | None = None, trace: ChannelTr
                      vpfa_warmup_bits=scheduler.warmup_bits, vpfa_variance_counts=variance_counts)
 
 
-@np.errstate(over="ignore")  # a value past the float range becomes inf, which the checks reject
-def _decide(configs: list[SimConfig], links: list[UserLink] | None = None,
-            trace: ChannelTrace | None = None) -> list[Decided]:
-    """Draw the first config's trace once, or walk a held one, and decide
-    each block for every config in order before the next is drawn.  What
-    belongs to the trace, the first-nonzero vector and the peak rate, is
-    computed once.  Errors come as from a run per config over the whole
-    trace: the first config's check, the links' and the trace's are raised;
-    a config's own, from its check, its ``dpfa_delta``, its steps or its
-    peak, stops its deciding and waits in its share for :func:`run`.
+@np.errstate(over="ignore")  # dpfa's check may raise the rate bound past the float range, to inf
+def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> list[Decided]:
+    """Draw the first config's trace once and decide each block for every
+    config in order before the next is drawn.  The first-nonzero vector,
+    which belongs to the trace, is computed once.  Errors come as from a
+    run per config: the first config's check and the links' and the trace
+    bound's, all before the first draw, are raised; a config's own, from its
+    check, its ``dpfa_delta``, its ``dpfa_alpha`` or its steps, stops its
+    deciding and waits in its share for :func:`run`.
 
-    dpfa's numerator r^alpha grows with r, and at alpha <= 1 it is at most
-    max(r, 1).  At alpha > 1 dpfa stops at the first block whose peak rate
-    takes it past the float range; its message names the trace's peak.
+    dpfa's numerator r^alpha grows with r, so where the rate bound to the
+    alpha is finite, so is every numerator; a dpfa config where it is not
+    is rejected before it decides, naming ``dpfa_alpha``.
     """
     first = configs[0]
     first.validate()
-    if trace is None:
-        rng, links, placement, base = _trace_links(first, links)
-        blocks = _trace_blocks(first, rng, links, placement, base)
-    elif links is not None:
-        raise ConfigError("pass links or a trace, not both")
-    else:
-        trace.check(first)
-        links, blocks = trace.links, _held_blocks(trace)
+    rng, links, base, rate_bound = _trace_links(first, links)
     n, total = first.n_users, first.total_slots
     first_nonzero = np.full(n, total)
     shares = [Decided(c, links, first_nonzero, np.empty(total, dtype=np.int32), np.empty(total)) for c in configs]
@@ -381,16 +324,17 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None,
         try:  # after the links' check, so a link budget past the float range is named by its user
             share.config.validate()
             share.config = cfg = resolved_config(share.config)
+            if cfg.policy == "dpfa" and not np.power(rate_bound, cfg.dpfa.alpha) < math.inf:
+                raise ConfigError("dpfa_alpha %g raises the largest rate of this link budget past the float range"
+                                  % cfg.dpfa.alpha)
             share.scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
-            share.alpha = cfg.dpfa.alpha if cfg.policy == "dpfa" and cfg.dpfa.alpha > 1 else None
         except ConfigError as exc:
             share.error = exc
-    peak, peaked = 0.0, any(share.alpha for share in shares)
-    for start, snrs, rates in blocks:
-        if peaked:
-            peak = max(peak, highest(rates))
+    if all(share.error for share in shares):  # nothing left to decide the trace for
+        return shares
+    for start, snrs, rates in _trace_blocks(first, rng, base):
         for share in shares:
-            if share.error or (share.alpha and not np.power(peak, share.alpha) < math.inf):  # stopped
+            if share.error:  # stopped
                 continue
             try:
                 chosen = share.scheduler.step(rates, snrs)
@@ -404,14 +348,9 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None,
             nonzero = rates != 0
             new = (first_nonzero == total) & nonzero.any(axis=0)
             first_nonzero[new] = start + nonzero[:, new].argmax(axis=0)
-    for share in shares:  # a dpfa stopped by its peak names the trace's, known only now
-        if not share.error and share.alpha and not np.power(peak, share.alpha) < math.inf:
-            share.error = ConfigError("dpfa_alpha %g raises the peak rate, %g bits/slot, past the float range"
-                                      % (share.alpha, peak))
     return shares
 
 
-@np.errstate(over="ignore")  # a sum past the float range is inf, which run rejects
 def account(decisions, served, n_users: int, s_fi: int):
     """Credit a decided run to a fresh :class:`MetricsLog` in one call and
     read it at each FI evaluation: every ``s_fi`` slots and the last.

@@ -1,9 +1,12 @@
+import ctypes
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from schedsim.channel import (
+    MAX_FADING_GAIN,
     ChannelParams,
     UserLink,
     cost231_path_loss,
@@ -24,6 +27,33 @@ DECADE_SLOPE_HB30 = 35.224855781586214
 
 def default_params(**kw):
     return ChannelParams(**kw)
+
+
+class BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state pointer and four draw functions."""
+
+    _fields_ = [("state", ctypes.c_void_p),
+                ("next_uint64", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+                ("next_uint32", ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)),
+                ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
+                ("next_raw", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p))]
+
+
+class Words:
+    """A bit generator that hands out the given 64-bit words, in order, as
+    ``np.random.Generator`` takes one: a ``"BitGenerator"`` capsule of a
+    ``bitgen_t`` and a lock.  A double is a word's top 53 bits times 2**-53,
+    as numpy's own bit generators make it."""
+
+    def __init__(self, words):
+        word = iter(words).__next__
+        funcs = (lambda _: word(), lambda _: word() >> 32, lambda _: (word() >> 11) * 2.0 ** -53, lambda _: word())
+        self._funcs = [kind(f) for (_, kind), f in zip(BitGen._fields_[1:], funcs)]  # kept alive for numpy
+        self._bitgen = BitGen(None, *self._funcs)
+        new = ctypes.pythonapi.PyCapsule_New
+        new.restype, new.argtypes = ctypes.py_object, [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p]
+        self.capsule = new(ctypes.addressof(self._bitgen), b"BitGenerator", None)
+        self.lock = threading.Lock()
 
 
 class TestCost231:
@@ -88,6 +118,15 @@ class TestFastFading:
         rng = np.random.default_rng(4)
         assert np.all(draw_fast_fading(rng, size=100_000) > 0)
 
+    def test_the_largest_gain_is_max_fading_gain(self):
+        # the first word has ziggurat index 0 and no bit below it, so the draw takes the
+        # tail, r - log1p(-U), and the second word gives its largest U, 1 - 2**-53
+        rng = np.random.Generator(Words([0xFFFFFFFFFFFFF807, 0xFFFFFFFFFFFFFFFF]))
+        assert draw_fast_fading(rng) == MAX_FADING_GAIN == 44.43391803980815
+
+    def test_an_all_zero_word_gives_gain_0(self):
+        assert draw_fast_fading(np.random.Generator(Words([0]))) == 0.0
+
     def test_draws_equal_unit_scale_exponential(self):
         # the same values and the same stream position as rng.exponential(1.0, size)
         got, want = np.random.default_rng(5), np.random.default_rng(5)
@@ -145,26 +184,34 @@ class TestRate:
         r = instantaneous_rate(s, p)
         assert np.all(np.diff(r) > 0)
 
-    def test_nonpositive_snr_rejected(self):
+    def test_negative_snr_rejected(self):
         p = default_params()
-        with pytest.raises(ValueError):
-            instantaneous_rate(0.0, p)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="SNR must be >= 0"):
+            instantaneous_rate(-5e-324, p)
+        with pytest.raises(ValueError, match="SNR must be >= 0"):
             instantaneous_rate(np.array([1.0, -2.0]), p)
 
-    @pytest.mark.parametrize("snrs,rejected", [
+    def test_zero_snr_is_rate_zero(self):
+        # a fade can take an SNR below the float range, to 0; Shannon's rate there is 0
+        p = default_params()
+        assert instantaneous_rate(0.0, p) == 0.0
+        assert instantaneous_rate(np.array([0.0, -0.0, 1.0]), p).tolist() == [0.0, 0.0, 10_000.0]
+
+    @pytest.mark.parametrize("snrs,nonpositive", [
         ([math.nan, -2.0], True), ([-2.0, math.nan], True), ([math.nan, 0.0], True),
         ([math.nan, 1.0], False), ([math.inf, 1.0], False), ([-0.0], True), ([], False),
     ])
-    def test_sign_check_is_any_le_zero(self, snrs, rejected):
-        # a nan is neither > 0 nor <= 0, so it passes, and it hides no nonpositive SNR
+    def test_sign_check_is_any_le_zero(self, snrs, nonpositive):
+        # an SNR <= 0 is rejected below 0 and gives rate 0 at 0; a nan is neither,
+        # so it passes, and it hides no negative SNR
         arr = np.array(snrs)
-        assert bool(np.any(arr <= 0)) == rejected
-        if rejected:
-            with pytest.raises(ValueError, match="SNR must be > 0"):
+        assert bool(np.any(arr <= 0)) == nonpositive
+        if np.any(arr < 0):
+            with pytest.raises(ValueError, match="SNR must be >= 0"):
                 instantaneous_rate(arr, default_params())
         else:
-            assert instantaneous_rate(arr, default_params()).shape == arr.shape
+            rates = instantaneous_rate(arr, default_params())
+            assert rates.shape == arr.shape and np.array_equal(rates == 0, arr == 0)
 
     @pytest.mark.parametrize("key,value", [("slot_duration_s", 1e305), ("bandwidth_hz", 1e307)])
     def test_rate_past_the_float_range_names_both_factors(self, key, value):

@@ -323,14 +323,14 @@ class TestMain:
 
     @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr", "vpfa"])
     def test_fading_that_overflows_the_snr_is_single_line_error(self, policy, tmp_path, capsys):
-        # the link-budget SNR is finite; a fading gain above 1 takes user 0 past the float range
+        # the link-budget SNR is finite; the largest fading gain takes user 0's past the float range
         out = tmp_path / "out"
         rc = main(["run", "--set", "policy=" + policy, "--set", "tx_power_dbm=3090", "--set", "shadowing_sigma_db=0",
                    "--set", "total_slots=2000", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "schedsim: error: SNR overflows a float: tx_power_dbm 3090 puts user 0 3079.4 dB above the noise floor,"
-            " and the fading at slot 1 takes its SNR past the float range\n")
+            "schedsim: error: SNR overflows a float: tx_power_dbm 3090 takes user 0's SNR at the largest fading gain,"
+            " 44.4339, past the float range\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("policy", ["pfa", "rr"])
@@ -371,29 +371,31 @@ class TestMain:
         assert captured.out.startswith("policy %s: fi %.6g, " % (policy, jain_index(bits / bits.max())))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("policy,users,slot", [
+    @pytest.mark.parametrize("policy,users,slots", [
         ("pfa", 10, 300),
         ("rr", 10, 500),
-        ("vpfa", 1, 1700),  # one user's ledger and bits pass the range in the segment the total does
+        ("vpfa", 1, 1700),
     ])
-    def test_bits_past_the_float_range_are_single_line_error(self, policy, users, slot, tmp_path, capsys):
-        # each rate is finite, about 1e306 bits, but a few hundred slots of them are not
+    def test_bits_past_the_float_range_are_single_line_error(self, policy, users, slots, tmp_path, capsys):
+        # each rate is finite, about 1e306 bits, but the bits of a few hundred slots may not be: a run
+        # of 20000 slots passes the float range by the slot given, and a run of that many is refused
         out = tmp_path / "out"
         assert main(["run", "--set", "policy=" + policy, "--set", "n_users=%d" % users, "--set", "slot_duration_s=1e298",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", "schedsim: error: bits overflow a float: by slot %d the cumulative bits"
-                                           " pass the float range at bandwidth_hz 1e+07 and slot_duration_s 1e+298\n"
-                                           % slot)
+                     "--set", "total_slots=%d" % slots, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "schedsim: error: bits overflow a float: total_slots %d at bandwidth_hz"
+                                           " 1e+07 and slot_duration_s 1e+298 can take the cumulative bits past"
+                                           " the float range\n" % slots)
         assert not out.exists()
 
     def test_bits_overflow_is_named_at_the_fi_evaluation_after_it(self, tmp_path, capsys):
-        # the total passes the float range at slot 177; a run decided in 32-slot
-        # blocks is accounted for at each FI evaluation, every 100 slots
+        # the total would pass the float range at slot 177, between two FI evaluations;
+        # the run is refused before its first draw, so the line names the slot count
         out = tmp_path / "out"
         assert main(["run", "--set", "n_users=1000", "--set", "total_slots=2000", "--set", "placement=uniform_ring",
                      "--set", "slot_duration_s=1e298", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("schedsim: error: bits overflow a float: by slot 200 the cumulative bits"
-                                           " pass the float range at bandwidth_hz 1e+07 and slot_duration_s 1e+298\n")
+        assert capsys.readouterr().err == ("schedsim: error: bits overflow a float: total_slots 2000 at bandwidth_hz"
+                                           " 1e+07 and slot_duration_s 1e+298 can take the cumulative bits past"
+                                           " the float range\n")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -403,11 +405,11 @@ class TestMain:
         (["n_users=3", "total_slots=50", "vpfa_s_fi=1", "shadowing_sigma_db=400", "seed=8"],
          "no bits were delivered: every rate is 0 under this link budget (tx_power_dbm 46, bandwidth_hz 1e+07,"
          " noise_figure_db 9)"),
-        # the ledger passes the float range in the warm-up (the switch would come
-        # at slot 5001): the scheduler carries inf on, and the accounting stops the run
+        # the ledger could pass the float range in the warm-up (the switch would
+        # come at slot 5001): the bits check refuses the run before the draw
         (["n_users=1", "slot_duration_s=1e298", "vpfa_l_sc=50"],
-         "bits overflow a float: by slot 1700 the cumulative bits pass the float range at bandwidth_hz 1e+07"
-         " and slot_duration_s 1e+298"),
+         "bits overflow a float: total_slots 20000 at bandwidth_hz 1e+07 and slot_duration_s 1e+298 can take"
+         " the cumulative bits past the float range"),
     ], ids=["zero ledger", "infinite ledger"])
     def test_vpfa_warmup_leaves_errors_to_the_accounting(self, overrides, err, tmp_path, capsys):
         out = tmp_path / "out"
@@ -416,30 +418,31 @@ class TestMain:
         assert capsys.readouterr() == ("", "schedsim: error: %s\n" % err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides,where", [
-        (["tx_power_dbm=-3300"], "gives user 0 a link-budget SNR below the float range, and at slot 1"),
+    @pytest.mark.parametrize("overrides,err", [
+        (["tx_power_dbm=-3300"], "SNR underflows to 0: tx_power_dbm -3300 takes user 0's link-budget SNR below the"
+                                 " float range"),
+        # every link-budget SNR is > 0 and below 1e-16, so every rate is 0; a fade that takes one to 0 adds nothing
         (["tx_power_dbm=-3150", "shadowing_sigma_db=0"],
-         "gives user 7 a link-budget SNR of -3192.4 dB, and at slot 7584"),  # a fade takes it to 0
+         "no bits were delivered: every rate is 0 under this link budget (tx_power_dbm -3150, bandwidth_hz 1e+07,"
+         " noise_figure_db 9)"),
     ], ids=["link budget", "fading"])
-    def test_snr_underflowing_to_zero_is_single_line_error(self, overrides, where, tmp_path, capsys):
+    def test_snr_underflowing_to_zero_is_single_line_error(self, overrides, err, tmp_path, capsys):
         out = tmp_path / "out"
         args = [arg for item in overrides for arg in ("--set", item)]
         assert main(["run", *args, "--out", str(out)]) == 2
-        tx = overrides[0].split("=")[1]
-        assert capsys.readouterr().err == ("schedsim: error: SNR underflows to 0: tx_power_dbm %s %s its SNR is 0\n"
-                                           % (tx, where))
+        assert capsys.readouterr().err == "schedsim: error: %s\n" % err
         assert not out.exists()
 
     def test_dpfa_alpha_past_the_float_range_is_single_line_error(self, tmp_path, capsys):
-        # the default trace's peak rate, 152,800 bits/slot, to the 60th power overflows a float
+        # the default link budget's rate bound, about 175,800 bits/slot, to the 60th power overflows a float
         out = tmp_path / "out"
         assert main(["run", "--set", "policy=dpfa", "--set", "dpfa_alpha=60", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("schedsim: error: dpfa_alpha 60 raises the peak rate, 152800 bits/slot,"
-                                           " past the float range\n")
+        assert capsys.readouterr().err == ("schedsim: error: dpfa_alpha 60 raises the largest rate of this link"
+                                           " budget past the float range\n")
         assert not out.exists()
 
     def test_large_finite_dpfa_alpha_still_runs(self, tmp_path, capsys):
-        # to the 50th power the peak rate is about 1.6e259
+        # to the 50th power the rate bound is about 1.8e262
         assert main(["run", "--set", "policy=dpfa", "--set", "dpfa_alpha=50", "--out", str(tmp_path / "out")]) == 0
         assert "policy dpfa" in capsys.readouterr().out
 

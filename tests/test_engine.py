@@ -59,22 +59,18 @@ class TestValidation:
                                       " which takes its link-budget SNR below the float range"),
         (UserLink(1, 1e300, 0.0), "SNR underflows to 0: user 1's link has distance_m 1e+300,"
                                   " which takes its link-budget SNR below the float range"),
-        # the link-budget SNRs are in range, and the fading takes them out
+        # the link-budget SNR is in range, and the largest fading gain takes it out
         (UserLink(1, 500.0, 3070.0), "SNR overflows a float: user 1's link has shadowing_db 3070,"
-                                     " and the fading at slot 3 takes its SNR past the float range"),
-        (UserLink(1, 500.0, -3244.0), "SNR underflows to 0: user 1's link has shadowing_db -3244,"
-                                      " and at slot 2 its SNR is 0"),
-    ], ids=["shadowing overflows", "shadowing underflows", "distance underflows",
-            "fading overflows", "fading underflows"])
+                                     " which takes its SNR at the largest fading gain, 44.4339, past the float range"),
+    ], ids=["shadowing overflows", "shadowing underflows", "distance underflows", "fading overflows"])
     def test_caller_link_that_puts_the_snr_out_of_range_is_named(self, link, message):
         with pytest.raises(ConfigError) as err:
             run(SimConfig(n_users=2, total_slots=10), links=[UserLink(0, 500.0, 0.0), link])
         assert str(err.value) == message
 
     @pytest.mark.parametrize("tx_power_dbm, message", [
-        (4000.0, "SNR overflows a float: tx_power_dbm 4000 puts the received power 3964.81 dB above the noise floor"),
-        (-4000.0, "SNR underflows to 0: tx_power_dbm -4000 gives user 0 a link-budget SNR below the float range,"
-                  " and at slot 1 its SNR is 0"),
+        (4000.0, "SNR overflows a float: tx_power_dbm 4000 takes user 0's link-budget SNR past the float range"),
+        (-4000.0, "SNR underflows to 0: tx_power_dbm -4000 takes user 0's link-budget SNR below the float range"),
     ])
     def test_config_that_puts_the_snr_out_of_range_is_named_with_caller_links(self, tx_power_dbm, message):
         cfg = SimConfig(n_users=2, total_slots=10, channel=ChannelParams(tx_power_dbm=tx_power_dbm))
@@ -202,9 +198,13 @@ class TestChannelIsolation:
 
 
 class TestSharedTrace:
-    def test_trace_reproduces_own_draw(self):
+    def test_trace_reproduces_own_draw(self, monkeypatch):
+        import schedsim.engine as engine
+
         cfg = small_config(policy="dpfa")
-        a, b = run(cfg), run(cfg, trace=channel_trace(cfg))
+        a = run(cfg)
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 4 * 500)  # the whole trace in one block, one draw
+        b = run(cfg)
         assert np.array_equal(a.decisions, b.decisions)
         assert np.array_equal(a.metrics.per_user_bits, b.metrics.per_user_bits)
 
@@ -219,21 +219,9 @@ class TestSharedTrace:
         ],
     )
     def test_mismatched_trace_rejected(self, field, value):
-        trace = channel_trace(small_config())
-        with pytest.raises(ConfigError, match="trace was drawn for %s" % field):
-            run(small_config(**{field: value}), trace=trace)
-
-    def test_caller_links_trace_matches_no_config(self):
-        links = [UserLink(k, 300.0 + 100.0 * k, 0.0) for k in range(4)]
-        trace = channel_trace(small_config(), links)
-        with pytest.raises(ConfigError, match="placement"):
-            run(small_config(), trace=trace)
-
-    def test_links_and_trace_together_rejected(self):
-        cfg = small_config()
-        links = [UserLink(k, 500.0, 0.0) for k in range(4)]
-        with pytest.raises(ConfigError, match="not both"):
-            run(cfg, links=links, trace=channel_trace(cfg))
+        # a comparison shares one trace, so a config that trace was not drawn for is rejected
+        with pytest.raises(ConfigError, match="compared configs must share '%s'" % field):
+            run_comparison([small_config(), small_config(policy="rr", **{field: value})])
 
     def test_trace_fields_are_frozen(self):
         trace = channel_trace(small_config())

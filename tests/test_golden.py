@@ -2,8 +2,8 @@
 output format that moves one decision or one output byte fails here.
 
 A run draws its trace a block at a time and decides each block as it is
-drawn; the default and variant digests also hold a run over the whole
-trace drawn first by ``channel_trace``.
+drawn; the default and variant digests also hold a run that holds the
+whole trace in one block, drawn by one ``draw_fast_fading`` call.
 
 A decisions digest is the SHA-256 of ``SimResult.decisions`` as
 little-endian int64, so a change of the array's dtype alone does not change
@@ -16,8 +16,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import schedsim.engine as engine
 from schedsim.cli import main, parse_config
-from schedsim.engine import SimConfig, channel_trace, run
+from schedsim.engine import SimConfig, run
 
 DEFAULT_DIGESTS = {
     ("pfa", 0): "0f74a27b4dba8ba1bdeed985576f6cb1432815e679d996e32b7f11fa0973cd9f",
@@ -147,9 +148,10 @@ def test_variant_decisions(policy, overrides, digest):
     [(p, s, d) for (p, s), d in DEFAULT_DIGESTS.items()],
     ids=["%s-seed%d" % key for key in DEFAULT_DIGESTS],
 )
-def test_default_decisions_from_a_held_trace(policy, seed, digest):
+def test_default_decisions_from_a_held_trace(policy, seed, digest, monkeypatch):
     config = SimConfig(policy=policy, seed=seed)
-    assert decisions_digest(run(config, trace=channel_trace(config)).decisions) == digest
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", config.n_users * config.total_slots)  # one whole block
+    assert decisions_digest(run(config).decisions) == digest
 
 
 @pytest.mark.parametrize(
@@ -157,10 +159,11 @@ def test_default_decisions_from_a_held_trace(policy, seed, digest):
     [case[1:] for case in VARIANTS],
     ids=[case[0] for case in VARIANTS],
 )
-def test_variant_decisions_from_a_held_trace(policy, overrides, digest):
+def test_variant_decisions_from_a_held_trace(policy, overrides, digest, monkeypatch):
     config = parse_config("", overrides=["policy=%s" % policy, "seed=%d" % VARIANT_SEED,
                                          "total_slots=%d" % VARIANT_SLOTS, *overrides])
-    assert decisions_digest(run(config, trace=channel_trace(config)).decisions) == digest
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", config.n_users * config.total_slots)  # one whole block
+    assert decisions_digest(run(config).decisions) == digest
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,23 @@
-"""The two block sources: a run that draws its trace a block at a time and
-decides each block as it is drawn, and a run over a trace drawn whole by
-``channel_trace``.  Both give the same results and the same errors, and the
-streamed run holds one block, not the trace.  So does a comparison, which
-decides each block for every policy before it draws the next: it gives what
-a run per policy over the trace drawn whole gives.
+"""One trace path, checked before the draw.  A run draws its trace a block
+at a time and decides each block as it is drawn: at one slot a block, or
+with the whole trace in one block (one ``draw_fast_fading`` call, the
+trace ``channel_trace`` holds), it gives the same results and the same
+errors bit for bit, and it holds one block, not the trace.  So does a
+comparison, which decides each block for every policy before it draws the
+next: it gives what a run per policy gives.  A config whose SNRs, rates or
+bits could leave the float range fails before the first draw, with the
+same message for every seed.
 """
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import schedsim.engine as engine
 from schedsim.channel import ChannelParams, UserLink, draw_fast_fading, snr
 from schedsim.cli import parse_config
 from schedsim.engine import BLOCK_ELEMENTS, SimConfig, channel_trace, comparison_configs, run, run_comparison
@@ -20,26 +25,28 @@ from schedsim.errors import ConfigError
 from schedsim.sched import POLICIES, DpfaParams, VpfaParams
 
 
-def held_run(config, links=None):
-    """``run`` over the whole trace drawn first.  A trace drawn for caller
-    links matches no config's placement, so it is relabelled with the config's."""
-    trace = channel_trace(config, links)
-    if links is not None:
-        trace = dataclasses.replace(trace, placement=config.placement)
-    return run(config, trace=trace)
-
-
-def held_comparison(configs):
-    """A comparison as a run per config over the trace drawn whole for the first."""
-    trace = channel_trace(configs[0])
-    return {cfg.policy: run(cfg, trace=trace) for cfg in configs}
-
-
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except ValueError as exc:  # ConfigError included
         return type(exc), str(exc)
+
+
+def at_block_size(elements, fn, *args, **kwargs):
+    """``fn``'s outcome with blocks of at most ``elements`` (slot, user) elements."""
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", elements):
+        return outcome(fn, *args, **kwargs)
+
+
+def block_sizes(cfg):
+    """The whole trace in one block and, where the trace is short, one slot a block."""
+    whole = max(1, int(cfg.n_users * cfg.total_slots))
+    return [whole, 1] if cfg.total_slots <= 300 else [whole]
+
+
+def serial_runs(configs):
+    """A comparison as a run per config, in config order."""
+    return {cfg.policy: run(cfg) for cfg in configs}
 
 
 def assert_same_result(a, b):
@@ -52,6 +59,18 @@ def assert_same_result(a, b):
     for x, y in ((a.vpfa_warmup_bits, b.vpfa_warmup_bits), (a.vpfa_variance_counts, b.vpfa_variance_counts)):
         assert (x is None and y is None) or x.tobytes() == y.tobytes()
     assert a.links == b.links
+
+
+def assert_same_outcome(a, b):
+    """Both raised the same error, or gave the same run, or the same runs in the same order."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        assert a == b
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for policy in a:
+            assert_same_result(a[policy], b[policy])
+    else:
+        assert_same_result(a, b)
 
 
 @pytest.mark.parametrize("n_users", [1, 10, 1000])
@@ -81,7 +100,7 @@ def test_a_trace_of_many_blocks_matches_the_whole_draw(fading):
 def stream_cases(draw):
     n = draw(st.integers(1, 40))
     rows = BLOCK_ELEMENTS // n
-    total = draw(st.integers(1, min(3 * rows, 3000)))
+    total = draw(st.integers(1, 300) | st.integers(1, min(3 * rows, 3000)))  # short ones also run a slot a block
     if n >= 12 and draw(st.booleans()):  # more than one block, the last one short
         total = draw(st.integers(rows + 1, min(3 * rows, 3000)).filter(lambda t: t % rows))
     cfg = SimConfig(
@@ -106,21 +125,9 @@ class TestStreamedEqualsHeld:
     @example((SimConfig(n_users=BLOCK_ELEMENTS + 1, total_slots=2, policy="dpfa"), None))
     def test_every_policy_gives_the_same_run(self, case):
         cfg, links = case
-        streamed, held = outcome(run, cfg, links=links), outcome(held_run, cfg, links)
-        if isinstance(streamed, tuple) or isinstance(held, tuple):
-            assert streamed == held
-        else:
-            assert_same_result(streamed, held)
-
-
-def assert_same_outcome(lockstep, held):
-    """Both comparisons raised the same error, or gave the same runs in the same order."""
-    if isinstance(lockstep, tuple) or isinstance(held, tuple):
-        assert lockstep == held
-    else:
-        assert list(lockstep) == list(held)
-        for policy in held:
-            assert_same_result(lockstep[policy], held[policy])
+        streamed = outcome(run, cfg, links=links)
+        for elements in block_sizes(cfg):
+            assert_same_outcome(streamed, at_block_size(elements, run, cfg, links=links))
 
 
 class TestLockstepEqualsHeld:
@@ -131,10 +138,13 @@ class TestLockstepEqualsHeld:
              POLICIES, len(POLICIES))  # one slot a block
     @example((SimConfig(n_users=200, total_slots=600, seed=1, vpfa=VpfaParams(s_fi=7, l_sc=2)), None),
              POLICIES[::-1], len(POLICIES))  # vpfa switches at slot 183, in the second 163-slot block
+    @example((SimConfig(n_users=20, total_slots=300, seed=3, vpfa=VpfaParams(s_fi=7, l_sc=2)), None),
+             POLICIES, len(POLICIES))  # vpfa switches at slot 71, inside the whole trace's one block
     def test_every_policy_gives_the_same_runs(self, case, order, count):
         configs = comparison_configs(case[0], list(order[:count]))
         lockstep = outcome(lambda: run_comparison(configs, reference=configs[0].policy).results)
-        assert_same_outcome(lockstep, outcome(held_comparison, configs))
+        for elements in block_sizes(case[0]):
+            assert_same_outcome(lockstep, at_block_size(elements, serial_runs, configs))
 
 
 def cli_config(*overrides):
@@ -145,7 +155,8 @@ def links_config(specs, **kw):
     return SimConfig(**kw), [UserLink(k, d, s) for k, (d, s) in enumerate(specs)]
 
 
-# the error configs of test_cli and test_engine that reach run: the config, caller links, the trace, the accounting
+# the error configs of test_cli and test_engine that reach run and fail before the first draw:
+# the config, the caller links, the SNR, rate and bits bounds of the link budget, a share's own check
 ERROR_CASES = {
     **{"fading overflows %s" % p: cli_config("policy=" + p, "tx_power_dbm=3090", "shadowing_sigma_db=0",
                                              "total_slots=2000") for p in POLICIES},
@@ -156,18 +167,10 @@ ERROR_CASES = {
     "bits overflow vpfa": cli_config("policy=vpfa", "n_users=1", "slot_duration_s=1e298"),
     "bits overflow at an evaluation": cli_config("n_users=1000", "total_slots=2000", "placement=uniform_ring",
                                                  "slot_duration_s=1e298"),
-    "vpfa zero ledger": cli_config("policy=vpfa", "n_users=3", "total_slots=50", "vpfa_s_fi=1",
-                                   "shadowing_sigma_db=400", "seed=8"),
     "vpfa infinite ledger": cli_config("policy=vpfa", "n_users=1", "slot_duration_s=1e298", "vpfa_l_sc=50"),
     "budget underflows": cli_config("tx_power_dbm=-3300"),
-    "fading underflows": cli_config("tx_power_dbm=-3150", "shadowing_sigma_db=0"),
     "dpfa alpha": cli_config("policy=dpfa", "dpfa_alpha=60"),
-    "zero capacity tx": cli_config("tx_power_dbm=-400"),
-    "zero capacity bandwidth": cli_config("bandwidth_hz=1e300"),
     "budget overflows": cli_config("tx_power_dbm=1e308"),
-    **{"no bits at an evaluation seed %d" % seed: cli_config("policy=rr", "n_users=3", "total_slots=50",
-                                                             "vpfa_s_fi=1", "shadowing_sigma_db=400",
-                                                             "seed=%d" % seed) for seed in (4, 5)},
     "zero slots": (SimConfig(total_slots=0), None),
     "non-integer users": (SimConfig(n_users=2.5), None),
     "link count": (SimConfig(n_users=4, total_slots=500, seed=3), [UserLink(0, 500.0, 0.0)]),
@@ -178,59 +181,94 @@ ERROR_CASES = {
     "shadowing underflows": links_config([(500.0, 0.0), (500.0, -4000.0)], n_users=2, total_slots=10),
     "distance underflows": links_config([(500.0, 0.0), (1e300, 0.0)], n_users=2, total_slots=10),
     "fading overflows a link": links_config([(500.0, 0.0), (500.0, 3070.0)], n_users=2, total_slots=2000),
-    "fading underflows a link": links_config([(500.0, 0.0), (500.0, -3244.0)], n_users=2, total_slots=10),
     "budget overflows at a user": cli_config("tx_power_dbm=4000", "n_users=2", "total_slots=50"),
     "budget overflows with links": links_config([(500.0, 0.0)] * 2, n_users=2, total_slots=50,
                                                 channel=ChannelParams(tx_power_dbm=4000.0)),
     # dpfa_delta's reference link, at 60% of the cell radius, overflows too: the trace's error comes first
     "fading overflows, the reference too": cli_config("n_users=1", "shadowing_sigma_db=0", "tx_power_dbm=3124",
                                                       "total_slots=2000"),
+    # the largest fading gain lifts user 0 past the reference, so without fading only the reference overflows
     "only the reference overflows": cli_config("n_users=1", "shadowing_sigma_db=0", "tx_power_dbm=3122",
-                                               "total_slots=5"),
+                                               "total_slots=5", "fast_fading=false"),
     "config underflows with links": links_config([(500.0, 0.0)] * 2, n_users=2, total_slots=10,
                                                  channel=ChannelParams(tx_power_dbm=-4000.0)),
+}
+
+# the error configs that depend on the draw: every rate, or every rate served by an evaluation, is 0
+DRAW_ERROR_CASES = {
+    "vpfa zero ledger": cli_config("policy=vpfa", "n_users=3", "total_slots=50", "vpfa_s_fi=1",
+                                   "shadowing_sigma_db=400", "seed=8"),
+    # the link-budget SNRs are > 0, below 1e-16, so every rate is 0, and fades take some SNRs to 0
+    "fading underflows": cli_config("tx_power_dbm=-3150", "shadowing_sigma_db=0"),
+    "zero capacity tx": cli_config("tx_power_dbm=-400"),
+    "zero capacity bandwidth": cli_config("bandwidth_hz=1e300"),
+    **{"no bits at an evaluation seed %d" % seed: cli_config("policy=rr", "n_users=3", "total_slots=50",
+                                                             "vpfa_s_fi=1", "shadowing_sigma_db=400",
+                                                             "seed=%d" % seed) for seed in (4, 5)},
+    # each link-budget SNR is 5e-324, and fades take some to 0: every rate is 0.  One such link beside
+    # a served one runs (TestDeepFades)
+    "fading underflows a link": links_config([(500.0, -3244.0)] * 2, n_users=2, total_slots=10),
     "no bits with links": links_config([(500.0, -400.0 if k < 12 else 0.0) for k in range(14)], policy="rr",
                                        n_users=14, total_slots=30, vpfa=VpfaParams(s_fi=1)),
 }
 
-# errors whose winner lies in a later block than the first that fails: 4,096-slot blocks of 8 users
+
+def no_draw(rng, size=None, out=None):
+    raise AssertionError("drew the fading of a config that cannot run")
+
+
+# the configs whose error once hung on a block past the first (4,096-slot blocks of 8 users, 3,276-slot
+# blocks of 10): a later overflow, an earlier deep fade that was an error, the trace's peak.  Each now fails
+# before the draw, with one message for every seed
 LATER_BLOCK_CASES = {
-    # user 0's fading takes its SNR to 0 at slot 9, user 1's past the float range at slot 6713
+    # user 0's fading takes its SNR to 0 at slot 9; user 1's largest fading gain overflows its SNR
     "underflow then overflow": (
         links_config([(500.0, -3244.0), (500.0, 3062.0)] + [(500.0, 0.0)] * 6, n_users=8, total_slots=12000),
-        "SNR overflows a float: user 1's link has shadowing_db 3062, and the fading at slot 6713"
-        " takes its SNR past the float range"),
-    # user 1's rates pass the float range from the first block on, user 0's SNR is 0 at slot 4610
+        "SNR overflows a float: user 1's link has shadowing_db 3062, which takes its SNR at the largest"
+        " fading gain, 44.4339, past the float range"),
+    # user 1's rates pass the float range; user 0's SNR is 0 at slot 4610
     "rate overflow then underflow": (
         links_config([(500.0, -3211.5), (500.0, 50.0)] + [(500.0, 0.0)] * 6, n_users=8, total_slots=12000,
                      channel=ChannelParams(slot_duration_s=1e300)),
-        "SNR underflows to 0: user 0's link has shadowing_db -3211.5, and at slot 4610 its SNR is 0"),
-    # the first 3,276-slot block's peak, 152,195 bits/slot, already overflows; the trace's is at slot 4179
+        "rate overflows a float: bandwidth_hz 1e+07 times slot_duration_s 1e+300 times log2(1 + SNR)"
+        " is past the float range"),
+    # seed 2's trace peaks at slot 4179, in the second block
     "dpfa alpha past the first block": (
         cli_config("policy=dpfa", "dpfa_alpha=60", "seed=2"),
-        "dpfa_alpha 60 raises the peak rate, 157672 bits/slot, past the float range"),
+        "dpfa_alpha 60 raises the largest rate of this link budget past the float range"),
 }
 
 
 class TestSameErrorsBothWays:
-    @pytest.mark.parametrize("case", list(ERROR_CASES.values()), ids=list(ERROR_CASES))
+    @pytest.mark.parametrize("case", [*ERROR_CASES.values(), *DRAW_ERROR_CASES.values()],
+                             ids=[*ERROR_CASES, *DRAW_ERROR_CASES])
     def test_error_configs(self, case):
         cfg, links = case
         streamed = outcome(run, cfg, links=links)
         assert isinstance(streamed, tuple), "ran without an error"
-        assert streamed == outcome(held_run, cfg, links)
+        for elements in block_sizes(cfg):
+            assert at_block_size(elements, run, cfg, links=links) == streamed
+
+    @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")  # seeds 1 and 2 draw one
+    @pytest.mark.parametrize("case", list(ERROR_CASES.values()), ids=list(ERROR_CASES))
+    def test_error_configs_fail_before_the_draw(self, case, monkeypatch):
+        monkeypatch.setattr(engine, "draw_fast_fading", no_draw)
+        cfg, links = case
+        errors = {outcome(run, dataclasses.replace(cfg, seed=seed), links=links) for seed in (0, 1, 2)}
+        assert len(errors) == 1 and isinstance(errors.pop(), tuple)
 
     @pytest.mark.parametrize("case,message", list(LATER_BLOCK_CASES.values()), ids=list(LATER_BLOCK_CASES))
-    def test_the_error_of_a_later_block_wins(self, case, message):
+    def test_the_error_of_a_later_block_wins(self, case, message, monkeypatch):
+        monkeypatch.setattr(engine, "draw_fast_fading", no_draw)
         cfg, links = case
-        streamed = outcome(run, cfg, links=links)
-        assert streamed == outcome(held_run, cfg, links)
-        assert streamed[1] == message
+        errors = {outcome(run, dataclasses.replace(cfg, seed=seed), links=links) for seed in (0, 1, 2)}
+        assert errors == {(ConfigError, message)}
 
 
 # the comparisons of every entry above without caller links, which a comparison does not take
 DRAWN_ERROR_CASES = {name: cfg for name, (cfg, links) in
-                     [*ERROR_CASES.items(), *((name, case) for name, (case, _) in LATER_BLOCK_CASES.items())]
+                     [*ERROR_CASES.items(), *DRAW_ERROR_CASES.items(),
+                      *((name, case) for name, (case, _) in LATER_BLOCK_CASES.items())]
                      if links is None}
 
 
@@ -240,16 +278,46 @@ class TestSameErrorsInLockstep:
     @pytest.mark.parametrize("cfg", list(DRAWN_ERROR_CASES.values()), ids=list(DRAWN_ERROR_CASES))
     def test_error_configs(self, cfg, policies):
         configs = comparison_configs(cfg, list(policies))
-        held = outcome(held_comparison, configs)
-        assert isinstance(held, tuple), "ran without an error"
-        assert outcome(run_comparison, configs, policies[0]) == held
+        lockstep = outcome(run_comparison, configs, policies[0])
+        assert isinstance(lockstep, tuple), "ran without an error"
+        for elements in block_sizes(cfg):
+            assert at_block_size(elements, serial_runs, configs) == lockstep
 
     def test_one_config_names_one_link(self):
         cfg, _ = ERROR_CASES["budget overflows at a user"]
         errors = {outcome(fn) for fn in (lambda: run(cfg), lambda: channel_trace(cfg),
                                          lambda: run_comparison(comparison_configs(cfg, list(POLICIES))))}
-        assert errors == {(ConfigError, "SNR overflows a float: tx_power_dbm 4000 puts the received power"
-                                        " 3965.82 dB above the noise floor")}
+        assert errors == {(ConfigError, "SNR overflows a float: tx_power_dbm 4000 takes user 0's link-budget SNR"
+                                        " past the float range")}
+
+
+class TestDeepFades:
+    def test_a_fading_gain_of_0_gives_rate_0(self, monkeypatch):
+        draw = engine.draw_fast_fading
+
+        def one_deep_fade(rng, size=None, out=None):
+            gains = draw(rng, size=size, out=out)
+            gains[1, 1] = 0.0  # user 1 in slot 2, which round robin serves
+            return gains
+
+        monkeypatch.setattr(engine, "draw_fast_fading", one_deep_fade)
+        cfg = SimConfig(n_users=4, total_slots=500, policy="rr")  # one block, one draw
+        trace = channel_trace(cfg)
+        assert trace.snrs[1, 1] == trace.rates[1, 1] == 0
+        res = run(cfg)
+        assert res.decisions[1] == 1
+        bits = np.zeros(4)
+        np.add.at(bits, res.decisions, trace.rates[np.arange(500), res.decisions])
+        assert bits.tobytes() == res.metrics.per_user_bits.tobytes()
+
+    def test_a_link_whose_fades_reach_snr_0_runs(self):
+        # user 1's link-budget SNR is 5e-324, the least float above 0, and a fade below 1/2 takes it to 0
+        cfg, links = links_config([(500.0, 0.0), (500.0, -3244.0)], n_users=2, total_slots=10)
+        assert 0 in channel_trace(cfg, links).snrs[:, 1]
+        res = run(cfg, links=links)
+        assert res.metrics.per_user_bits[1] == 0 < res.metrics.per_user_bits[0]
+        for elements in block_sizes(cfg):
+            assert_same_outcome(res, at_block_size(elements, run, cfg, links=links))
 
 
 def traced_peak(fn, *args):
