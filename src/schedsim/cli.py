@@ -4,7 +4,9 @@ charts out.
 Subcommands: ``run`` (one policy), ``compare`` (several policies over one
 channel trace, drawn once from the shared seed, plus a summary table),
 ``figures`` (compare plus the four charts).  All outputs are
-byte-deterministic for a given config.
+byte-deterministic for a given config.  Every file is streamed: its writer
+formats and writes at most ``svgplot.CHUNK`` rows or marks at a time, so the
+memory that writing takes does not grow with users x policies.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .channel import ENV_CLASSES, PLACEMENT_MODES
 from .engine import (
@@ -24,7 +28,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .sched import POLICIES, TC_MODES
-from .svgplot import grouped_bar_chart, line_chart
+from .svgplot import CHUNK, grouped_bar_chart, line_chart
 
 OUT_DIR_ENV_VAR = "SCHEDSIM_OUT"
 DEFAULT_OUT_DIR = "out"
@@ -178,33 +182,42 @@ def _num(v) -> str:
     return "%.6g" % v
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, emit) -> Path:
+    """Open ``path`` for writing and call ``emit`` with the open file.  Any
+    ``OSError`` on the way, opening or writing, is one :class:`ConfigError`
+    naming the path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            emit(fh)
     except OSError as exc:
         raise ConfigError("cannot write %s: %s" % (path, exc)) from None
+    return path
 
 
-def _write_all(out_dir: Path, files: dict[str, str]) -> list[Path]:
-    for name, text in files.items():
-        _write(out_dir / name, text)
-    return [out_dir / name for name in files]
+def _csv(header: str, row_format: str, n_rows: int, rows):
+    """An ``emit`` for :func:`_write`: the header line, then one
+    ``row_format`` line per row, ``rows(lo, hi)`` giving rows lo:hi, formatted
+    and written ``CHUNK`` rows at a time."""
+    def emit(fh):
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, CHUNK):
+            fh.write("".join([row_format % row for row in rows(lo, lo + CHUNK)]))
+
+    return emit
 
 
 def _result_csvs(result: SimResult, out_dir: Path) -> list[Path]:
-    rows = ["user_id,distance_m,schedule_count,cumulative_bits"]
+    fi, system = result.fi_series, result.system_series
     # "%.6g" is _num's format, inlined: one % per row
-    rows += ["%d,%.6g,%d,%.6g" % row for row in result.per_user_rows()]
-    fi_rows = ["slot,fi"] + ["%d,%.6g" % sample for sample in result.fi_series]
-    sys_rows = ["slot,cumulative_bits"] + ["%d,%.6g" % sample for sample in result.system_series]
-    return _write_all(out_dir, {
-        "per_user.csv": "\n".join(rows) + "\n",
-        "fi_series.csv": "\n".join(fi_rows) + "\n",
-        "system.csv": "\n".join(sys_rows) + "\n",
-        "config.txt": render_config(result.config),
-    })
+    return [
+        _write(out_dir / "per_user.csv", _csv("user_id,distance_m,schedule_count,cumulative_bits",
+                                              "%d,%.6g,%d,%.6g\n", len(result.links), result.per_user_rows)),
+        _write(out_dir / "fi_series.csv", _csv("slot,fi", "%d,%.6g\n", len(fi), lambda lo, hi: fi[lo:hi])),
+        _write(out_dir / "system.csv",
+               _csv("slot,cumulative_bits", "%d,%.6g\n", len(system), lambda lo, hi: system[lo:hi])),
+        _write(out_dir / "config.txt", lambda fh: fh.write(render_config(result.config))),
+    ]
 
 
 def emit_csv(result_or_comparison, out_dir) -> list[Path]:
@@ -219,7 +232,8 @@ def emit_csv(result_or_comparison, out_dir) -> list[Path]:
     rows = ["policy,fi,system_bits,drop_pct_vs_reference"]
     for row in comp.summary:
         rows.append("%s,%s,%s,%s" % (row.policy, _num(row.fi), _num(row.system_bits), _num(row.drop_pct_vs_reference)))
-    return written + _write_all(out, {"summary.csv": "\n".join(rows) + "\n"})
+    text = "\n".join(rows) + "\n"
+    return written + [_write(out / "summary.csv", lambda fh: fh.write(text))]
 
 
 def _check_figure_policies(n_policies: int) -> None:
@@ -229,27 +243,29 @@ def _check_figure_policies(n_policies: int) -> None:
 
 def emit_figures(comp: ComparisonResult, out_dir) -> list[Path]:
     """Four SVG charts: per-user schedule counts and throughput (grouped
-    bars), system throughput and fairness index over time (lines)."""
+    bars), system throughput and fairness index over time (lines).  Each
+    chart is written straight into its file from the results' own arrays
+    and series."""
     _check_figure_policies(len(comp.results))
     out = Path(out_dir)
-    any_result = next(iter(comp.results.values()))
-    users = [str(link.user_id) for link in any_result.links]
+    results = comp.results
+    links = next(iter(results.values())).links
+    users = np.fromiter((link.user_id for link in links), dtype=np.int64, count=len(links))
+    counts = {p: r.metrics.schedule_counts for p, r in results.items()}
+    bits = {p: r.metrics.per_user_bits for p, r in results.items()}
+    system = {p: r.system_series for p, r in results.items()}
+    fi = {p: r.fi_series for p, r in results.items()}
 
-    counts = {p: r.metrics.schedule_counts.tolist() for p, r in comp.results.items()}
-    bits = {p: r.metrics.per_user_bits.tolist() for p, r in comp.results.items()}
-    system = {p: [(float(s), float(b)) for s, b in r.system_series] for p, r in comp.results.items()}
-    fi = {p: [(float(s), float(v)) for s, v in r.fi_series] for p, r in comp.results.items()}
-
-    return _write_all(out, {
-        "schedule_counts.svg": grouped_bar_chart(
-            "Times each user was scheduled", "user", "slots scheduled", users, counts
-        ),
-        "per_user_throughput.svg": grouped_bar_chart("Cumulative bits per user", "user", "bits", users, bits),
-        "system_throughput.svg": line_chart("System throughput over time", "slot", "cumulative bits", system),
-        "fi.svg": line_chart(
-            "Fairness index over time", "slot", "fairness index", fi, y_range=(0.0, 1.0)
-        ),
-    })
+    return [
+        _write(out / "schedule_counts.svg", lambda fh: grouped_bar_chart(
+            fh, "Times each user was scheduled", "user", "slots scheduled", users, counts)),
+        _write(out / "per_user_throughput.svg", lambda fh: grouped_bar_chart(
+            fh, "Cumulative bits per user", "user", "bits", users, bits)),
+        _write(out / "system_throughput.svg", lambda fh: line_chart(
+            fh, "System throughput over time", "slot", "cumulative bits", system)),
+        _write(out / "fi.svg", lambda fh: line_chart(
+            fh, "Fairness index over time", "slot", "fairness index", fi, y_range=(0.0, 1.0))),
+    ]
 
 
 # ---------------------------------------------------------------------------

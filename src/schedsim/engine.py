@@ -99,10 +99,12 @@ class SimResult:
     vpfa_warmup_bits: np.ndarray | None = None      # per-user bits at the switch
     vpfa_variance_counts: np.ndarray | None = None  # schedule counts after it
 
-    def per_user_rows(self):
-        """(user_id, distance_m, schedule_count, cumulative_bits) per user."""
-        counts, bits = self.metrics.schedule_counts, self.metrics.per_user_bits
-        return [(l.user_id, l.distance_m, int(counts[k]), float(bits[k])) for k, l in enumerate(self.links)]
+    def per_user_rows(self, start: int = 0, stop: int | None = None):
+        """(user_id, distance_m, schedule_count, cumulative_bits) per user,
+        for users ``start:stop`` (all by default)."""
+        counts = self.metrics.schedule_counts[start:stop].tolist()
+        bits = self.metrics.per_user_bits[start:stop].tolist()
+        return [(l.user_id, l.distance_m, c, b) for l, c, b in zip(self.links[start:stop], counts, bits)]
 
 
 TRACE_FIELDS = ("channel", "n_users", "placement", "seed", "total_slots")
@@ -308,7 +310,9 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     run per config: the first config's check and the links' and the trace
     bound's, all before the first draw, are raised; a config's own, from its
     check, its ``dpfa_delta``, its ``dpfa_alpha`` or its steps, stops its
-    deciding and waits in its share for :func:`run`.
+    deciding and waits in its share for :func:`run`.  When the first
+    config's own error comes before the first draw, nothing is drawn: a
+    run and a comparison raise that error before any other.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
@@ -330,7 +334,7 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
             share.scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
         except ConfigError as exc:
             share.error = exc
-    if all(share.error for share in shares):  # nothing left to decide the trace for
+    if shares[0].error:  # raised first, so no share will be read
         return shares
     for start, snrs, rates in _trace_blocks(first, rng, base):
         for share in shares:

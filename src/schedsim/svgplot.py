@@ -3,6 +3,10 @@
 Hand-rolled on purpose: byte-identical output for identical inputs is part
 of the reporting contract, so no plotting library with embedded ids, dates
 or font state is used.
+
+Each chart writes itself into an open text file, formatting and writing at
+most ``CHUNK`` marks (bars, category labels, polyline points) at a time, so
+its memory does not grow with the number of users or points it draws.
 """
 from __future__ import annotations
 
@@ -15,6 +19,9 @@ MARGIN_LEFT = 80
 MARGIN_RIGHT = 24
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 56
+
+# marks (or rows, for the CLI's CSV tables) formatted and written at a time
+CHUNK = 256
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -101,24 +108,39 @@ def _y_axis_ticks(y_lo: float, y_hi: float, to_y) -> list[str]:
     return parts
 
 
+def _put(fh, parts: list[str]) -> None:
+    fh.write("\n".join(parts) + "\n")
+
+
+def _chunks(values):
+    """(offset, slice) for consecutive ``CHUNK``-long slices of a list or 1-D
+    array, each slice a list of Python values."""
+    for lo in range(0, len(values), CHUNK):
+        part = values[lo:lo + CHUNK]
+        yield lo, part.tolist() if hasattr(part, "tolist") else part
+
+
 def line_chart(
+    fh,
     title: str,
     xlabel: str,
     ylabel: str,
     series: dict[str, list[tuple[float, float]]],
     y_range: tuple[float, float] | None = None,
-) -> str:
-    """Multi-series line chart; ``series`` maps legend name to (x, y) points."""
-    xs = [p[0] for pts in series.values() for p in pts]
-    ys = [p[1] for pts in series.values() for p in pts]
-    x_lo, x_hi = min(xs), max(xs)
+) -> None:
+    """Write a multi-series line chart into the text file ``fh``; ``series``
+    maps legend name to a list of (x, y) points."""
+    x_lo = min(x for pts in series.values() for x, _ in pts)
+    x_hi = max(x for pts in series.values() for x, _ in pts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_range is not None:
         y_lo, y_hi = y_range
     else:
-        y_lo = min(0.0, min(ys))
-        y_hi = max(ys) * 1.05 if max(ys) > 0 else 1.0
+        y_min = min(y for pts in series.values() for _, y in pts)
+        y_max = max(y for pts in series.values() for _, y in pts)
+        y_lo = min(0.0, y_min)
+        y_hi = y_max * 1.05 if y_max > 0 else 1.0
 
     to_y = _y_scale(y_lo, y_hi)
     x_span = x_hi - x_lo
@@ -140,29 +162,31 @@ def line_chart(
             f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle" '
             f'font-size="11" {_FONT}>{t:.6g}</text>'
         )
-    for i, (name, pts) in enumerate(series.items()):
+    _put(fh, parts)
+    for i, pts in enumerate(series.values()):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join("%.2f,%.2f" % (to_x(x), to_y(min(max(y, y_lo), y_hi))) for x, y in pts)
-        parts.append(
-            f'<polyline class="line" fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>'
-        )
-    parts += _legend(list(series))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        fh.write(f'<polyline class="line" fill="none" stroke="{color}" stroke-width="1.5" points="')
+        for lo, chunk in _chunks(pts):
+            fh.write((" " if lo else "")
+                     + " ".join(["%.2f,%.2f" % (to_x(x), to_y(min(max(y, y_lo), y_hi))) for x, y in chunk]))
+        fh.write('"/>\n')
+    _put(fh, _legend(list(series)) + ["</svg>"])
 
 
 def grouped_bar_chart(
+    fh,
     title: str,
     xlabel: str,
     ylabel: str,
-    categories: list[str],
+    categories,
     series: dict[str, list[float]],
-) -> str:
-    """Grouped bars: one group per category, one bar per series within it."""
+) -> None:
+    """Write grouped bars into the text file ``fh``: one group per category,
+    one bar per series within it.  ``categories`` holds the group labels and
+    each series its values, as lists or 1-D arrays of equal length."""
     n_cat = len(categories)
     n_series = len(series)
-    y_hi = max(v for vals in series.values() for v in vals)
+    y_hi = max(max(chunk) for vals in series.values() for _, chunk in _chunks(vals))
     y_hi = y_hi * 1.05 if y_hi > 0 else 1.0
     to_y = _y_scale(0.0, y_hi)
     inner_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -173,19 +197,20 @@ def grouped_bar_chart(
     parts = _header(title)
     parts += _axes(xlabel, ylabel)
     parts += _y_axis_ticks(0.0, y_hi, to_y)
-    for c, label in enumerate(categories):
-        cx = MARGIN_LEFT + group_w * (c + 0.5)
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle" '
-            f'font-size="11" {_FONT}>{escape(label, quote=False)}</text>'
-        )
-    for i, (name, vals) in enumerate(series.items()):
+    _put(fh, parts)
+    label = (f'<text x="%.2f" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle" '
+             f'font-size="11" {_FONT}>%s</text>\n')
+    for lo, chunk in _chunks(categories):
+        fh.write("".join([label % (MARGIN_LEFT + group_w * (c + 0.5), escape(str(name), quote=False))
+                          for c, name in enumerate(chunk, start=lo)]))
+    for i, vals in enumerate(series.values()):
         color = PALETTE[i % len(PALETTE)]
-        for c, v in enumerate(vals):
-            x = MARGIN_LEFT + group_w * c + group_w * 0.1 + bar_w * i
-            y = to_y(v)
-            parts.append('<rect class="bar" x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
-                         % (x, y, bar_w, y_base - y, color))
-    parts += _legend(list(series))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        for lo, chunk in _chunks(vals):
+            rects = []
+            for c, v in enumerate(chunk, start=lo):
+                x = MARGIN_LEFT + group_w * c + group_w * 0.1 + bar_w * i
+                y = to_y(v)
+                rects.append('<rect class="bar" x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>\n'
+                             % (x, y, bar_w, y_base - y, color))
+            fh.write("".join(rects))
+    _put(fh, _legend(list(series)) + ["</svg>"])

@@ -283,6 +283,27 @@ class TestSameErrorsInLockstep:
         for elements in block_sizes(cfg):
             assert at_block_size(elements, serial_runs, configs) == lockstep
 
+    def test_a_first_config_stopped_before_the_draw_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(engine, "draw_fast_fading", no_draw)
+        cfg, _ = cli_config("dpfa_alpha=60")
+        with pytest.raises(ConfigError, match="^dpfa_alpha 60 raises the largest rate"):
+            run_comparison(comparison_configs(cfg, ["dpfa", "pfa"]))
+
+    def test_a_later_config_stopped_before_the_draw_waits_for_it(self, monkeypatch):
+        # pfa, first, could still fail in a later block, and its error would be raised before dpfa's
+        draws = []
+        draw = engine.draw_fast_fading
+
+        def counted_draw(rng, size=None, out=None):
+            draws.append(size)
+            return draw(rng, size=size, out=out)
+
+        monkeypatch.setattr(engine, "draw_fast_fading", counted_draw)
+        cfg, _ = cli_config("dpfa_alpha=60")
+        with pytest.raises(ConfigError, match="^dpfa_alpha 60 raises the largest rate"):
+            run_comparison(comparison_configs(cfg, ["pfa", "dpfa"]))
+        assert draws
+
     def test_one_config_names_one_link(self):
         cfg, _ = ERROR_CASES["budget overflows at a user"]
         errors = {outcome(fn) for fn in (lambda: run(cfg), lambda: channel_trace(cfg),
