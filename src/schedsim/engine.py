@@ -66,10 +66,9 @@ class SimConfig:
                                dpfa_theta=self.dpfa.theta, vpfa_s_fi=self.vpfa.s_fi, vpfa_l_sc=self.vpfa.l_sc).items():
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):  # numpy ints are Integral
                 raise ConfigError("%s must be an integer, got %r" % (key, count))
-        if self.n_users < 1:
-            raise ConfigError("n_users must be >= 1")
-        if self.total_slots < 1:
-            raise ConfigError("total_slots must be >= 1")
+        for key, count in dict(n_users=self.n_users, total_slots=self.total_slots).items():
+            if not 1 <= count <= sys.maxsize:  # numpy sizes no array past sys.maxsize
+                raise ConfigError("%s must be >= 1 and <= %d, got %d" % (key, sys.maxsize, count))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.placement not in PLACEMENT_MODES:
@@ -126,14 +125,15 @@ def resolve_delta(channel: ChannelParams) -> float:
     return snr(channel, ref, 1.0)
 
 
+def copy_config(config: SimConfig, **changes) -> SimConfig:
+    """Copy of the config, with ``changes``, sharing no channel, dpfa or vpfa object with it."""
+    copies = {name: dataclasses.replace(getattr(config, name)) for name in ("channel", "dpfa", "vpfa")}
+    return dataclasses.replace(config, **copies, **changes)
+
+
 def resolved_config(config: SimConfig) -> SimConfig:
     """Copy of the config with every derived default filled in."""
-    out = dataclasses.replace(
-        config,
-        channel=dataclasses.replace(config.channel),
-        dpfa=dataclasses.replace(config.dpfa),
-        vpfa=dataclasses.replace(config.vpfa),
-    )
+    out = copy_config(config)
     if out.dpfa.delta is None:
         out.dpfa.delta = resolve_delta(out.channel)
     return out
@@ -250,13 +250,12 @@ def _link_fault(channel: ChannelParams, k: int, link: UserLink, gain: float) -> 
 class Decided:
     """One config's share of a decide pass, which :func:`run` accounts for."""
 
-    config: SimConfig  # resolved, unless its own error came first
+    config: SimConfig  # resolved
     links: list[UserLink]
     first_nonzero: np.ndarray  # each user's first slot with a nonzero rate: the trace's, shared
     decisions: np.ndarray  # chosen user per slot
     served: np.ndarray  # the rate each decision served
-    scheduler: Scheduler | None = None
-    error: ValueError | None = None  # what stopped it
+    scheduler: Scheduler
 
 
 def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided | None = None) -> SimResult:
@@ -273,8 +272,6 @@ def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided
     """
     if decided is None:
         (decided,) = _decide([config], links)
-    if decided.error is not None:
-        raise decided.error
     cfg, decisions, scheduler = decided.config, decided.decisions, decided.scheduler
     n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
 
@@ -306,45 +303,32 @@ def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided
 def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> list[Decided]:
     """Draw the first config's trace once and decide each block for every
     config in order before the next is drawn.  The first-nonzero vector,
-    which belongs to the trace, is computed once.  Errors come as from a
-    run per config: the first config's check and the links' and the trace
-    bound's, all before the first draw, are raised; a config's own, from its
-    check, its ``dpfa_delta``, its ``dpfa_alpha`` or its steps, stops its
-    deciding and waits in its share for :func:`run`.  When the first
-    config's own error comes before the first draw, nothing is drawn: a
-    run and a comparison raise that error before any other.
+    which belongs to the trace, is computed once.  The first error that
+    comes from a config alone is raised before the first draw: the first
+    config's check, the links' and the trace bounds', then each config's
+    check, ``dpfa_delta`` and ``dpfa_alpha`` in config order.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
-    is rejected before it decides, naming ``dpfa_alpha``.
+    is rejected before the draw, naming ``dpfa_alpha``.
     """
     first = configs[0]
     first.validate()
     rng, links, base, rate_bound = _trace_links(first, links)
     n, total = first.n_users, first.total_slots
     first_nonzero = np.full(n, total)
-    shares = [Decided(c, links, first_nonzero, np.empty(total, dtype=np.int32), np.empty(total)) for c in configs]
-    for share in shares:
-        try:  # after the links' check, so a link budget past the float range is named by its user
-            share.config.validate()
-            share.config = cfg = resolved_config(share.config)
-            if cfg.policy == "dpfa" and not np.power(rate_bound, cfg.dpfa.alpha) < math.inf:
-                raise ConfigError("dpfa_alpha %g raises the largest rate of this link budget past the float range"
-                                  % cfg.dpfa.alpha)
-            share.scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
-        except ConfigError as exc:
-            share.error = exc
-    if shares[0].error:  # raised first, so no share will be read
-        return shares
+    shares = []
+    for config in configs:  # after the links' check, so a link budget past the float range is named by its user
+        config.validate()
+        cfg = resolved_config(config)
+        if cfg.policy == "dpfa" and not np.power(rate_bound, cfg.dpfa.alpha) < math.inf:
+            raise ConfigError("dpfa_alpha %g raises the largest rate of this link budget past the float range"
+                              % cfg.dpfa.alpha)
+        scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
+        shares.append(Decided(cfg, links, first_nonzero, np.empty(total, dtype=np.int32), np.empty(total), scheduler))
     for start, snrs, rates in _trace_blocks(first, rng, base):
         for share in shares:
-            if share.error:  # stopped
-                continue
-            try:
-                chosen = share.scheduler.step(rates, snrs)
-            except ValueError as exc:
-                share.error = exc
-                continue
+            chosen = share.scheduler.step(rates, snrs)
             stop = start + len(chosen)
             share.decisions[start:stop] = chosen
             share.served[start:stop] = rates[np.arange(len(chosen)), chosen]
@@ -403,8 +387,8 @@ class ComparisonResult:
 
 
 def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
-    """One config per policy, sharing everything else with the base."""
-    return [dataclasses.replace(base, policy=p) for p in policies]
+    """One config per policy, equal to the base in everything else and sharing no object with it."""
+    return [copy_config(base, policy=p) for p in policies]
 
 
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
@@ -412,8 +396,9 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
 
     The trace is drawn once from the shared seed, a block at a time; each
     block is decided for every policy in config order, then dropped, and each
-    policy's :func:`run` accounts for its share.  Results and errors are
-    those of a run per policy over ``channel_trace(configs[0])``.
+    policy's :func:`run` accounts for its share.  Results are those of a run
+    per policy over ``channel_trace(configs[0])``, and so are the errors that
+    depend on the draw; any other is raised before the first draw.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.

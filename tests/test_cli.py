@@ -558,6 +558,26 @@ class TestMain:
         assert err == "schedsim: error: figures need a comparison over at least 2 policies\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compare", "figures"])
+    def test_unknown_policy_draws_and_writes_nothing(self, command, tmp_path, capsys, monkeypatch):
+        def no_draw(rng, size, out=None):
+            raise AssertionError("drew the trace before rejecting the policy")
+
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)
+        out = tmp_path / "out"
+        assert main([command, "--policies", "pfa,nope", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error: policy must be one of (") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_users", "total_slots"])
+    def test_count_past_sys_maxsize_is_single_line_error(self, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--set", "%s=%d" % (key, 10**20), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("schedsim: error: %s must be >= 1 and <= %d, got %d\n"
+                                           % (key, sys.maxsize, 10**20))
+        assert not out.exists()
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHEDSIM_OUT", str(tmp_path / "envout"))
         rc = main(["run", "--set", "n_users=2", "--set", "total_slots=20"])

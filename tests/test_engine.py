@@ -226,7 +226,15 @@ class TestSharedTrace:
     def test_trace_fields_are_frozen(self):
         trace = channel_trace(small_config())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            trace.seed = 4
+            trace.rates = np.zeros_like(trace.rates)
+
+    def test_comparison_configs_share_no_object(self):
+        base = small_config()
+        configs = comparison_configs(base, ["pfa", "dpfa", "vpfa"])
+        changed = configs[1]
+        changed.dpfa.alpha, changed.vpfa.s_fi, changed.channel.tx_power_dbm = 2.0, 7, 40.0
+        for cfg in (base, configs[0], configs[2]):
+            assert cfg == dataclasses.replace(small_config(), policy=cfg.policy)
 
     def test_comparison_draws_the_trace_once(self, monkeypatch):
         import schedsim.engine as engine

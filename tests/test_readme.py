@@ -1,0 +1,18 @@
+"""Every python code block in README.md runs as written, so the library
+example keeps step with the API."""
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=["block %d" % k for k in range(len(BLOCKS))])
+def test_readme_block_runs(code):
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})

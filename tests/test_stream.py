@@ -4,7 +4,8 @@ with the whole trace in one block (one ``draw_fast_fading`` call, the
 trace ``channel_trace`` holds), it gives the same results and the same
 errors bit for bit, and it holds one block, not the trace.  So does a
 comparison, which decides each block for every policy before it draws the
-next: it gives what a run per policy gives.  A config whose SNRs, rates or
+next: it gives what a run per policy gives, except that every config's own
+check comes before the first draw.  A config whose SNRs, rates or
 bits could leave the float range fails before the first draw, with the
 same message for every seed.
 """
@@ -283,26 +284,28 @@ class TestSameErrorsInLockstep:
         for elements in block_sizes(cfg):
             assert at_block_size(elements, serial_runs, configs) == lockstep
 
-    def test_a_first_config_stopped_before_the_draw_draws_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("stopped,overrides,message", [
+        ("nope", (), "^policy must be one of"),
+        ("dpfa", ("dpfa_alpha=60",), "^dpfa_alpha 60 raises the largest rate"),
+    ], ids=["unknown_policy", "dpfa_alpha"])
+    def test_a_stopped_config_draws_nothing(self, stopped, overrides, message, position, monkeypatch):
+        # a config stopped by its own check, at any position in the list, stops the comparison before the draw,
+        # though the configs before it could still fail on the draw
         monkeypatch.setattr(engine, "draw_fast_fading", no_draw)
-        cfg, _ = cli_config("dpfa_alpha=60")
-        with pytest.raises(ConfigError, match="^dpfa_alpha 60 raises the largest rate"):
-            run_comparison(comparison_configs(cfg, ["dpfa", "pfa"]))
+        cfg, _ = cli_config(*overrides)
+        policies = ["pfa", "rr"]
+        policies.insert(position, stopped)
+        with pytest.raises(ConfigError, match=message):
+            run_comparison(comparison_configs(cfg, policies))
 
-    def test_a_later_config_stopped_before_the_draw_waits_for_it(self, monkeypatch):
-        # pfa, first, could still fail in a later block, and its error would be raised before dpfa's
-        draws = []
-        draw = engine.draw_fast_fading
-
-        def counted_draw(rng, size=None, out=None):
-            draws.append(size)
-            return draw(rng, size=size, out=out)
-
-        monkeypatch.setattr(engine, "draw_fast_fading", counted_draw)
-        cfg, _ = cli_config("dpfa_alpha=60")
-        with pytest.raises(ConfigError, match="^dpfa_alpha 60 raises the largest rate"):
-            run_comparison(comparison_configs(cfg, ["pfa", "dpfa"]))
-        assert draws
+    def test_a_later_check_beats_an_earlier_draw_error(self):
+        # a run per config would raise rr's error, met on the draw, before the unknown policy's
+        cfg, _ = DRAW_ERROR_CASES["no bits at an evaluation seed 4"]
+        configs = comparison_configs(cfg, ["rr", "nope"])
+        assert outcome(serial_runs, configs)[1].startswith("fairness index undefined at slot 1")
+        with pytest.raises(ConfigError, match="^policy must be one of"):
+            run_comparison(configs, reference="rr")
 
     def test_one_config_names_one_link(self):
         cfg, _ = ERROR_CASES["budget overflows at a user"]
