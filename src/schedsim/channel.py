@@ -150,17 +150,17 @@ def snr(params: ChannelParams, link: UserLink, fading_gain: float = 1.0) -> floa
     """Linear SNR for one user: tx power minus path loss plus shadow, over the noise floor.
 
     ``fading_gain`` is a linear power multiplier (1.0 = no fast fading).
+    An SNR past the float range is inf, and one below it 0: which link
+    budgets run is the trace source's to decide.
     """
     pl = cost231_path_loss(link.distance_m, params)
     rx_dbm = params.tx_power_dbm - pl + link.shadowing_db
     margin_db = rx_dbm - params.noise_dbm()
     try:
-        return 10.0 ** (margin_db / 10.0) * fading_gain
-    except OverflowError:
-        raise ConfigError(
-            "SNR overflows a float: tx_power_dbm %g puts the received power %g dB"
-            " above the noise floor" % (params.tx_power_dbm, margin_db)
-        ) from None
+        budget = 10.0 ** (margin_db / 10.0)
+    except OverflowError:  # a float power raises where numpy's would give inf
+        budget = math.inf
+    return budget * fading_gain
 
 
 def instantaneous_rate(snr_linear, params: ChannelParams, out=None):
@@ -168,9 +168,9 @@ def instantaneous_rate(snr_linear, params: ChannelParams, out=None):
 
     rate = bandwidth * log2(1 + SNR) * slot_duration.  Accepts scalars or
     arrays; strictly increasing in SNR, and 0 at an SNR of 0, as a deep fade
-    gives.  A negative SNR is a ValueError, and a rate past the float range
-    a ConfigError naming the two scale factors.  ``out``, an array of the
-    SNRs' shape, receives the rates in place of a fresh one.
+    gives.  A negative SNR is a ValueError; a rate past the float range is
+    inf, with no warning.  ``out``, an array of the SNRs' shape, receives
+    the rates in place of a fresh one.
     """
     arr = np.asarray(snr_linear, dtype=float)
     # fmin skips nan, so this is np.any(arr < 0) without a bool array of the trace
@@ -178,14 +178,9 @@ def instantaneous_rate(snr_linear, params: ChannelParams, out=None):
         raise ValueError("SNR must be >= 0")
     rate = np.add(arr, 1.0, out=np.empty(arr.shape) if out is None else out)  # one buffer, scaled in place
     np.log2(rate, out=rate)
-    try:
-        with np.errstate(over="raise"):  # the flag costs no pass over the trace
-            rate *= params.bandwidth_hz
-            rate *= params.slot_duration_s
-    except FloatingPointError:
-        raise ConfigError("rate overflows a float: bandwidth_hz %g times slot_duration_s %g times"
-                          " log2(1 + SNR) is past the float range"
-                          % (params.bandwidth_hz, params.slot_duration_s)) from None
+    with np.errstate(over="ignore"):
+        rate *= params.bandwidth_hz
+        rate *= params.slot_duration_s
     return float(rate) if np.isscalar(snr_linear) else rate
 
 

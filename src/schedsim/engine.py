@@ -4,13 +4,15 @@ A run is a pure function of its :class:`SimConfig` (the seed included): user
 placement and shadowing are drawn first, then the per-slot fading, in a
 fixed order from one generator, so the rate trace never depends on the
 policy under test and a comparison draws it once.  Every trace comes from
-one source, which checks the config against the largest fading gain before
-its first draw, then draws and scales the trace in blocks of at most
+one source, which draws and scales it in blocks of at most
 ``BLOCK_ELEMENTS`` (slot, user) elements in stream order.  A run, or a
 comparison of policies, decides each block for every policy as it is drawn
 and then drops it.  Each decided run is accounted for in one pass: it is
 credited once, and its fairness-index series is read off per-user ledger
-rows built a block of evaluations at a time.
+rows built a block of evaluations at a time.  :func:`_trace_links` raises
+every error that follows from the links and the link budget (``channel``
+only computes it) and :func:`_decide` each config's own, before the first
+draw; :func:`run` raises the one that depends on the draw.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .channel import (
     snr,
 )
 from .errors import ConfigError, check_finite
-from .metrics import MetricsLog, highest, ledger_fi, lowest
+from .metrics import MetricsLog, highest, ledger_fi
 from .sched import POLICIES, TC_MODES, DpfaParams, Scheduler, VpfaParams, make_scheduler
 
 # A decided block holds at most this many (slot, user) trace elements, or one slot.
@@ -67,8 +69,8 @@ class SimConfig:
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):  # numpy ints are Integral
                 raise ConfigError("%s must be an integer, got %r" % (key, count))
         for key, count in dict(n_users=self.n_users, total_slots=self.total_slots).items():
-            if not 1 <= count <= sys.maxsize:  # numpy sizes no array past sys.maxsize
-                raise ConfigError("%s must be >= 1 and <= %d, got %d" % (key, sys.maxsize, count))
+            if not 1 <= count <= sys.maxsize // 8:  # numpy sizes no per-slot or per-user float64 array past it
+                raise ConfigError("%s must be >= 1 and <= %d, got %d" % (key, sys.maxsize // 8, count))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.placement not in PLACEMENT_MODES:
@@ -166,8 +168,9 @@ def _trace_links(config: SimConfig, links: list[UserLink] | None):
 
     No fading gain passes ``MAX_FADING_GAIN`` (1 without fast fading), so
     the link budget bounds every SNR, rate and sum of bits of any seed's
-    trace.  A config whose bounds leave the float range fails here, before
-    the first draw, naming the input at fault; the bits are bounded by
+    trace.  It raises, naming the input at fault, on a link out of range, a
+    link-budget SNR of 0, an SNR or rate bound past the float range, a rate
+    bound of 0 (no draw delivers a bit) and bits past the float range, at
     twice the slots times the rate bound, which covers the rounding of sums.
     """
     rng = np.random.default_rng(config.seed)
@@ -184,7 +187,7 @@ def _trace_links(config: SimConfig, links: list[UserLink] | None):
                 raise ConfigError("user %d's link needs a finite distance_m > 0 and a finite shadowing_db,"
                                   " got %r and %r" % (k, link.distance_m, link.shadowing_db))
     gain = MAX_FADING_GAIN if channel.fast_fading_enabled else 1.0
-    base = np.array([_budget_snr(channel, link) for link in links])
+    base = np.array([snr(channel, link) for link in links])
     bound = base * gain
     for k in np.flatnonzero((base == 0) | (bound == math.inf))[:1]:  # the first user out of the range
         fault = caller and _link_fault(channel, k, links[k], gain)
@@ -193,8 +196,15 @@ def _trace_links(config: SimConfig, links: list[UserLink] | None):
             raise ConfigError("SNR underflows to 0: %s link-budget SNR below the float range" % who)
         what = "link-budget SNR" if base[k] == math.inf else "SNR at the largest fading gain, %.6g," % gain
         raise ConfigError("SNR overflows a float: %s %s past the float range" % (who, what))
-    rate_bound = instantaneous_rate(float(bound.max()), channel)  # raises where it passes the float range
-    if rate_bound and config.total_slots > sys.float_info.max / (2.0 * rate_bound):  # int vs float, exact
+    rate_bound = instantaneous_rate(float(bound.max()), channel)
+    if rate_bound == math.inf:
+        raise ConfigError("rate overflows a float: bandwidth_hz %g times slot_duration_s %g times log2(1 + SNR)"
+                          " is past the float range" % (channel.bandwidth_hz, channel.slot_duration_s))
+    if rate_bound == 0:
+        raise ConfigError("no bits were delivered: every rate is 0 under this link budget (tx_power_dbm %g,"
+                          " bandwidth_hz %g, noise_figure_db %g)"
+                          % (channel.tx_power_dbm, channel.bandwidth_hz, channel.noise_figure_db))
+    if config.total_slots > sys.float_info.max / (2.0 * rate_bound):  # int vs float, exact
         raise ConfigError("bits overflow a float: total_slots %d at bandwidth_hz %g and slot_duration_s %g can"
                           " take the cumulative bits past the float range"
                           % (config.total_slots, channel.bandwidth_hz, channel.slot_duration_s))
@@ -225,14 +235,6 @@ def _trace_blocks(config: SimConfig, rng, base):
         yield start, block_snrs, instantaneous_rate(block_snrs, channel, block_rates)
 
 
-def _budget_snr(channel: ChannelParams, link: UserLink) -> float:
-    """A link's SNR with no fast fading, inf where it overflows a float."""
-    try:
-        return snr(channel, link, 1.0)
-    except ConfigError:
-        return math.inf
-
-
 def _link_fault(channel: ChannelParams, k: int, link: UserLink, gain: float) -> str | None:
     """Where caller link ``k``, not the config, takes its SNR at fading
     ``gain`` out of the float range, the field at fault and its value, as
@@ -241,7 +243,7 @@ def _link_fault(channel: ChannelParams, k: int, link: UserLink, gain: float) -> 
     distance where it would be at ``shadowing_db`` 0 and the cell radius."""
     for name, neutral in (("shadowing_db", UserLink(k, link.distance_m, 0.0)),
                           ("distance_m", UserLink(k, channel.cell_radius_m, 0.0))):
-        if 0 < _budget_snr(channel, neutral) * gain < math.inf:
+        if 0 < snr(channel, neutral) * gain < math.inf:
             return "user %d's link has %s %g" % (k, name, getattr(link, name))
     return None
 
@@ -268,22 +270,18 @@ def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided
     the same bit for bit at any ``BLOCK_ELEMENTS``, one slot a block or the
     whole trace in one.  ``decided`` is this config's share of
     :func:`run_comparison`'s pass, already decided, so the run only
-    accounts for it.
+    accounts for it.  The run raises "fairness index undefined at slot s",
+    the one error that depends on the draw; :func:`_decide` raises the rest.
     """
     if decided is None:
         (decided,) = _decide([config], links)
     cfg, decisions, scheduler = decided.config, decided.decisions, decided.scheduler
-    n, total, s_fi = cfg.n_users, cfg.total_slots, cfg.vpfa.s_fi
+    n, s_fi = cfg.n_users, cfg.vpfa.s_fi
 
     # account for the decided run at each FI evaluation: every s_fi slots and the last
     log, stops, system, fi = account(decisions, decided.served, n, s_fi)
     bad = np.flatnonzero(system == 0)
     if bad.size:  # the first evaluation with no bits, as the run would meet it
-        if lowest(decided.first_nonzero) == total:
-            raise ConfigError("no bits were delivered: every rate is 0 under this link budget "
-                              "(tx_power_dbm %g, bandwidth_hz %g, noise_figure_db %g)"
-                              % (cfg.channel.tx_power_dbm, cfg.channel.bandwidth_hz,
-                                 cfg.channel.noise_figure_db))
         stop = stops[bad[0]]
         raise ConfigError("fairness index undefined at slot %d: no bits were delivered yet; "
                           "users with rate 0 in every slot so far: %s"
@@ -305,8 +303,10 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     config in order before the next is drawn.  The first-nonzero vector,
     which belongs to the trace, is computed once.  The first error that
     comes from a config alone is raised before the first draw: the first
-    config's check, the links' and the trace bounds', then each config's
-    check, ``dpfa_delta`` and ``dpfa_alpha`` in config order.
+    config's check, :func:`_trace_links`' checks, then each config's check,
+    ``dpfa_delta`` and ``dpfa_alpha`` in config order.  A default
+    ``dpfa_delta`` past the float range fails every policy, as an inf would
+    not survive the resolved config's round trip through the config file.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
@@ -321,6 +321,10 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     for config in configs:  # after the links' check, so a link budget past the float range is named by its user
         config.validate()
         cfg = resolved_config(config)
+        if cfg.dpfa.delta == math.inf:  # a dpfa_delta the config sets is finite
+            raise ConfigError("SNR overflows a float: tx_power_dbm %g takes the default dpfa_delta, the SNR at %g x"
+                              " cell_radius_m, past the float range"
+                              % (cfg.channel.tx_power_dbm, DELTA_REFERENCE_RADIUS_FRACTION))
         if cfg.policy == "dpfa" and not np.power(rate_bound, cfg.dpfa.alpha) < math.inf:
             raise ConfigError("dpfa_alpha %g raises the largest rate of this link budget past the float range"
                               % cfg.dpfa.alpha)

@@ -164,6 +164,11 @@ class TestSnr:
         b = snr(p, UserLink(1, 650.0, 0.0), 1.0)
         assert a == b
 
+    @pytest.mark.parametrize("tx_power_dbm,expected", [(3200.0, math.inf), (-3300.0, 0.0)])
+    def test_past_the_float_range_is_inf_and_below_it_0(self, tx_power_dbm, expected):
+        # the trace source, not the link math, rejects such a link budget (test_stream)
+        assert snr(default_params(tx_power_dbm=tx_power_dbm), UserLink(0, 500.0, 0.0), 1.0) == expected
+
 
 class TestRate:
     def test_reference_point(self):
@@ -214,9 +219,9 @@ class TestRate:
             assert rates.shape == arr.shape and np.array_equal(rates == 0, arr == 0)
 
     @pytest.mark.parametrize("key,value", [("slot_duration_s", 1e305), ("bandwidth_hz", 1e307)])
-    def test_rate_past_the_float_range_names_both_factors(self, key, value):
-        with pytest.raises(ConfigError, match="rate overflows a float: bandwidth_hz .* times slot_duration_s"):
-            instantaneous_rate(np.array([1.0, 1e9]), default_params(**{key: value}))
+    def test_rate_past_the_float_range_is_inf(self, key, value):
+        # the trace source, not the rate map, rejects such a link budget (test_cli, test_stream)
+        assert instantaneous_rate(np.array([1.0, 1e9]), default_params(**{key: value}))[1] == math.inf
 
     def test_dimension_sanity(self):
         # bits per slot = bandwidth * slot * log2(1 + SNR) on fixed inputs

@@ -21,6 +21,10 @@ from schedsim.metrics import jain_index
 from schedsim.sched import DpfaParams, VpfaParams
 
 
+def no_draw(rng, size=None, out=None):
+    raise AssertionError("drew the fading of a config that cannot run")
+
+
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
         cfg = parse_config("")
@@ -400,17 +404,12 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides,err", [
-        # every ledger vpfa's warm-up evaluates is all zero: the scheduler skips
-        # it, whose index is undefined, and the accounting stops the run
-        (["n_users=3", "total_slots=50", "vpfa_s_fi=1", "shadowing_sigma_db=400", "seed=8"],
-         "no bits were delivered: every rate is 0 under this link budget (tx_power_dbm 46, bandwidth_hz 1e+07,"
-         " noise_figure_db 9)"),
         # the ledger could pass the float range in the warm-up (the switch would
         # come at slot 5001): the bits check refuses the run before the draw
         (["n_users=1", "slot_duration_s=1e298", "vpfa_l_sc=50"],
          "bits overflow a float: total_slots 20000 at bandwidth_hz 1e+07 and slot_duration_s 1e+298 can take"
          " the cumulative bits past the float range"),
-    ], ids=["zero ledger", "infinite ledger"])
+    ], ids=["infinite ledger"])
     def test_vpfa_warmup_leaves_errors_to_the_accounting(self, overrides, err, tmp_path, capsys):
         out = tmp_path / "out"
         args = [arg for item in ["policy=vpfa", *overrides] for arg in ("--set", item)]
@@ -421,12 +420,17 @@ class TestMain:
     @pytest.mark.parametrize("overrides,err", [
         (["tx_power_dbm=-3300"], "SNR underflows to 0: tx_power_dbm -3300 takes user 0's link-budget SNR below the"
                                  " float range"),
-        # every link-budget SNR is > 0 and below 1e-16, so every rate is 0; a fade that takes one to 0 adds nothing
+        # every link-budget SNR is > 0 and below 1e-16, so the rate bound is 0; a fade that takes one to 0 adds nothing
         (["tx_power_dbm=-3150", "shadowing_sigma_db=0"],
          "no bits were delivered: every rate is 0 under this link budget (tx_power_dbm -3150, bandwidth_hz 1e+07,"
          " noise_figure_db 9)"),
-    ], ids=["link budget", "fading"])
-    def test_snr_underflowing_to_zero_is_single_line_error(self, overrides, err, tmp_path, capsys):
+        # seed 8's shadowing takes every link-budget SNR below 1e-16 (seeds 0-7 run)
+        (["policy=vpfa", "n_users=3", "total_slots=50", "vpfa_s_fi=1", "shadowing_sigma_db=400", "seed=8"],
+         "no bits were delivered: every rate is 0 under this link budget (tx_power_dbm 46, bandwidth_hz 1e+07,"
+         " noise_figure_db 9)"),
+    ], ids=["link budget", "fading", "shadowing"])
+    def test_snr_underflowing_to_zero_is_single_line_error(self, overrides, err, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)
         out = tmp_path / "out"
         args = [arg for item in overrides for arg in ("--set", item)]
         assert main(["run", *args, "--out", str(out)]) == 2
@@ -447,7 +451,8 @@ class TestMain:
         assert "policy dpfa" in capsys.readouterr().out
 
     @pytest.mark.parametrize("override", ["tx_power_dbm=-400", "bandwidth_hz=1e300"])
-    def test_zero_capacity_link_budget_is_single_line_error(self, override, tmp_path, capsys):
+    def test_zero_capacity_link_budget_is_single_line_error(self, override, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)  # the rate bound is 0
         out = tmp_path / "out"
         rc = main(["run", "--set", override, "--out", str(out)])
         assert rc == 2
@@ -560,9 +565,6 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["compare", "figures"])
     def test_unknown_policy_draws_and_writes_nothing(self, command, tmp_path, capsys, monkeypatch):
-        def no_draw(rng, size, out=None):
-            raise AssertionError("drew the trace before rejecting the policy")
-
         monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)
         out = tmp_path / "out"
         assert main([command, "--policies", "pfa,nope", "--out", str(out)]) == 2
@@ -571,12 +573,15 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["n_users", "total_slots"])
-    def test_count_past_sys_maxsize_is_single_line_error(self, key, tmp_path, capsys):
+    def test_count_past_sys_maxsize_is_single_line_error(self, key, tmp_path, capsys, monkeypatch):
+        # numpy sizes no float64 array past sys.maxsize // 8 items, and its error for 2**62 names no input
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)
         out = tmp_path / "out"
-        assert main(["run", "--set", "%s=%d" % (key, 10**20), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("schedsim: error: %s must be >= 1 and <= %d, got %d\n"
-                                           % (key, sys.maxsize, 10**20))
-        assert not out.exists()
+        for count in (2**62, 10**20):
+            assert main(["run", "--set", "%s=%d" % (key, count), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("schedsim: error: %s must be >= 1 and <= %d, got %d\n"
+                                               % (key, sys.maxsize // 8, count))
+            assert not out.exists()
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHEDSIM_OUT", str(tmp_path / "envout"))

@@ -312,6 +312,16 @@ class TestResolvedConfig:
 
         assert d == snr(ch, ref, 1.0)
 
+    @pytest.mark.parametrize("policy", ["pfa", "dpfa", "rr"])
+    def test_default_delta_past_the_float_range_fails_every_policy(self, policy):
+        # the caller's link is in range, the reference at 600 m is not; an inf delta would not parse back
+        cfg = SimConfig(n_users=1, total_slots=10, policy=policy, channel=ChannelParams(tx_power_dbm=3125))
+        with pytest.raises(ConfigError, match=r"^SNR overflows a float: tx_power_dbm 3125 takes the default"
+                                              r" dpfa_delta, the SNR at 0\.6 x cell_radius_m, past the float range$"):
+            run(cfg, links=[UserLink(0, 1e9, 0.0)])
+        cfg.dpfa.delta = 1.0
+        assert run(cfg, links=[UserLink(0, 1e9, 0.0)]).config.dpfa.delta == 1.0
+
 
 class TestVpfaPhaseMachine:
     def toy_config(self, s_fi, l_sc, total=60):

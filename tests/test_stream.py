@@ -6,8 +6,8 @@ errors bit for bit, and it holds one block, not the trace.  So does a
 comparison, which decides each block for every policy before it draws the
 next: it gives what a run per policy gives, except that every config's own
 check comes before the first draw.  A config whose SNRs, rates or
-bits could leave the float range fails before the first draw, with the
-same message for every seed.
+bits could leave the float range, or whose rates are all 0, fails before
+the first draw, with the same message for every seed.
 """
 import dataclasses
 import tracemalloc
@@ -157,7 +157,8 @@ def links_config(specs, **kw):
 
 
 # the error configs of test_cli and test_engine that reach run and fail before the first draw:
-# the config, the caller links, the SNR, rate and bits bounds of the link budget, a share's own check
+# the config, the caller links, the SNR, rate and bits bounds of the link budget, a rate bound of 0,
+# a share's own check
 ERROR_CASES = {
     **{"fading overflows %s" % p: cli_config("policy=" + p, "tx_power_dbm=3090", "shadowing_sigma_db=0",
                                              "total_slots=2000") for p in POLICIES},
@@ -193,22 +194,26 @@ ERROR_CASES = {
                                                "total_slots=5", "fast_fading=false"),
     "config underflows with links": links_config([(500.0, 0.0)] * 2, n_users=2, total_slots=10,
                                                  channel=ChannelParams(tx_power_dbm=-4000.0)),
-}
-
-# the error configs that depend on the draw: every rate, or every rate served by an evaluation, is 0
-DRAW_ERROR_CASES = {
-    "vpfa zero ledger": cli_config("policy=vpfa", "n_users=3", "total_slots=50", "vpfa_s_fi=1",
-                                   "shadowing_sigma_db=400", "seed=8"),
-    # the link-budget SNRs are > 0, below 1e-16, so every rate is 0, and fades take some SNRs to 0
+    # the link-budget SNRs are > 0, below 1e-16, so the rate bound is 0, and fades would take some SNRs to 0
     "fading underflows": cli_config("tx_power_dbm=-3150", "shadowing_sigma_db=0"),
     "zero capacity tx": cli_config("tx_power_dbm=-400"),
     "zero capacity bandwidth": cli_config("bandwidth_hz=1e300"),
+    # each link-budget SNR is 5e-324, so the rate bound is 0.  One such link beside a served one runs
+    # (TestDeepFades)
+    "fading underflows a link": links_config([(500.0, -3244.0)] * 2, n_users=2, total_slots=10),
+    # dpfa_delta's reference link, at 60% of the cell radius, overflows, and the caller's link does not
+    "only the reference overflows with links": (
+        SimConfig(n_users=1, total_slots=10, channel=ChannelParams(tx_power_dbm=3125)), [UserLink(0, 1e9, 0.0)]),
+}
+
+# the error configs that depend on the seed's draws: its shadowing takes the rate bound to 0 (seed 8 fails
+# before the fading draw, test_cli; seeds 0-7 run), or every rate served by an evaluation is 0
+DRAW_ERROR_CASES = {
+    "vpfa zero ledger": cli_config("policy=vpfa", "n_users=3", "total_slots=50", "vpfa_s_fi=1",
+                                   "shadowing_sigma_db=400", "seed=8"),
     **{"no bits at an evaluation seed %d" % seed: cli_config("policy=rr", "n_users=3", "total_slots=50",
                                                              "vpfa_s_fi=1", "shadowing_sigma_db=400",
                                                              "seed=%d" % seed) for seed in (4, 5)},
-    # each link-budget SNR is 5e-324, and fades take some to 0: every rate is 0.  One such link beside
-    # a served one runs (TestDeepFades)
-    "fading underflows a link": links_config([(500.0, -3244.0)] * 2, n_users=2, total_slots=10),
     "no bits with links": links_config([(500.0, -400.0 if k < 12 else 0.0) for k in range(14)], policy="rr",
                                        n_users=14, total_slots=30, vpfa=VpfaParams(s_fi=1)),
 }
