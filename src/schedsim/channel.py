@@ -28,7 +28,7 @@ ENV_CLASSES = ("metro", "suburban")
 PLACEMENT_MODES = ("uniform_ring", "equal_spacing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelParams:
     """Link-budget constants for one cell.
 
@@ -191,6 +191,7 @@ def place_users(n: int, radius_m: float, mode: str, rng: np.random.Generator | N
     ``uniform_ring`` draws distances with uniform area density over the disc.
     """
     if mode == "equal_spacing":
-        return radius_m * np.arange(1, n + 1) / n
+        # k counted up in floats: arange sizes its length in floats, which round the largest n past numpy's limit
+        return radius_m * np.ones(n).cumsum() / n
     # 1 - U is uniform on (0, 1], keeping every distance strictly positive.
     return radius_m * np.sqrt(1.0 - rng.random(n))

@@ -11,13 +11,14 @@ memory that writing takes does not grow with users x policies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .channel import ENV_CLASSES, PLACEMENT_MODES
+from .channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from .engine import (
     ComparisonResult,
     SimConfig,
@@ -27,7 +28,7 @@ from .engine import (
     run_comparison,
 )
 from .errors import ConfigError
-from .sched import POLICIES, TC_MODES
+from .sched import POLICIES, TC_MODES, DpfaParams, VpfaParams
 from .svgplot import CHUNK, grouped_bar_chart, line_chart
 
 OUT_DIR_ENV_VAR = "SCHEDSIM_OUT"
@@ -52,15 +53,6 @@ def _parse_enum(options):
         if s not in options:
             raise ValueError("expected one of %s, got %r" % (", ".join(options), s))
         return s
-
-    return parse
-
-
-def _parse_optional_float(sentinel):
-    def parse(s: str):
-        if s == sentinel:
-            return None
-        return float(s)
 
     return parse
 
@@ -97,10 +89,10 @@ CONFIG_KEYS = {
     "tc_mode": ("sim", "tc_mode", _parse_enum(TC_MODES)),
     "tc_slots": ("sim", "tc_slots", float),
     "dpfa_alpha": ("dpfa", "alpha", float),
-    "dpfa_delta": ("dpfa", "delta", _parse_optional_float("auto")),
+    "dpfa_delta": ("dpfa", "delta", float),
     "dpfa_theta": ("dpfa", "theta", int),
     "dpfa_b": _removed("0.5"),
-    "dpfa_beta_override": ("dpfa", "beta_override", _parse_optional_float("none")),
+    "dpfa_beta_override": ("dpfa", "beta_override", float),
     "dpfa_literal_timers": _removed("false"),
     "vpfa_s_fi": ("vpfa", "s_fi", int),
     "vpfa_l_sc": ("vpfa", "l_sc", int),
@@ -109,10 +101,13 @@ CONFIG_KEYS = {
     "vpfa_signed_stability": ("vpfa", "signed_stability", _parse_bool),
 }
 
+# the text that stands for None, for the keys whose value may be None
+NONE_TEXT = {"dpfa_delta": "auto", "dpfa_beta_override": "none"}
+
 
 def _parse_items(text: str, where: str):
-    """Yield (key, parsed_value) from flat key = value lines; '#' comments.
-    A removed key is checked against its fixed value, then skipped."""
+    """Yield (section, attribute, parsed value) from flat key = value lines; '#'
+    comments.  A removed key is checked against its fixed value, then skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,32 +120,29 @@ def _parse_items(text: str, where: str):
             raise ConfigError("%s line %d: unknown key '%s'" % (where, lineno, key))
         section, attr, parse = CONFIG_KEYS[key]
         try:
-            parsed = parse(value)
+            parsed = None if value == NONE_TEXT.get(key) else parse(value)
         except ValueError as exc:
             raise ConfigError("%s line %d: key '%s': %s" % (where, lineno, key, exc)) from None
         if section is not None:
-            yield key, (section, attr, parsed)
+            yield section, attr, parsed
 
 
 def parse_config(text: str, where: str = "config", overrides: list[str] | None = None) -> SimConfig:
     """Build a SimConfig from flat key = value text; unset keys keep defaults.
 
-    ``overrides`` are extra "key=value" strings applied after the file.
+    ``overrides`` are extra "key=value" strings applied after the file.  The
+    values are collected, and the config is built, so checked, once.
     """
-    config = SimConfig()
-    sections = {"channel": config.channel, "sim": config, "dpfa": config.dpfa, "vpfa": config.vpfa}
-    for _, (section, attr, value) in _parse_items(text, where):
-        setattr(sections[section], attr, value)
-    for i, item in enumerate(overrides or (), start=1):
-        for _, (section, attr, value) in _parse_items(item, "--set #%d" % i):
-            setattr(sections[section], attr, value)
-    config.validate()
-    return config
+    values = {"channel": {}, "sim": {}, "dpfa": {}, "vpfa": {}}
+    sources = [(text, where), *((item, "--set #%d" % i) for i, item in enumerate(overrides or (), start=1))]
+    for source, name in sources:
+        for section, attr, value in _parse_items(source, name):
+            values[section][attr] = value
+    return SimConfig(channel=ChannelParams(**values["channel"]), dpfa=DpfaParams(**values["dpfa"]),
+                     vpfa=VpfaParams(**values["vpfa"]), **values["sim"])
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -167,10 +159,7 @@ def render_config(config: SimConfig) -> str:
             lines.append("%s = %s" % (key, attr))
             continue
         value = getattr(sections[section], attr)
-        if key == "dpfa_beta_override" and value is None:
-            lines.append("%s = none" % key)
-        else:
-            lines.append("%s = %s" % (key, _format_value(value)))
+        lines.append("%s = %s" % (key, NONE_TEXT[key] if value is None else _format_value(value)))
     return "\n".join(lines) + "\n"
 
 
@@ -229,11 +218,9 @@ def emit_csv(result_or_comparison, out_dir) -> list[Path]:
     written = []
     for policy, result in comp.results.items():
         written += _result_csvs(result, out / policy)
-    rows = ["policy,fi,system_bits,drop_pct_vs_reference"]
-    for row in comp.summary:
-        rows.append("%s,%s,%s,%s" % (row.policy, _num(row.fi), _num(row.system_bits), _num(row.drop_pct_vs_reference)))
-    text = "\n".join(rows) + "\n"
-    return written + [_write(out / "summary.csv", lambda fh: fh.write(text))]
+    rows = [dataclasses.astuple(row) for row in comp.summary]
+    return written + [_write(out / "summary.csv", _csv("policy,fi,system_bits,drop_pct_vs_reference",
+                                                       "%s,%.6g,%.6g,%.6g\n", len(rows), lambda lo, hi: rows[lo:hi]))]
 
 
 def _check_figure_policies(n_policies: int) -> None:

@@ -9,10 +9,11 @@ one source, which draws and scales it in blocks of at most
 comparison of policies, decides each block for every policy as it is drawn
 and then drops it.  Each decided run is accounted for in one pass: it is
 credited once, and its fairness-index series is read off per-user ledger
-rows built a block of evaluations at a time.  :func:`_trace_links` raises
+rows built a block of evaluations at a time.  A config is a frozen value,
+checked when it is made.  Before the first draw, :func:`_trace_links` raises
 every error that follows from the links and the link budget (``channel``
-only computes it) and :func:`_decide` each config's own, before the first
-draw; :func:`run` raises the one that depends on the draw.
+only computes it) and :func:`_decide` each config's own; :func:`run` raises
+"fairness index undefined at slot s", the only error that depends on the draw.
 """
 from __future__ import annotations
 
@@ -47,9 +48,10 @@ BLOCK_ELEMENTS = 32768
 DELTA_REFERENCE_RADIUS_FRACTION = 0.6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Full description of one experiment; two equal configs give bit-equal results."""
+    """Full description of one experiment; two equal configs give bit-equal results.
+    Frozen, and checked by :meth:`validate` when made, ``dataclasses.replace`` included."""
 
     channel: ChannelParams = field(default_factory=ChannelParams)
     n_users: int = 10
@@ -61,6 +63,9 @@ class SimConfig:
     tc_slots: float = 1000.0
     dpfa: DpfaParams = field(default_factory=DpfaParams)
     vpfa: VpfaParams = field(default_factory=VpfaParams)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         self.channel.validate()
@@ -127,18 +132,17 @@ def resolve_delta(channel: ChannelParams) -> float:
     return snr(channel, ref, 1.0)
 
 
-def copy_config(config: SimConfig, **changes) -> SimConfig:
-    """Copy of the config, with ``changes``, sharing no channel, dpfa or vpfa object with it."""
-    copies = {name: dataclasses.replace(getattr(config, name)) for name in ("channel", "dpfa", "vpfa")}
-    return dataclasses.replace(config, **copies, **changes)
-
-
 def resolved_config(config: SimConfig) -> SimConfig:
-    """Copy of the config with every derived default filled in."""
-    out = copy_config(config)
-    if out.dpfa.delta is None:
-        out.dpfa.delta = resolve_delta(out.channel)
-    return out
+    """The config with every derived default filled in.  A default ``dpfa_delta``
+    outside (0, inf) fails every policy: it would not parse back from ``config.txt``."""
+    if config.dpfa.delta is not None:
+        return config
+    delta = resolve_delta(config.channel)
+    if not 0 < delta < math.inf:
+        what, where = ("overflows a float", "past") if delta else ("underflows to 0", "below")
+        raise ConfigError("SNR %s: tx_power_dbm %g takes the default dpfa_delta, the SNR at %g x cell_radius_m, %s the"
+                          " float range" % (what, config.channel.tx_power_dbm, DELTA_REFERENCE_RADIUS_FRACTION, where))
+    return dataclasses.replace(config, dpfa=dataclasses.replace(config.dpfa, delta=delta))
 
 
 def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> ChannelTrace:
@@ -151,7 +155,6 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
     The config and links are checked as by :func:`run`, and the matrices are
     a run's blocks in slot order, so they hold finite rates >= 0.
     """
-    config.validate()
     rng, links, base, _ = _trace_links(config, links)
     shape = (config.total_slots, len(links))
     snrs, rates = np.empty(shape), np.empty(shape)
@@ -270,8 +273,8 @@ def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided
     the same bit for bit at any ``BLOCK_ELEMENTS``, one slot a block or the
     whole trace in one.  ``decided`` is this config's share of
     :func:`run_comparison`'s pass, already decided, so the run only
-    accounts for it.  The run raises "fairness index undefined at slot s",
-    the one error that depends on the draw; :func:`_decide` raises the rest.
+    accounts for it.  It raises "fairness index undefined at slot s", the only
+    error that depends on the draw; the config raised its own when it was made, and :func:`_decide` the rest.
     """
     if decided is None:
         (decided,) = _decide([config], links)
@@ -301,30 +304,23 @@ def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided
 def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> list[Decided]:
     """Draw the first config's trace once and decide each block for every
     config in order before the next is drawn.  The first-nonzero vector,
-    which belongs to the trace, is computed once.  The first error that
-    comes from a config alone is raised before the first draw: the first
-    config's check, :func:`_trace_links`' checks, then each config's check,
-    ``dpfa_delta`` and ``dpfa_alpha`` in config order.  A default
-    ``dpfa_delta`` past the float range fails every policy, as an inf would
-    not survive the resolved config's round trip through the config file.
+    which belongs to the trace, is computed once.  Each config was checked
+    when it was made; the first error left that comes from the configs and
+    links alone is raised before the first draw: :func:`_trace_links`'
+    checks, then each config's default ``dpfa_delta`` (by
+    :func:`resolved_config`) and ``dpfa_alpha``, in config order.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
     is rejected before the draw, naming ``dpfa_alpha``.
     """
     first = configs[0]
-    first.validate()
     rng, links, base, rate_bound = _trace_links(first, links)
     n, total = first.n_users, first.total_slots
     first_nonzero = np.full(n, total)
     shares = []
     for config in configs:  # after the links' check, so a link budget past the float range is named by its user
-        config.validate()
         cfg = resolved_config(config)
-        if cfg.dpfa.delta == math.inf:  # a dpfa_delta the config sets is finite
-            raise ConfigError("SNR overflows a float: tx_power_dbm %g takes the default dpfa_delta, the SNR at %g x"
-                              " cell_radius_m, past the float range"
-                              % (cfg.channel.tx_power_dbm, DELTA_REFERENCE_RADIUS_FRACTION))
         if cfg.policy == "dpfa" and not np.power(rate_bound, cfg.dpfa.alpha) < math.inf:
             raise ConfigError("dpfa_alpha %g raises the largest rate of this link budget past the float range"
                               % cfg.dpfa.alpha)
@@ -391,8 +387,8 @@ class ComparisonResult:
 
 
 def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
-    """One config per policy, equal to the base in everything else and sharing no object with it."""
-    return [copy_config(base, policy=p) for p in policies]
+    """One config per policy, equal to the base in everything else; an unknown policy fails here."""
+    return [dataclasses.replace(base, policy=p) for p in policies]
 
 
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
@@ -401,8 +397,9 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     The trace is drawn once from the shared seed, a block at a time; each
     block is decided for every policy in config order, then dropped, and each
     policy's :func:`run` accounts for its share.  Results are those of a run
-    per policy over ``channel_trace(configs[0])``, and so are the errors that
-    depend on the draw; any other is raised before the first draw.
+    per policy over ``channel_trace(configs[0])``, and so is the only error
+    that depends on the draw; the configs' own were raised when they were
+    made, and any other is raised before the first draw.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.

@@ -61,7 +61,7 @@ ROW_MAX_USERS_PER_SLOT = 16
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DpfaParams:
     """Knobs for the timer-driven PF variant.
 
@@ -91,7 +91,7 @@ class DpfaParams:
             raise ConfigError("dpfa_theta must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VpfaParams:
     """Phase-machine constants for the variance policy.
 

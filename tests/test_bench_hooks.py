@@ -1,4 +1,5 @@
-"""The benchmark's span hooks still resolve, and every one fires.
+"""The benchmark's span hooks still resolve, and every one fires; its setup
+probes still run.
 
 ``bench/spans.py`` wraps schedsim's public functions by name and silently
 drops the metrics of any hook that no longer resolves.  A refactor that
@@ -23,6 +24,15 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     return importlib.import_module("spans")
+
+
+def test_every_setup_probe_prints_ready(monkeypatch, capsys):
+    # the benchmark times each probe in a fresh interpreter as setup_s; here it runs in-process, so an API
+    # change that breaks a probe fails this test rather than the benchmark
+    monkeypatch.syspath_prepend(str(BENCH))
+    for workload in importlib.import_module("workloads").WORKLOADS:
+        exec(compile(workload.probe_code(0), "<%s probe>" % workload.name, "exec"), {"__name__": "probe"})
+        assert capsys.readouterr().out == "ready\n", workload.name
 
 
 def test_every_hook_resolves_and_fires(spans):

@@ -379,6 +379,7 @@ class TestMain:
         ("pfa", 10, 300),
         ("rr", 10, 500),
         ("vpfa", 1, 1700),
+        ("vpfa", 1, 20000),  # the default slot count: refused before vpfa's warm-up ledger passes the float range
     ])
     def test_bits_past_the_float_range_are_single_line_error(self, policy, users, slots, tmp_path, capsys):
         # each rate is finite, about 1e306 bits, but the bits of a few hundred slots may not be: a run
@@ -400,21 +401,6 @@ class TestMain:
         assert capsys.readouterr().err == ("schedsim: error: bits overflow a float: total_slots 2000 at bandwidth_hz"
                                            " 1e+07 and slot_duration_s 1e+298 can take the cumulative bits past"
                                            " the float range\n")
-        assert not out.exists()
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("overrides,err", [
-        # the ledger could pass the float range in the warm-up (the switch would
-        # come at slot 5001): the bits check refuses the run before the draw
-        (["n_users=1", "slot_duration_s=1e298", "vpfa_l_sc=50"],
-         "bits overflow a float: total_slots 20000 at bandwidth_hz 1e+07 and slot_duration_s 1e+298 can take"
-         " the cumulative bits past the float range"),
-    ], ids=["infinite ledger"])
-    def test_vpfa_warmup_leaves_errors_to_the_accounting(self, overrides, err, tmp_path, capsys):
-        out = tmp_path / "out"
-        args = [arg for item in ["policy=vpfa", *overrides] for arg in ("--set", item)]
-        assert main(["run", *args, "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", "schedsim: error: %s\n" % err)
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides,err", [
@@ -443,6 +429,19 @@ class TestMain:
         assert main(["run", "--set", "policy=dpfa", "--set", "dpfa_alpha=60", "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("schedsim: error: dpfa_alpha 60 raises the largest rate of this link"
                                            " budget past the float range\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_default_dpfa_delta_that_underflows_is_single_line_error(self, tmp_path, capsys, monkeypatch):
+        # seed 108's shadowing lifts the user's SNR into the float range; the default dpfa_delta's reference
+        # link, at 0.6 x cell_radius_m with no shadowing, has an SNR of 0, which dpfa would divide by
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)
+        out = tmp_path / "out"
+        args = [arg for item in ["n_users=1", "tx_power_dbm=-3250", "shadowing_sigma_db=1500", "policy=dpfa",
+                                 "total_slots=20", "seed=108"] for arg in ("--set", item)]
+        assert main(["run", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("schedsim: error: SNR underflows to 0: tx_power_dbm -3250 takes the default"
+                                           " dpfa_delta, the SNR at 0.6 x cell_radius_m, below the float range\n")
         assert not out.exists()
 
     def test_large_finite_dpfa_alpha_still_runs(self, tmp_path, capsys):
@@ -582,6 +581,18 @@ class TestMain:
             assert capsys.readouterr().err == ("schedsim: error: %s must be >= 1 and <= %d, got %d\n"
                                                % (key, sys.maxsize // 8, count))
             assert not out.exists()
+
+    @pytest.mark.parametrize("placement", ["equal_spacing", "uniform_ring"])
+    def test_users_at_the_count_bound_are_out_of_memory(self, placement, tmp_path, capsys, monkeypatch):
+        # the placement's first allocation of sys.maxsize // 8 floats fails at once, before any draw; numpy's
+        # arange would size it in floats, which round the count past its limit, and name no input
+        monkeypatch.setattr("schedsim.engine.draw_fast_fading", no_draw)
+        out = tmp_path / "out"
+        assert main(["run", "--set", "n_users=%d" % (sys.maxsize // 8), "--set", "placement=" + placement,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedsim: error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHEDSIM_OUT", str(tmp_path / "envout"))

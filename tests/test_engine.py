@@ -81,12 +81,10 @@ class TestValidation:
     @pytest.mark.parametrize("key", ["n_users", "total_slots", "seed", "dpfa_theta", "vpfa_s_fi", "vpfa_l_sc"])
     @pytest.mark.parametrize("value", [2.5, 4.0, "4", True])
     def test_non_integer_count_rejected(self, key, value):
-        cfg = small_config()
-        owner, attr = {"dpfa_theta": (cfg.dpfa, "theta"), "vpfa_s_fi": (cfg.vpfa, "s_fi"),
-                       "vpfa_l_sc": (cfg.vpfa, "l_sc")}.get(key, (cfg, key))
-        setattr(owner, attr, value)
+        part = {"dpfa_theta": dict(dpfa=DpfaParams(theta=value)), "vpfa_s_fi": dict(vpfa=VpfaParams(s_fi=value)),
+                "vpfa_l_sc": dict(vpfa=VpfaParams(l_sc=value))}.get(key, {key: value})
         with pytest.raises(ConfigError, match="^%s must be an integer, got " % key):
-            cfg.validate()
+            small_config(**part)
 
     def test_numpy_int_counts_accepted(self):
         cfg = small_config(n_users=np.int64(4), total_slots=np.int32(50), seed=np.uint8(3),
@@ -228,13 +226,20 @@ class TestSharedTrace:
         with pytest.raises(dataclasses.FrozenInstanceError):
             trace.rates = np.zeros_like(trace.rates)
 
-    def test_comparison_configs_share_no_object(self):
+    def test_assigning_a_config_field_raises(self):
+        # compared configs share the base's parts, which no config can change
         base = small_config()
-        configs = comparison_configs(base, ["pfa", "dpfa", "vpfa"])
-        changed = configs[1]
-        changed.dpfa.alpha, changed.vpfa.s_fi, changed.channel.tx_power_dbm = 2.0, 7, 40.0
-        for cfg in (base, configs[0], configs[2]):
-            assert cfg == dataclasses.replace(small_config(), policy=cfg.policy)
+        cfg = comparison_configs(base, ["pfa", "dpfa", "vpfa"])[1]
+        assert (cfg.channel, cfg.dpfa, cfg.vpfa) == (base.channel, base.dpfa, base.vpfa)
+        for owner, attr, value in ((cfg, "policy", "rr"), (cfg.channel, "tx_power_dbm", 40.0),
+                                   (cfg.dpfa, "alpha", 2.0), (cfg.vpfa, "s_fi", 7)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(owner, attr, value)
+        assert base == small_config() and cfg == small_config(policy="dpfa")
+
+    def test_replacing_a_field_checks_the_config(self):
+        with pytest.raises(ConfigError, match=r"^total_slots must be >= 1 and <= \d+, got 0$"):
+            dataclasses.replace(small_config(), total_slots=0)
 
     def test_comparison_draws_the_trace_once(self, monkeypatch):
         import schedsim.engine as engine
@@ -298,8 +303,7 @@ class TestResolvedConfig:
         assert cfg.dpfa.delta is None  # original untouched
 
     def test_explicit_delta_kept(self):
-        cfg = small_config()
-        cfg.dpfa.delta = 7.5
+        cfg = small_config(dpfa=DpfaParams(delta=7.5))
         assert resolved_config(cfg).dpfa.delta == 7.5
 
     def test_delta_reference_point(self):
@@ -319,7 +323,7 @@ class TestResolvedConfig:
         with pytest.raises(ConfigError, match=r"^SNR overflows a float: tx_power_dbm 3125 takes the default"
                                               r" dpfa_delta, the SNR at 0\.6 x cell_radius_m, past the float range$"):
             run(cfg, links=[UserLink(0, 1e9, 0.0)])
-        cfg.dpfa.delta = 1.0
+        cfg = dataclasses.replace(cfg, dpfa=DpfaParams(delta=1.0))
         assert run(cfg, links=[UserLink(0, 1e9, 0.0)]).config.dpfa.delta == 1.0
 
 
@@ -449,8 +453,7 @@ class TestComparison:
 
     def test_mismatched_channel_rejected(self):
         a = small_config(policy="pfa")
-        b = small_config(policy="rr")
-        b.channel = ChannelParams(tx_power_dbm=40.0)
+        b = small_config(policy="rr", channel=ChannelParams(tx_power_dbm=40.0))
         with pytest.raises(ConfigError):
             run_comparison([a, b])
 

@@ -97,6 +97,13 @@ def test_config_file_round_trip(config):
     assert parse_config(render_config(config)) == config
 
 
+@examples
+@given(configs)
+def test_written_config_parses_back_to_the_run(config):
+    resolved = run(config).config  # what config.txt holds: dpfa_delta filled in
+    assert parse_config(render_config(resolved)) == resolved
+
+
 PF_STATE = ("avg_throughput", "center_slots")
 STATE = PF_STATE + ("warmup_bits",)
 

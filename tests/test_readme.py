@@ -21,6 +21,7 @@ FAILING = [
     ["tx_power_dbm=3090", "shadowing_sigma_db=0"],
     ["slot_duration_s=1e305"],
     ["slot_duration_s=1e298"],
+    ["n_users=1", "tx_power_dbm=-3250", "shadowing_sigma_db=1500", "policy=dpfa", "total_slots=20", "seed=108"],
 ]
 
 

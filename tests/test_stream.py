@@ -10,6 +10,7 @@ bits could leave the float range, or whose rates are all 0, fails before
 the first draw, with the same message for every seed.
 """
 import dataclasses
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -40,7 +41,10 @@ def at_block_size(elements, fn, *args, **kwargs):
 
 
 def block_sizes(cfg):
-    """The whole trace in one block and, where the trace is short, one slot a block."""
+    """The whole trace in one block and, where the trace is short, one slot a block.  A config that cannot
+    be made (see :func:`built`) draws no trace, so one size stands for all."""
+    if callable(cfg):
+        return [1]
     whole = max(1, int(cfg.n_users * cfg.total_slots))
     return [whole, 1] if cfg.total_slots <= 300 else [whole]
 
@@ -148,6 +152,12 @@ class TestLockstepEqualsHeld:
             assert_same_outcome(lockstep, at_block_size(elements, serial_runs, configs))
 
 
+def built(cfg, **changes):
+    """The case's config with ``changes``.  A case whose config fails its own check holds the function that
+    makes it, as building it raises."""
+    return cfg(**changes) if callable(cfg) else dataclasses.replace(cfg, **changes)
+
+
 def cli_config(*overrides):
     return parse_config("", overrides=list(overrides)), None
 
@@ -156,9 +166,9 @@ def links_config(specs, **kw):
     return SimConfig(**kw), [UserLink(k, d, s) for k, (d, s) in enumerate(specs)]
 
 
-# the error configs of test_cli and test_engine that reach run and fail before the first draw:
-# the config, the caller links, the SNR, rate and bits bounds of the link budget, a rate bound of 0,
-# a share's own check
+# the error configs of test_cli and test_engine that fail before the first draw: the config's own
+# check (when it is made), the caller links, the SNR, rate and bits bounds of the link budget, a rate
+# bound of 0, a share's own check
 ERROR_CASES = {
     **{"fading overflows %s" % p: cli_config("policy=" + p, "tx_power_dbm=3090", "shadowing_sigma_db=0",
                                              "total_slots=2000") for p in POLICIES},
@@ -173,8 +183,8 @@ ERROR_CASES = {
     "budget underflows": cli_config("tx_power_dbm=-3300"),
     "dpfa alpha": cli_config("policy=dpfa", "dpfa_alpha=60"),
     "budget overflows": cli_config("tx_power_dbm=1e308"),
-    "zero slots": (SimConfig(total_slots=0), None),
-    "non-integer users": (SimConfig(n_users=2.5), None),
+    "zero slots": (functools.partial(SimConfig, total_slots=0), None),
+    "non-integer users": (functools.partial(SimConfig, n_users=2.5), None),
     "link count": (SimConfig(n_users=4, total_slots=500, seed=3), [UserLink(0, 500.0, 0.0)]),
     **{"bad link %r %r" % link: links_config([(500.0, 0.0), link], n_users=2, total_slots=10)
        for link in [(np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0), (-3.0, 0.0), (500.0, np.nan), (500.0, np.inf),
@@ -207,8 +217,11 @@ ERROR_CASES = {
 }
 
 # the error configs that depend on the seed's draws: its shadowing takes the rate bound to 0 (seed 8 fails
-# before the fading draw, test_cli; seeds 0-7 run), or every rate served by an evaluation is 0
+# before the fading draw, test_cli; seeds 0-7 run) or, with the default dpfa_delta's SNR at 0, lifts the
+# user's into the float range (seed 108, test_cli), or every rate served by an evaluation is 0
 DRAW_ERROR_CASES = {
+    "only the reference underflows": cli_config("policy=dpfa", "n_users=1", "tx_power_dbm=-3250",
+                                                "shadowing_sigma_db=1500", "total_slots=20", "seed=108"),
     "vpfa zero ledger": cli_config("policy=vpfa", "n_users=3", "total_slots=50", "vpfa_s_fi=1",
                                    "shadowing_sigma_db=400", "seed=8"),
     **{"no bits at an evaluation seed %d" % seed: cli_config("policy=rr", "n_users=3", "total_slots=50",
@@ -250,17 +263,17 @@ class TestSameErrorsBothWays:
                              ids=[*ERROR_CASES, *DRAW_ERROR_CASES])
     def test_error_configs(self, case):
         cfg, links = case
-        streamed = outcome(run, cfg, links=links)
+        streamed = outcome(lambda: run(built(cfg), links=links))
         assert isinstance(streamed, tuple), "ran without an error"
         for elements in block_sizes(cfg):
-            assert at_block_size(elements, run, cfg, links=links) == streamed
+            assert at_block_size(elements, lambda: run(built(cfg), links=links)) == streamed
 
     @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")  # seeds 1 and 2 draw one
     @pytest.mark.parametrize("case", list(ERROR_CASES.values()), ids=list(ERROR_CASES))
     def test_error_configs_fail_before_the_draw(self, case, monkeypatch):
         monkeypatch.setattr(engine, "draw_fast_fading", no_draw)
         cfg, links = case
-        errors = {outcome(run, dataclasses.replace(cfg, seed=seed), links=links) for seed in (0, 1, 2)}
+        errors = {outcome(lambda: run(built(cfg, seed=seed), links=links)) for seed in (0, 1, 2)}
         assert len(errors) == 1 and isinstance(errors.pop(), tuple)
 
     @pytest.mark.parametrize("case,message", list(LATER_BLOCK_CASES.values()), ids=list(LATER_BLOCK_CASES))
@@ -283,11 +296,11 @@ class TestSameErrorsInLockstep:
     @pytest.mark.parametrize("policies", [POLICIES, POLICIES[::-1], ("vpfa", "rr", "dpfa")], ids="-".join)
     @pytest.mark.parametrize("cfg", list(DRAWN_ERROR_CASES.values()), ids=list(DRAWN_ERROR_CASES))
     def test_error_configs(self, cfg, policies):
-        configs = comparison_configs(cfg, list(policies))
-        lockstep = outcome(run_comparison, configs, policies[0])
+        lockstep = outcome(lambda: run_comparison(comparison_configs(built(cfg), list(policies)), policies[0]))
         assert isinstance(lockstep, tuple), "ran without an error"
         for elements in block_sizes(cfg):
-            assert at_block_size(elements, serial_runs, configs) == lockstep
+            serial = at_block_size(elements, lambda: serial_runs(comparison_configs(built(cfg), list(policies))))
+            assert serial == lockstep
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("stopped,overrides,message", [
@@ -305,12 +318,11 @@ class TestSameErrorsInLockstep:
             run_comparison(comparison_configs(cfg, policies))
 
     def test_a_later_check_beats_an_earlier_draw_error(self):
-        # a run per config would raise rr's error, met on the draw, before the unknown policy's
+        # rr alone fails on the draw; the unknown policy after it fails when its config is made
         cfg, _ = DRAW_ERROR_CASES["no bits at an evaluation seed 4"]
-        configs = comparison_configs(cfg, ["rr", "nope"])
-        assert outcome(serial_runs, configs)[1].startswith("fairness index undefined at slot 1")
+        assert outcome(run, cfg)[1].startswith("fairness index undefined at slot 1")
         with pytest.raises(ConfigError, match="^policy must be one of"):
-            run_comparison(configs, reference="rr")
+            run_comparison(comparison_configs(cfg, ["rr", "nope"]), reference="rr")
 
     def test_one_config_names_one_link(self):
         cfg, _ = ERROR_CASES["budget overflows at a user"]
