@@ -3,13 +3,15 @@
 A run is a pure function of its :class:`SimConfig` (the seed included): user
 placement and shadowing are drawn first, then the per-slot fading, in a
 fixed order from one generator, so the rate trace never depends on the
-policy under test and a comparison draws it once.  Every trace comes from
-one source, which draws and scales it in blocks of at most
-``BLOCK_ELEMENTS`` (slot, user) elements in stream order.  A run, or a
-comparison of policies, decides each block for every policy as it is drawn
-and then drops it.  Each decided run is accounted for in one pass: it is
-credited once, and its fairness-index series is read off per-user ledger
-rows built a block of evaluations at a time.  A config is a frozen value,
+policy under test.  Every trace comes from one source, which draws and
+scales it in blocks of at most ``BLOCK_ELEMENTS`` (slot, user) elements in
+stream order.  A run, or a comparison of policies, decides each block for
+every policy as it is drawn and then drops it.  A comparison splits its
+policies round-robin over one process per usable CPU (``os.fork``); each
+process draws the trace once, from one generator state, so the results are
+bit-identical at any CPU count.  Each decided run is accounted for in one
+pass: it is credited once, and its fairness-index series is read off
+per-user ledger rows built a block of evaluations at a time.  A config is a frozen value,
 checked when it is made.  Before the first draw, :func:`_trace_links` raises
 every error that follows from the links and the link budget (``channel``
 only computes it) and :func:`_decide` each config's own; :func:`run` raises
@@ -20,6 +22,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field
 
@@ -101,9 +106,9 @@ class SimResult:
     metrics: MetricsLog
     fi_series: list                # (slot, fi) samples, 1-indexed slots
     system_series: list            # (slot, cumulative bits)
-    phase_switch_slot: int | None  # first variance-phase slot (vpfa only)
-    vpfa_warmup_bits: np.ndarray | None = None      # per-user bits at the switch
-    vpfa_variance_counts: np.ndarray | None = None  # schedule counts after it
+    phase_switch_slot: int | None  # vpfa's first variance-phase slot; None if the run has none
+    vpfa_warmup_bits: np.ndarray | None = None      # per-user bits at the switch, None as above
+    vpfa_variance_counts: np.ndarray | None = None  # schedule counts after it, None as above
 
     def per_user_rows(self, start: int = 0, stop: int | None = None):
         """(user_id, distance_m, schedule_count, cumulative_bits) per user,
@@ -260,7 +265,7 @@ class Decided:
     first_nonzero: np.ndarray  # each user's first slot with a nonzero rate: the trace's, shared
     decisions: np.ndarray  # chosen user per slot
     served: np.ndarray  # the rate each decision served
-    scheduler: Scheduler
+    scheduler: Scheduler  # its switch_slot and warmup_bits are the run's, in whichever process it decided
 
 
 def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided | None = None) -> SimResult:
@@ -292,23 +297,31 @@ def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided
     fi_series = list(zip(stops, fi.tolist()))
     system_series = list(zip(stops, system.tolist()))
 
-    switch = scheduler.switch_slot
+    switch, warmup_bits = scheduler.switch_slot, scheduler.warmup_bits
+    if switch is not None and switch > cfg.total_slots:  # switched at the last evaluation: no variance phase ran
+        switch = warmup_bits = None
     # bincount copies the slice it counts to intp, and the warm-up is the short side at the defaults
     variance_counts = None if switch is None else log.schedule_counts - np.bincount(decisions[:switch - 1], minlength=n)
     return SimResult(config=cfg, links=decided.links, decisions=decisions, metrics=log, fi_series=fi_series,
                      system_series=system_series, phase_switch_slot=switch,
-                     vpfa_warmup_bits=scheduler.warmup_bits, vpfa_variance_counts=variance_counts)
+                     vpfa_warmup_bits=warmup_bits, vpfa_variance_counts=variance_counts)
 
 
 @np.errstate(over="ignore")  # dpfa's check may raise the rate bound past the float range, to inf
 def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> list[Decided]:
-    """Draw the first config's trace once and decide each block for every
-    config in order before the next is drawn.  The first-nonzero vector,
-    which belongs to the trace, is computed once.  Each config was checked
-    when it was made; the first error left that comes from the configs and
-    links alone is raised before the first draw: :func:`_trace_links`'
-    checks, then each config's default ``dpfa_delta`` (by
-    :func:`resolved_config`) and ``dpfa_alpha``, in config order.
+    """Decide every config over the first config's trace, a block at a time.
+    Each config was checked when it was made; the first error left that
+    comes from the configs and links alone is raised before the first draw:
+    :func:`_trace_links`' checks, then each config's default ``dpfa_delta``
+    (by :func:`resolved_config`) and ``dpfa_alpha``, in config order.
+
+    The shares are then split round-robin into one group per usable CPU, at
+    most one per share.  This process decides the first group and computes
+    the first-nonzero vector, which belongs to the trace; each other group is
+    decided in a forked process, which draws its own copy of the trace from
+    the generator state it inherits, so every process draws the trace once,
+    bit for bit the same, and the results are the same at any CPU count.
+    A single run has one share and forks nothing.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
@@ -326,6 +339,31 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
                               % cfg.dpfa.alpha)
         scheduler = make_scheduler(cfg.policy, n, cfg.dpfa, cfg.vpfa, cfg.tc_mode, cfg.tc_slots)
         shares.append(Decided(cfg, links, first_nonzero, np.empty(total, dtype=np.int32), np.empty(total), scheduler))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    k = min(len(shares), cpus)
+    children = []  # (pid, reader, group)
+    try:
+        for i in range(1, k):
+            children.append(_fork_decide(first, rng, base, shares[i::k]))
+        _decide_blocks(first, rng, base, shares[::k])
+        for _, reader, group in children:
+            _read_decided(reader, group)
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.waitpid(pid, 0)
+    return shares
+
+
+def _decide_blocks(first: SimConfig, rng, base, shares: list[Decided]) -> None:
+    """Draw the trace from ``rng`` and hand each block to every share's
+    scheduler in order before the next is drawn, filling in its decisions,
+    served rates and the trace's first-nonzero vector."""
+    total, first_nonzero = first.total_slots, shares[0].first_nonzero
     for start, snrs, rates in _trace_blocks(first, rng, base):
         for share in shares:
             chosen = share.scheduler.step(rates, snrs)
@@ -336,7 +374,59 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
             nonzero = rates != 0
             new = (first_nonzero == total) & nonzero.any(axis=0)
             first_nonzero[new] = start + nonzero[:, new].argmax(axis=0)
-    return shares
+
+
+def _fork_decide(first: SimConfig, rng, base, group: list[Decided]):
+    """Decide ``group`` in a forked process and return its pid, the reader
+    of its pipe and the group, for :func:`_read_decided`.
+
+    The child sends a pickled header, its error or each share's switch
+    slot, then each share's raw decisions, served rates and any warm-up
+    bits.  It always ends in ``os._exit``, so it runs no exit handler and
+    flushes none of the parent's buffered output."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb"), group
+    try:
+        os.close(r)
+        with open(w, "wb") as out:
+            try:
+                _decide_blocks(first, rng, base, group)
+            except BaseException as exc:
+                pickle.dump(exc, out)  # one that does not pickle ends the child early
+            else:
+                pickle.dump([share.scheduler.switch_slot for share in group], out)
+                for share in group:
+                    out.write(share.decisions)
+                    out.write(share.served)
+                    if share.scheduler.switch_slot is not None:
+                        out.write(share.scheduler.warmup_bits)
+    finally:
+        os._exit(0)
+
+
+def _read_decided(reader, group: list[Decided]) -> None:
+    """Read a child's results for ``group`` straight into its shares'
+    arrays, or raise the child's error, of the same type and message."""
+    ended = ChildProcessError("a decide process for %s ended before it sent its results"
+                              % ", ".join(share.config.policy for share in group))
+    try:
+        header = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        raise ended from None
+    if isinstance(header, BaseException):
+        raise header
+    for share, switch in zip(group, header):
+        arrays = [share.decisions, share.served]
+        if switch is not None:
+            share.scheduler.switch_slot, share.scheduler.warmup_bits = switch, np.empty(share.config.n_users)
+            arrays.append(share.scheduler.warmup_bits)
+        for array in arrays:
+            view = memoryview(array).cast("B")
+            if reader.readinto(view) != len(view):
+                raise ended
 
 
 def account(decisions, served, n_users: int, s_fi: int):
@@ -394,9 +484,12 @@ def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
     """Run several policies over one channel trace and tabulate them.
 
-    The trace is drawn once from the shared seed, a block at a time; each
-    block is decided for every policy in config order, then dropped, and each
-    policy's :func:`run` accounts for its share.  Results are those of a run
+    The policies are decided by :func:`_decide`, round-robin over one
+    process per usable CPU.  Each process draws the trace once from the
+    shared seed's generator state, a block at a time, decides each block for
+    its policies in config order, then drops it; each policy's :func:`run`
+    accounts for its share in this process.  The results are bit-identical at
+    any CPU count (``taskset -c 0`` gives one process).  Results are those of a run
     per policy over ``channel_trace(configs[0])``, and so is the only error
     that depends on the draw; the configs' own were raised when they were
     made, and any other is raised before the first draw.

@@ -6,9 +6,15 @@ drops the metrics of any hook that no longer resolves.  A refactor that
 renames or bypasses ``Scheduler.step``, ``select``, ``MetricsLog.record_slot``,
 ``jain_index`` or ``engine.run`` would leave the benchmark's traced pass
 without its per-layer metrics; this test fails first.
+
+A comparison decides its policies round-robin over one process per usable
+CPU, and the spans of a step taken in a forked process stay in that process.
+So the per-policy spans are asserted with one usable CPU, and the split only
+for what the parent still sees: every result, and its own shares' steps.
 """
 import importlib
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -35,7 +41,8 @@ def test_every_setup_probe_prints_ready(monkeypatch, capsys):
         assert capsys.readouterr().out == "ready\n", workload.name
 
 
-def test_every_hook_resolves_and_fires(spans):
+def test_every_hook_resolves_and_fires(spans, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process, which records every span
     base = SimConfig(n_users=4, total_slots=300, seed=0, vpfa=VpfaParams(s_fi=50))
     with spans.Instrument(timing=True, capture=True) as inst:
         comp = run_comparison(comparison_configs(base, list(POLICIES)))
@@ -49,13 +56,17 @@ def test_every_hook_resolves_and_fires(spans):
 
 @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
 @pytest.mark.parametrize("n_users,total_slots", [(4, 300), (40, 2000), (1000, 70)])
-def test_a_comparison_steps_every_policy_once_a_block(spans, n_users, total_slots):
+def test_a_comparison_steps_every_policy_once_a_block(spans, monkeypatch, n_users, total_slots):
     # the benchmark's decision checks read the captured results, and its per-policy spans the steps
     base = SimConfig(n_users=n_users, total_slots=total_slots, seed=1, vpfa=VpfaParams(s_fi=10))
-    with spans.Instrument(timing=True, capture=True) as inst:
-        comp = run_comparison(comparison_configs(base, list(POLICIES)))
-    assert [r.config.policy for r in inst.results] == list(POLICIES)
-    assert all(comp.results[r.config.policy] is r for r in inst.results)
     blocks = math.ceil(total_slots / max(1, BLOCK_ELEMENTS // n_users))
-    for policy in POLICIES:
-        assert inst.records["sched.step.%s" % policy].calls == blocks, policy
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with spans.Instrument(timing=True, capture=True) as inst:
+            comp = run_comparison(comparison_configs(base, list(POLICIES)))
+        assert [r.config.policy for r in inst.results] == list(POLICIES)
+        assert all(comp.results[r.config.policy] is r for r in inst.results)
+        # with two CPUs, the parent steps every other policy, the first among them, and a child the rest
+        for policy in POLICIES:
+            stepped_here = cpus == 1 or policy in POLICIES[::2]
+            assert inst.records["sched.step.%s" % policy].calls == (blocks if stepped_here else 0), (cpus, policy)

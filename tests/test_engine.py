@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import schedsim.engine as engine
 from schedsim.channel import ChannelParams, UserLink, snr
 from schedsim.engine import (
     SimConfig,
@@ -345,6 +346,17 @@ class TestVpfaPhaseMachine:
         # target at slot 1, so slot 2 is the first variance-phase slot
         res = run(self.toy_config(1, 1), links=self.equal_links())
         assert res.phase_switch_slot == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_switch_at_the_last_evaluation_is_none(self, seed):
+        # the counter reaches l_sc at slot 20,000, the run's last evaluation, so no variance-phase slot follows:
+        # the run reports no switch, as one that never switched, and its decisions are the warm-up's, pfa's
+        cfg = SimConfig(policy="vpfa", seed=seed, vpfa=VpfaParams(s_fi=1000, l_sc=20))
+        (decided,) = engine._decide([cfg])
+        assert decided.scheduler.switch_slot == cfg.total_slots + 1
+        res = run(cfg, decided=decided)
+        assert res.phase_switch_slot is res.vpfa_warmup_bits is res.vpfa_variance_counts is None
+        assert np.array_equal(res.decisions, run(dataclasses.replace(cfg, policy="pfa")).decisions)
 
     def test_switch_slot_matches_independent_replay(self):
         # replay the published control flow over the engine's own FI series

@@ -1,0 +1,154 @@
+"""A comparison decides its policies round-robin over one process per usable
+CPU.  Split over as many processes as it has policies, it gives what one
+process gives, bit for bit, and raises what one process raises; the parent
+raises a child's error with its type and message, reaps every child whether
+the comparison succeeds or fails, and the children flush and run nothing of
+the parent's on exit.  The suite's ``conftest.py`` fails any test that leaves
+a child process behind.
+"""
+import atexit
+import contextlib
+import os
+import time
+import warnings
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import schedsim.engine as engine
+from schedsim.cli import main
+from schedsim.engine import BLOCK_ELEMENTS, SimConfig, comparison_configs, run, run_comparison
+from schedsim.sched import POLICIES, TC_MODES, Scheduler, VpfaParams
+from test_stream import assert_same_outcome, outcome
+
+
+@contextlib.contextmanager
+def cpus(count):
+    """``count`` usable CPUs; yields the pids that ``os.fork`` returns to the parent meanwhile."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))), \
+            mock.patch.object(os, "fork", counted):
+        yield forks
+
+
+@st.composite
+def split_cases(draw):
+    policies = draw(st.lists(st.sampled_from(POLICIES), min_size=1, max_size=len(POLICIES), unique=True))
+    cfg = SimConfig(n_users=draw(st.integers(1, 30)), total_slots=draw(st.integers(1, 400)),
+                    seed=draw(st.integers(0, 50)), placement=draw(st.sampled_from(["equal_spacing", "uniform_ring"])),
+                    tc_mode=draw(st.sampled_from(TC_MODES)),
+                    vpfa=VpfaParams(s_fi=draw(st.integers(1, 60)), l_sc=draw(st.integers(1, 4))))
+    return comparison_configs(cfg, policies), draw(st.sampled_from([1, 64, BLOCK_ELEMENTS]))
+
+
+@pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
+@settings(max_examples=40, deadline=None, database=None)
+@given(split_cases())
+@example((comparison_configs(SimConfig(n_users=20, total_slots=300, seed=3, vpfa=VpfaParams(s_fi=7, l_sc=2)),
+                             ["vpfa", "pfa", "dpfa"]), 64))  # vpfa switches at slot 71, inside the run
+@example((comparison_configs(SimConfig(n_users=3, total_slots=10, vpfa=VpfaParams(s_fi=10, l_sc=1)),
+                             ["pfa", "vpfa"]), 1))  # vpfa switches at slot 11, the run's last evaluation
+@example((comparison_configs(SimConfig(n_users=3, total_slots=10, vpfa=VpfaParams(s_fi=60, l_sc=1)),
+                             list(POLICIES)), BLOCK_ELEMENTS))  # vpfa never evaluates
+def test_a_split_comparison_is_the_one_process_comparison(case):
+    configs, elements = case
+    compare = lambda: run_comparison(configs, reference=configs[0].policy).results  # noqa: E731
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", elements):
+        with cpus(1) as forks:
+            one = outcome(compare)
+        assert forks == []
+        with cpus(len(configs)) as forks:
+            split = outcome(compare)
+        assert len(forks) == len(configs) - 1
+    assert_same_outcome(split, one)
+
+
+def test_a_run_forks_nothing():
+    with cpus(4) as forks:
+        run(SimConfig(total_slots=100))
+    assert forks == []
+
+
+def test_no_more_processes_than_shares_and_no_warning():
+    configs = comparison_configs(SimConfig(total_slots=100), ["pfa", "dpfa", "vpfa"])
+    with cpus(64) as forks, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_comparison(configs)
+    assert len(forks) == 2
+
+
+def boom(self, rates, snrs):
+    raise MemoryError("boom")
+
+
+class TestErrors:
+    # with two CPUs, pfa and vpfa are decided in the parent and dpfa in a child
+    CONFIGS = comparison_configs(SimConfig(total_slots=500), ["pfa", "dpfa", "vpfa"])
+
+    @pytest.mark.parametrize("policy", ["dpfa", "pfa"], ids=["in_the_child", "in_the_parent"])
+    def test_an_error_is_raised_with_its_type_and_message(self, policy, monkeypatch):
+        monkeypatch.setattr(Scheduler, "_choose_" + policy, boom)
+        with cpus(2) as forks, pytest.raises(MemoryError) as info:
+            run_comparison(self.CONFIGS)
+        assert (type(info.value), str(info.value), len(forks)) == (MemoryError, "boom", 1)
+
+    def test_the_cli_prints_a_childs_out_of_memory_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", boom)
+        with cpus(2):
+            assert main(["compare", "--set", "total_slots=500", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "schedsim: error: out of memory: boom\n"
+
+    def test_an_interrupted_parent_kills_its_child(self, monkeypatch):
+        # the child would sleep a minute in dpfa; the parent, interrupted in its first block of pfa, kills it
+        def interrupt(self, rates, snrs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Scheduler, "_choose_pfa", interrupt)
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", lambda self, rates, snrs: time.sleep(60))
+        start = time.monotonic()
+        with cpus(2), pytest.raises(KeyboardInterrupt):
+            run_comparison(self.CONFIGS[:2])
+        assert time.monotonic() - start < 30
+
+    def test_a_child_that_dies_is_named(self, monkeypatch):
+        def die(self, rates, snrs):
+            os._exit(0)
+
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", die)
+        with cpus(2), pytest.raises(ChildProcessError, match="^a decide process for dpfa ended before it sent"):
+            run_comparison(self.CONFIGS)
+
+
+def test_a_child_flushes_and_runs_nothing_of_the_parent_on_exit(tmp_path):
+    ran = tmp_path / "atexit"
+
+    def mark():
+        ran.write_text("ran")
+
+    atexit.register(mark)
+    try:
+        with open(tmp_path / "buffered", "w") as held, cpus(3) as forks:
+            held.write("once")  # still in the parent's buffer when the children fork
+            run_comparison(comparison_configs(SimConfig(total_slots=100), ["pfa", "dpfa", "vpfa"]))
+    finally:
+        atexit.unregister(mark)
+    assert len(forks) == 2
+    assert (tmp_path / "buffered").read_text() == "once" and not ran.exists()
+
+
+def test_a_clamped_distance_warns_once():
+    cfg = SimConfig(n_users=1000, placement="uniform_ring", total_slots=20, seed=2)  # places one user below 20 m
+    with pytest.warns(UserWarning, match="below the 20 m model floor") as single:
+        run(cfg)
+    with cpus(len(POLICIES)), pytest.warns(UserWarning, match="below the 20 m model floor") as split:
+        run_comparison(comparison_configs(cfg, list(POLICIES)))
+    assert len(split) == len(single) >= 1
