@@ -7,9 +7,10 @@ policy under test.  Every trace comes from one source, which draws and
 scales it in blocks of at most ``BLOCK_ELEMENTS`` (slot, user) elements in
 stream order.  A run, or a comparison of policies, decides each block for
 every policy as it is drawn and then drops it.  A comparison splits its
-policies round-robin over one process per usable CPU (``os.fork``); each
-process draws the trace once, from one generator state, so the results are
-bit-identical at any CPU count.  Each decided run is accounted for in one
+policies round-robin over one process per usable CPU (``os.fork``); the
+calling process draws the trace once, into a shared ring of two block
+slots, from which every process decides, so the results are bit-identical
+at any CPU count.  Each decided run is accounted for in one
 pass: it is credited once, and its fairness-index series is read off
 per-user ledger rows built a block of evaluations at a time.  A config is a frozen value,
 checked when it is made.  Before the first draw, :func:`_trace_links` raises
@@ -20,7 +21,9 @@ only computes it) and :func:`_decide` each config's own; :func:`run` raises
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
+import mmap
 import numbers
 import os
 import pickle
@@ -163,7 +166,7 @@ def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> Cha
     rng, links, base, _ = _trace_links(config, links)
     shape = (config.total_slots, len(links))
     snrs, rates = np.empty(shape), np.empty(shape)
-    for start, block_snrs, block_rates in _trace_blocks(config, rng, base):
+    for start, block_snrs, block_rates in _trace_blocks(config, rng, base, _heap_slots(config)):
         snrs[start:start + len(block_snrs)] = block_snrs
         rates[start:start + len(block_rates)] = block_rates
     return ChannelTrace(links, snrs, rates)
@@ -219,28 +222,48 @@ def _trace_links(config: SimConfig, links: list[UserLink] | None):
     return rng, links, base, rate_bound
 
 
-def _trace_blocks(config: SimConfig, rng, base):
-    """The trace's blocks in slot order, as (first slot, SNRs, rates), each of
-    ``max(1, BLOCK_ELEMENTS // n_users)`` slots or the rest.
+def _trace_blocks(config: SimConfig, rng, base, slots):
+    """The trace's blocks in slot order, as (first slot, SNRs, rates): block
+    i is drawn into the leading rows of ``slots[i % len(slots)]``, as by
+    :func:`_slot_blocks`.
 
     Each block's fading is ``draw_fast_fading`` of its shape, which continues
     the generator's stream, so the blocks join to one whole draw bit for bit.
     It is scaled by the link-budget SNRs and mapped to rates, in place, into
-    one block of each, which every block overwrites, so a block is valid
-    until the next is drawn.  :func:`_trace_links` has bounded every SNR and
-    rate, so no block fails a check.
+    the slot's SNR and rate buffers, so a block is valid until its slot is
+    drawn over.  :func:`_trace_links` has bounded every SNR and rate, so no
+    block fails a check.
     """
-    channel, n, total = config.channel, len(base), config.total_slots
-    rows = max(1, BLOCK_ELEMENTS // n)
-    snrs, rates = np.empty((min(rows, total), n)), np.empty((min(rows, total), n))
-    for start in range(0, total, rows):
-        shape = (min(rows, total - start), n)
-        block_snrs, block_rates = snrs[:shape[0]], rates[:shape[0]]
+    channel = config.channel
+    for start, snrs, rates in _slot_blocks(config, slots):
         # the fading is drawn into the block's rates, which hold it until the rates are written over it
-        gains = draw_fast_fading(rng, size=shape, out=block_rates) if channel.fast_fading_enabled else np.ones(shape)
+        shape = rates.shape
+        gains = draw_fast_fading(rng, size=shape, out=rates) if channel.fast_fading_enabled else np.ones(shape)
         with np.errstate(over="raise"):  # asserts the gain bound at no cost of a pass over the block
-            np.multiply(gains, base, out=block_snrs)
-        yield start, block_snrs, instantaneous_rate(block_snrs, channel, block_rates)
+            np.multiply(gains, base, out=snrs)
+        yield start, snrs, instantaneous_rate(snrs, channel, rates)
+
+
+def _block_shape(config: SimConfig) -> tuple[int, int]:
+    """A block buffer's (slots, users): ``max(1, BLOCK_ELEMENTS // n_users)``
+    slots, or the whole trace where it is shorter."""
+    return min(max(1, BLOCK_ELEMENTS // config.n_users), config.total_slots), config.n_users
+
+
+def _heap_slots(config: SimConfig):
+    """One slot of (SNRs, rates) block buffers, which every block overwrites."""
+    shape = _block_shape(config)
+    return [(np.empty(shape), np.empty(shape))]
+
+
+def _slot_blocks(config: SimConfig, slots):
+    """(first slot, SNR buffer, rate buffer) of each of the trace's blocks in
+    slot order, each of a slot's rows or the rest: block i takes the leading
+    rows of ``slots[i % len(slots)]``, an (SNRs, rates) pair of buffers."""
+    total = config.total_slots
+    for i, start in enumerate(range(0, total, len(slots[0][0]))):
+        snrs, rates = slots[i % len(slots)]
+        yield start, snrs[:total - start], rates[:total - start]
 
 
 def _link_fault(channel: ChannelParams, k: int, link: UserLink, gain: float) -> str | None:
@@ -316,12 +339,20 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     (by :func:`resolved_config`) and ``dpfa_alpha``, in config order.
 
     The shares are then split round-robin into one group per usable CPU, at
-    most one per share.  This process decides the first group and computes
-    the first-nonzero vector, which belongs to the trace; each other group is
-    decided in a forked process, which draws its own copy of the trace from
-    the generator state it inherits, so every process draws the trace once,
-    bit for bit the same, and the results are the same at any CPU count.
-    A single run has one share and forks nothing.
+    most one per share.  One group decides from heap block buffers.  More
+    are decided from a ring of two block slots in anonymous shared memory,
+    mapped before the children are forked: this process draws the trace
+    once, block i into slot i % 2, decides the first group and computes the
+    first-nonzero vector, which belongs to the trace; each other group is
+    decided in a forked process, which reads each block from its slot, so
+    the results are the same at any CPU count.  Per block, the parent sends
+    each child one byte down its "go" pipe once the block is drawn, which
+    is before it decides the block before it, and before it draws over a
+    slot it takes each child's one-byte ack of the block there.  The ring
+    costs one block more than the heap buffers, and its pages count once
+    in this process's ``ru_maxrss``; it is unmapped with its last view, as
+    the pass returns or its error is dropped.  A single run has one share,
+    forks nothing and maps no ring.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
@@ -341,30 +372,38 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
         shares.append(Decided(cfg, links, first_nonzero, np.empty(total, dtype=np.int32), np.empty(total), scheduler))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     k = min(len(shares), cpus)
-    children = []  # (pid, reader, group)
+    if k == 1:
+        _decide_blocks(_trace_blocks(first, rng, base, _heap_slots(first)), shares)
+        return shares
+    # two slots of (SNRs, rates) block buffers in anonymous shared memory, which the children inherit
+    shape = _block_shape(first)
+    ring = np.frombuffer(mmap.mmap(-1, 4 * 8 * shape[0] * shape[1])).reshape(2, 2, *shape)
+    children = []
     try:
         for i in range(1, k):
-            children.append(_fork_decide(first, rng, base, shares[i::k]))
-        _decide_blocks(first, rng, base, shares[::k])
-        for _, reader, group in children:
-            _read_decided(reader, group)
+            children.append(_fork_decide(first, ring, shares[i::k], children))
+        _decide_blocks(_fan_out(_trace_blocks(first, rng, base, ring), children), shares[::k])
+        for child in children:
+            child.read_decided()
     except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        for child in children:
+            os.kill(child.pid, signal.SIGKILL)
         raise
     finally:
-        for pid, reader, _ in children:
-            reader.close()
-            os.waitpid(pid, 0)
+        for child in children:
+            child.close()
+            os.waitpid(child.pid, 0)
     return shares
 
 
-def _decide_blocks(first: SimConfig, rng, base, shares: list[Decided]) -> None:
-    """Draw the trace from ``rng`` and hand each block to every share's
-    scheduler in order before the next is drawn, filling in its decisions,
-    served rates and the trace's first-nonzero vector."""
-    total, first_nonzero = first.total_slots, shares[0].first_nonzero
-    for start, snrs, rates in _trace_blocks(first, rng, base):
+def _decide_blocks(blocks, shares: list[Decided]) -> None:
+    """Hand each of ``blocks`` to every share's scheduler in order before
+    taking the next, filling in its decisions, served rates and the trace's
+    first-nonzero vector.  The one decide loop of every process: the blocks
+    are those the trace source draws here, into heap buffers or the ring, or
+    in a child those the parent drew into the ring (:func:`_ring_blocks`)."""
+    total, first_nonzero = shares[0].config.total_slots, shares[0].first_nonzero
+    for start, snrs, rates in blocks:
         for share in shares:
             chosen = share.scheduler.step(rates, snrs)
             stop = start + len(chosen)
@@ -376,24 +415,124 @@ def _decide_blocks(first: SimConfig, rng, base, shares: list[Decided]) -> None:
             first_nonzero[new] = start + nonzero[:, new].argmax(axis=0)
 
 
-def _fork_decide(first: SimConfig, rng, base, group: list[Decided]):
-    """Decide ``group`` in a forked process and return its pid, the reader
-    of its pipe and the group, for :func:`_read_decided`.
+@dataclass(eq=False)
+class _Child:
+    """A forked decide process: the parent's ends of its "go", "ack" and
+    result pipes, and the shares it decides."""
 
-    The child sends a pickled header, its error or each share's switch
-    slot, then each share's raw decisions, served rates and any warm-up
-    bits.  It always ends in ``os._exit``, so it runs no exit handler and
-    flushes none of the parent's buffered output."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb"), group
+    pid: int
+    go: int  # write end: one byte a block, once the block is in its ring slot
+    ack: int  # read end: one byte a block, once the child has decided it
+    results: io.BufferedReader
+    group: list[Decided]
+
+    def send_go(self) -> None:
+        try:
+            os.write(self.go, b"\0")
+        except BrokenPipeError:
+            self.raise_error()
+
+    def take_ack(self) -> None:
+        if not os.read(self.ack, 1):
+            self.raise_error()
+
+    def raise_error(self):
+        """Raise the error of a child that stopped early, with its type and
+        message, or the named ``ChildProcessError`` where it sent none."""
+        self._header()
+        raise self._ended()
+
+    def read_decided(self) -> None:
+        """Read the results straight into the shares' arrays, or raise the
+        child's error, as :meth:`raise_error` does."""
+        for share, switch in zip(self.group, self._header()):
+            arrays = [share.decisions, share.served]
+            if switch is not None:
+                share.scheduler.switch_slot, share.scheduler.warmup_bits = switch, np.empty(share.config.n_users)
+                arrays.append(share.scheduler.warmup_bits)
+            for array in arrays:
+                view = memoryview(array).cast("B")
+                if self.results.readinto(view) != len(view):
+                    raise self._ended()
+
+    def close(self) -> None:
+        os.close(self.go)
+        os.close(self.ack)
+        self.results.close()
+
+    def _header(self):
+        """Each share's switch slot, or raise the child's error."""
+        try:
+            header = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._ended() from None
+        if isinstance(header, BaseException):
+            raise header
+        return header
+
+    def _ended(self) -> ChildProcessError:
+        return ChildProcessError("a decide process for %s ended before it sent its results"
+                                 % ", ".join(share.config.policy for share in self.group))
+
+
+def _fan_out(blocks, children: list[_Child]):
+    """The parent's ``blocks``, each drawn and sent to every child one block
+    ahead of this process: block i + 1 is drawn, and every child has its
+    "go", before this process decides block i.  The ring has two slots, so
+    block i + 2 is drawn over block i's once this process has decided it
+    and every child's ack of it is taken."""
+    held = None
+    for block in blocks:
+        for child in children:
+            child.send_go()
+        if held is not None:
+            yield held
+            for child in children:
+                child.take_ack()
+        held = block
+    if held is not None:
+        yield held
+
+
+def _ring_blocks(first: SimConfig, ring, go: int, ack: int):
+    """A child's blocks: each ring slot's block once the parent's "go" for it
+    comes, acked once decided.  An end of "go" means the parent stopped."""
+    for block in _slot_blocks(first, ring):
+        if not os.read(go, 1):
+            raise EOFError("the parent stopped sending blocks")
+        yield block
+        os.write(ack, b"\0")
+
+
+def _fork_decide(first: SimConfig, ring, group: list[Decided], siblings: list[_Child]) -> _Child:
+    """Decide ``group`` in a forked process, from the blocks the parent
+    draws into ``ring``, and return it as a :class:`_Child`.
+
+    The child closes the pipe ends it inherits from its ``siblings``, so a
+    pipe's ends live in the parent and in its own child only, and each "go"
+    ends with the parent.  Then it sends a pickled header, its error or each
+    share's switch slot, then each share's raw decisions, served rates and
+    any warm-up bits.  It always ends in ``os._exit``, so it runs no exit
+    handler and flushes none of the parent's buffered output."""
+    fds = go_r, go_w, ack_r, ack_w, res_r, res_w = (*os.pipe(), *os.pipe(), *os.pipe())
     try:
-        os.close(r)
-        with open(w, "wb") as out:
+        pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
+    if pid:
+        for fd in (go_r, ack_w, res_w):
+            os.close(fd)
+        return _Child(pid, go_w, ack_r, open(res_r, "rb"), group)
+    try:
+        for fd in (go_w, ack_r, res_r):
+            os.close(fd)
+        for sibling in siblings:
+            sibling.close()
+        with open(res_w, "wb") as out:
             try:
-                _decide_blocks(first, rng, base, group)
+                _decide_blocks(_ring_blocks(first, ring, go_r, ack_w), group)
             except BaseException as exc:
                 pickle.dump(exc, out)  # one that does not pickle ends the child early
             else:
@@ -405,28 +544,6 @@ def _fork_decide(first: SimConfig, rng, base, group: list[Decided]):
                         out.write(share.scheduler.warmup_bits)
     finally:
         os._exit(0)
-
-
-def _read_decided(reader, group: list[Decided]) -> None:
-    """Read a child's results for ``group`` straight into its shares'
-    arrays, or raise the child's error, of the same type and message."""
-    ended = ChildProcessError("a decide process for %s ended before it sent its results"
-                              % ", ".join(share.config.policy for share in group))
-    try:
-        header = pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
-        raise ended from None
-    if isinstance(header, BaseException):
-        raise header
-    for share, switch in zip(group, header):
-        arrays = [share.decisions, share.served]
-        if switch is not None:
-            share.scheduler.switch_slot, share.scheduler.warmup_bits = switch, np.empty(share.config.n_users)
-            arrays.append(share.scheduler.warmup_bits)
-        for array in arrays:
-            view = memoryview(array).cast("B")
-            if reader.readinto(view) != len(view):
-                raise ended
 
 
 def account(decisions, served, n_users: int, s_fi: int):
@@ -485,9 +602,10 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     """Run several policies over one channel trace and tabulate them.
 
     The policies are decided by :func:`_decide`, round-robin over one
-    process per usable CPU.  Each process draws the trace once from the
-    shared seed's generator state, a block at a time, decides each block for
-    its policies in config order, then drops it; each policy's :func:`run`
+    process per usable CPU.  The calling process draws the trace once, a
+    block at a time, into a shared ring of two block slots; each process
+    decides each block for its policies in config order, then drops it, and
+    the slot is drawn over once every process has decided it; each policy's :func:`run`
     accounts for its share in this process.  The results are bit-identical at
     any CPU count (``taskset -c 0`` gives one process).  Results are those of a run
     per policy over ``channel_trace(configs[0])``, and so is the only error

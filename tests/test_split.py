@@ -1,14 +1,20 @@
 """A comparison decides its policies round-robin over one process per usable
 CPU.  Split over as many processes as it has policies, it gives what one
-process gives, bit for bit, and raises what one process raises; the parent
-raises a child's error with its type and message, reaps every child whether
-the comparison succeeds or fails, and the children flush and run nothing of
-the parent's on exit.  The suite's ``conftest.py`` fails any test that leaves
-a child process behind.
+process gives, bit for bit, and raises what one process raises.  The parent
+draws the trace once, into a shared ring of two block slots, and the
+children decide each block from there; the parent raises a child's error
+with its type and message, also after the ring has wrapped, reaps every
+child whether the comparison succeeds or fails, leaves no pipe end or ring
+mapped behind, and the children flush and run nothing of the parent's on
+exit and hold none of their siblings' pipe ends.  The suite's
+``conftest.py`` fails any test that leaves a child process behind.
 """
 import atexit
 import contextlib
+import gc
+import mmap
 import os
+import re
 import time
 import warnings
 from unittest import mock
@@ -72,10 +78,43 @@ def test_a_split_comparison_is_the_one_process_comparison(case):
     assert_same_outcome(split, one)
 
 
+def test_more_processes_than_cores_wrap_the_ring_many_times():
+    # five processes, on a host of fewer cores, hand 1,500 one-slot blocks through the two ring slots
+    configs = comparison_configs(SimConfig(total_slots=1500, vpfa=VpfaParams(s_fi=7)), list(POLICIES))
+    compare = lambda: run_comparison(configs).results  # noqa: E731
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", 1):
+        with cpus(1):
+            one = outcome(compare)
+        start = time.monotonic()
+        with cpus(len(POLICIES)) as forks:
+            split = outcome(compare)
+        assert len(forks) == len(POLICIES) - 1 and time.monotonic() - start < 60
+    assert_same_outcome(split, one)
+
+
 def test_a_run_forks_nothing():
-    with cpus(4) as forks:
+    with cpus(4) as forks, mock.patch.object(mmap, "mmap", side_effect=AssertionError("mapped a ring")):
         run(SimConfig(total_slots=100))
     assert forks == []
+
+
+def test_the_trace_is_drawn_once_a_block_in_the_parent(monkeypatch):
+    # a draw in a child would end it before it sent its results, which the parent names
+    parent, draws, draw = os.getpid(), [], engine.draw_fast_fading
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(0)
+        draws.append(kwargs["size"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "draw_fast_fading", parent_only)
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 640)  # 64 slots a block at 10 users: 8 blocks
+    configs = comparison_configs(SimConfig(total_slots=500), ["pfa", "dpfa", "vpfa"])
+    with cpus(3) as forks:
+        run_comparison(configs)
+    assert len(forks) == 2
+    assert draws == [(64, 10)] * 7 + [(52, 10)]
 
 
 def test_no_more_processes_than_shares_and_no_warning():
@@ -126,6 +165,107 @@ class TestErrors:
         monkeypatch.setattr(Scheduler, "_choose_dpfa", die)
         with cpus(2), pytest.raises(ChildProcessError, match="^a decide process for dpfa ended before it sent"):
             run_comparison(self.CONFIGS)
+
+
+def at_third_block(act):
+    """A ``_choose_<policy>`` that decides its first two blocks and calls ``act`` at its third;
+    each process counts its own calls."""
+    calls = []
+
+    def choose(self, rates, snrs):
+        calls.append(len(rates))
+        if len(calls) == 3:
+            act()
+        return self._pf_loop(rates, rates)
+
+    return choose
+
+
+def boom_now():
+    raise MemoryError("boom")
+
+
+class TestAfterTheRingWraps:
+    # 100 slots a block at 10 users: 5 blocks, the third drawn over the first's ring slot;
+    # with two CPUs pfa and vpfa are decided in the parent and dpfa in a child
+    CONFIGS = comparison_configs(SimConfig(total_slots=500), ["pfa", "dpfa", "vpfa"])
+
+    @pytest.fixture(autouse=True)
+    def five_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 1000)
+
+    def test_a_childs_error_is_raised_with_its_type_and_message(self, monkeypatch):
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", at_third_block(boom_now))
+        with cpus(2) as forks, pytest.raises(MemoryError) as info:
+            run_comparison(self.CONFIGS)
+        assert (type(info.value), str(info.value), len(forks)) == (MemoryError, "boom", 1)
+
+    def test_a_child_that_dies_is_named_and_the_parent_does_not_hang(self, monkeypatch):
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", at_third_block(lambda: os._exit(0)))
+        start = time.monotonic()
+        with cpus(2), pytest.raises(ChildProcessError, match="^a decide process for dpfa ended before it sent"):
+            run_comparison(self.CONFIGS)
+        assert time.monotonic() - start < 30
+
+    def test_a_parent_that_fails_kills_and_reaps_its_waiting_child(self, monkeypatch):
+        monkeypatch.setattr(Scheduler, "_choose_pfa", at_third_block(boom_now))
+        start = time.monotonic()
+        with cpus(2) as forks, pytest.raises(MemoryError, match="^boom$"):
+            run_comparison(self.CONFIGS)
+        assert len(forks) == 1 and time.monotonic() - start < 30
+
+
+def pipes(pid="self"):
+    """The pipes a process holds an end of, by inode."""
+    fds = "/proc/%s/fd" % pid
+    links = []
+    for fd in os.listdir(fds):
+        with contextlib.suppress(FileNotFoundError):  # listdir's own descriptor, closed since
+            links.append(os.readlink(os.path.join(fds, fd)))
+    return {link for link in links if re.fullmatch(r"pipe:\[\d+\]", link)}
+
+
+def ring_mappings():
+    """The shared anonymous mappings of this process, as a ring is mapped."""
+    with open("/proc/self/maps") as maps:
+        return sum(line.rstrip().endswith("/dev/zero (deleted)") for line in maps)
+
+
+class TestNothingLeaks:
+    CONFIGS = comparison_configs(SimConfig(total_slots=500), ["pfa", "dpfa", "vpfa"])
+
+    def test_no_descriptor_or_ring_is_left_behind(self, monkeypatch):
+        gc.collect()  # the rings of errors raised before, which their tracebacks' cycles hold
+        fds, rings = len(os.listdir("/proc/self/fd")), ring_mappings()
+        with cpus(3) as forks:
+            run_comparison(self.CONFIGS)
+        assert (len(os.listdir("/proc/self/fd")), ring_mappings(), len(forks)) == (fds, rings, 2)
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 1000)
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", at_third_block(boom_now))
+        with cpus(3), pytest.raises(MemoryError) as info:
+            run_comparison(self.CONFIGS)
+        del info  # its traceback's frames hold views of the ring, as they would of heap blocks
+        gc.collect()
+        assert (len(os.listdir("/proc/self/fd")), ring_mappings()) == (fds, rings)
+
+    def test_a_child_holds_none_of_its_siblings_pipe_ends(self, monkeypatch):
+        # by the parent's third block it has taken every child's ack of the first, which each
+        # child sends after closing what it inherited; the children wait for the fourth block
+        before, held, choose_pfa = pipes(), {}, Scheduler._choose_pfa
+
+        def look(self, rates, snrs):
+            held.setdefault("parent", []).append(pipes() - before)
+            if len(held["parent"]) == 3:
+                held.update((pid, pipes(pid) - before) for pid in forks)
+            return choose_pfa(self, rates, snrs)
+
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 1000)
+        monkeypatch.setattr(Scheduler, "_choose_pfa", look)
+        with cpus(3) as forks:
+            run_comparison(self.CONFIGS)
+        parent, first, second = held["parent"][2], held[forks[0]], held[forks[1]]
+        assert len(first) == len(second) == 3  # its "go", "ack" and result pipes
+        assert not first & second and first | second == parent
 
 
 def test_a_child_flushes_and_runs_nothing_of_the_parent_on_exit(tmp_path):
