@@ -215,6 +215,23 @@ class TestAfterTheRingWraps:
         assert len(forks) == 1 and time.monotonic() - start < 30
 
 
+def test_a_child_acks_each_block_and_stops_at_the_end_of_its_go_pipe():
+    cfg = SimConfig(total_slots=5000)  # two blocks of 3,276 and 1,724 slots
+    go_r, go_w = os.pipe()
+    ack_r, ack_w = os.pipe()
+    try:
+        os.write(go_w, b"\0")  # one block, then the parent is gone
+        os.close(go_w)
+        blocks = engine._ring_blocks(cfg, engine._heap_slots(cfg) * 2, go_r, ack_w)
+        assert next(blocks)[0] == 0
+        with pytest.raises(EOFError, match="the parent stopped sending blocks"):
+            next(blocks)
+        assert os.read(ack_r, 2) == b"\0"
+    finally:
+        for fd in (go_r, ack_r, ack_w):
+            os.close(fd)
+
+
 def pipes(pid="self"):
     """The pipes a process holds an end of, by inode."""
     fds = "/proc/%s/fd" % pid
