@@ -10,7 +10,9 @@ every policy as it is drawn and then drops it.  A comparison splits its
 policies round-robin over one process per usable CPU (``os.fork``); the
 calling process draws the trace once, into a shared ring of two block
 slots, from which every process decides, so the results are bit-identical
-at any CPU count.  Each decided run is accounted for in one
+at any CPU count.  Each child has two pipes, "go" in, a byte a block, and
+one of pickled messages out, and writes its decisions and served rates in
+place, in pages it shares with the caller.  Each decided run is accounted for in one
 pass: it is credited once, and its fairness-index series is read off
 per-user ledger rows built a block of evaluations at a time.  A config is a frozen value,
 checked when it is made.  Before the first draw, :func:`_trace_links` raises
@@ -20,6 +22,7 @@ only computes it) and :func:`_decide` each config's own; :func:`run` raises
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import math
@@ -345,14 +348,18 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     once, block i into slot i % 2, decides the first group and computes the
     first-nonzero vector, which belongs to the trace; each other group is
     decided in a forked process, which reads each block from its slot, so
-    the results are the same at any CPU count.  Per block, the parent sends
-    each child one byte down its "go" pipe once the block is drawn, which
-    is before it decides the block before it, and before it draws over a
-    slot it takes each child's one-byte ack of the block there.  The ring
-    costs one block more than the heap buffers, and its pages count once
-    in this process's ``ru_maxrss``; it is unmapped with its last view, as
-    the pass returns or its error is dropped.  A single run has one share,
-    forks nothing and maps no ring.
+    the results are the same at any CPU count.  Each child has two pipes.
+    Per block, the parent sends it one byte down its "go" pipe once the
+    block is drawn, which is before it decides the block before it, and
+    before it draws over a slot it takes the child's pickled None for the
+    block there, from its message pipe; the child's last message is its
+    outcome, its error or its shares' vpfa switches.  A child writes its
+    shares' decisions and served rates in place, in shared pages, 12 bytes
+    a slot.  The ring costs one block more than the heap buffers, and its
+    pages, like the shared results, count once in this process's
+    ``ru_maxrss``; it is unmapped with its last view, as the pass returns
+    or its error is dropped.  A single run has one share, forks nothing and
+    maps no ring.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
@@ -384,7 +391,9 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
             children.append(_fork_decide(first, ring, shares[i::k], children))
         _decide_blocks(_fan_out(_trace_blocks(first, rng, base, ring), children), shares[::k])
         for child in children:
-            child.read_decided()
+            child.take()  # its None for the last block
+            for share, (switch, warmup_bits) in zip(child.group, child.take()):
+                share.scheduler.switch_slot, share.scheduler.warmup_bits = switch, warmup_bits
     except BaseException:
         for child in children:
             os.kill(child.pid, signal.SIGKILL)
@@ -417,62 +426,38 @@ def _decide_blocks(blocks, shares: list[Decided]) -> None:
 
 @dataclass(eq=False)
 class _Child:
-    """A forked decide process: the parent's ends of its "go", "ack" and
-    result pipes, and the shares it decides."""
+    """A forked decide process: the parent's ends of its "go" and message
+    pipes, and the shares it decides."""
 
     pid: int
     go: int  # write end: one byte a block, once the block is in its ring slot
-    ack: int  # read end: one byte a block, once the child has decided it
-    results: io.BufferedReader
+    messages: io.BufferedReader  # read end: one pickle a message, as :meth:`take` reads it
     group: list[Decided]
 
     def send_go(self) -> None:
-        try:
+        with contextlib.suppress(BrokenPipeError):  # the child has ended: its next message says how
             os.write(self.go, b"\0")
-        except BrokenPipeError:
-            self.raise_error()
 
-    def take_ack(self) -> None:
-        if not os.read(self.ack, 1):
-            self.raise_error()
-
-    def raise_error(self):
-        """Raise the error of a child that stopped early, with its type and
-        message, or the named ``ChildProcessError`` where it sent none."""
-        self._header()
-        raise self._ended()
-
-    def read_decided(self) -> None:
-        """Read the results straight into the shares' arrays, or raise the
-        child's error, as :meth:`raise_error` does."""
-        for share, switch in zip(self.group, self._header()):
-            arrays = [share.decisions, share.served]
-            if switch is not None:
-                share.scheduler.switch_slot, share.scheduler.warmup_bits = switch, np.empty(share.config.n_users)
-                arrays.append(share.scheduler.warmup_bits)
-            for array in arrays:
-                view = memoryview(array).cast("B")
-                if self.results.readinto(view) != len(view):
-                    raise self._ended()
+    def take(self):
+        """The child's next message: None once it has decided a block, then
+        each share's (switch slot, warm-up bits).  The error it sent instead
+        is raised with its type and message, and an end of its messages as
+        the named ``ChildProcessError``."""
+        try:
+            message = pickle.load(self.messages)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("a decide process for %s ended before it sent its results"
+                                    % ", ".join(share.config.policy for share in self.group)) from None
+        if isinstance(message, BaseException):
+            try:
+                raise message
+            finally:  # its traceback holds this frame, so a local would hold it in a cycle, and the ring with it
+                del message
+        return message
 
     def close(self) -> None:
         os.close(self.go)
-        os.close(self.ack)
-        self.results.close()
-
-    def _header(self):
-        """Each share's switch slot, or raise the child's error."""
-        try:
-            header = pickle.load(self.results)
-        except (EOFError, pickle.UnpicklingError):
-            raise self._ended() from None
-        if isinstance(header, BaseException):
-            raise header
-        return header
-
-    def _ended(self) -> ChildProcessError:
-        return ChildProcessError("a decide process for %s ended before it sent its results"
-                                 % ", ".join(share.config.policy for share in self.group))
+        self.messages.close()
 
 
 def _fan_out(blocks, children: list[_Child]):
@@ -480,7 +465,7 @@ def _fan_out(blocks, children: list[_Child]):
     ahead of this process: block i + 1 is drawn, and every child has its
     "go", before this process decides block i.  The ring has two slots, so
     block i + 2 is drawn over block i's once this process has decided it
-    and every child's ack of it is taken."""
+    and taken every child's None for it.  A trace has at least one block."""
     held = None
     for block in blocks:
         for child in children:
@@ -488,33 +473,41 @@ def _fan_out(blocks, children: list[_Child]):
         if held is not None:
             yield held
             for child in children:
-                child.take_ack()
+                child.take()
         held = block
-    if held is not None:
-        yield held
+    yield held
 
 
-def _ring_blocks(first: SimConfig, ring, go: int, ack: int):
+def _ring_blocks(first: SimConfig, ring, go: int, messages: int):
     """A child's blocks: each ring slot's block once the parent's "go" for it
-    comes, acked once decided.  An end of "go" means the parent stopped."""
+    comes, and a pickled None down ``messages`` once it is decided.  An end
+    of "go" means the parent stopped."""
     for block in _slot_blocks(first, ring):
         if not os.read(go, 1):
             raise EOFError("the parent stopped sending blocks")
         yield block
-        os.write(ack, b"\0")
+        os.write(messages, pickle.dumps(None))
 
 
 def _fork_decide(first: SimConfig, ring, group: list[Decided], siblings: list[_Child]) -> _Child:
     """Decide ``group`` in a forked process, from the blocks the parent
     draws into ``ring``, and return it as a :class:`_Child`.
 
+    The shares' decisions and served rates are first moved to anonymous
+    shared memory, 12 bytes a slot, where the child writes them in place.
     The child closes the pipe ends it inherits from its ``siblings``, so a
     pipe's ends live in the parent and in its own child only, and each "go"
-    ends with the parent.  Then it sends a pickled header, its error or each
-    share's switch slot, then each share's raw decisions, served rates and
-    any warm-up bits.  It always ends in ``os._exit``, so it runs no exit
+    ends with the parent.  Down its message pipe it sends a pickled None
+    for each block it decides, then its outcome: its error, or each share's
+    switch slot and warm-up bits.  The outcome is pickled whole before it
+    is written, so an error that does not pickle ends the child having sent
+    none of it.  The child always ends in ``os._exit``, so it runs no exit
     handler and flushes none of the parent's buffered output."""
-    fds = go_r, go_w, ack_r, ack_w, res_r, res_w = (*os.pipe(), *os.pipe(), *os.pipe())
+    total = first.total_slots
+    for share in group:  # the float64 rates first, so that both arrays are aligned
+        pages = mmap.mmap(-1, 12 * total)
+        share.served, share.decisions = np.frombuffer(pages, count=total), np.frombuffer(pages, np.int32, offset=8 * total)
+    fds = go_r, go_w, msg_r, msg_w = (*os.pipe(), *os.pipe())
     try:
         pid = os.fork()
     except BaseException:
@@ -522,26 +515,21 @@ def _fork_decide(first: SimConfig, ring, group: list[Decided], siblings: list[_C
             os.close(fd)
         raise
     if pid:
-        for fd in (go_r, ack_w, res_w):
+        for fd in (go_r, msg_w):
             os.close(fd)
-        return _Child(pid, go_w, ack_r, open(res_r, "rb"), group)
+        return _Child(pid, go_w, open(msg_r, "rb"), group)
     try:
-        for fd in (go_w, ack_r, res_r):
+        for fd in (go_w, msg_r):
             os.close(fd)
         for sibling in siblings:
             sibling.close()
-        with open(res_w, "wb") as out:
-            try:
-                _decide_blocks(_ring_blocks(first, ring, go_r, ack_w), group)
-            except BaseException as exc:
-                pickle.dump(exc, out)  # one that does not pickle ends the child early
-            else:
-                pickle.dump([share.scheduler.switch_slot for share in group], out)
-                for share in group:
-                    out.write(share.decisions)
-                    out.write(share.served)
-                    if share.scheduler.switch_slot is not None:
-                        out.write(share.scheduler.warmup_bits)
+        try:
+            _decide_blocks(_ring_blocks(first, ring, go_r, msg_w), group)
+            outcome = [(share.scheduler.switch_slot, share.scheduler.warmup_bits) for share in group]
+        except BaseException as exc:
+            outcome = exc
+        with open(msg_w, "wb") as messages:
+            messages.write(pickle.dumps(outcome))
     finally:
         os._exit(0)
 
@@ -605,7 +593,10 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     process per usable CPU.  The calling process draws the trace once, a
     block at a time, into a shared ring of two block slots; each process
     decides each block for its policies in config order, then drops it, and
-    the slot is drawn over once every process has decided it; each policy's :func:`run`
+    the slot is drawn over once every process has decided it.  A forked
+    process writes its policies' decisions into pages it shares with this
+    one, 12 bytes a slot a policy, and sends its vpfa switches, or its
+    error, as one pickle down its one message pipe; each policy's :func:`run`
     accounts for its share in this process.  The results are bit-identical at
     any CPU count (``taskset -c 0`` gives one process).  Results are those of a run
     per policy over ``channel_trace(configs[0])``, and so is the only error

@@ -1,12 +1,17 @@
 """A comparison decides its policies round-robin over one process per usable
-CPU.  Split over as many processes as it has policies, it gives what one
-process gives, bit for bit, and raises what one process raises.  The parent
+CPU.  Split over two processes or more, up to one per policy, so that a
+child may decide several, it gives what one process gives, bit for bit,
+and raises what one process raises.  The parent
 draws the trace once, into a shared ring of two block slots, and the
-children decide each block from there; the parent raises a child's error
-with its type and message, also after the ring has wrapped, reaps every
-child whether the comparison succeeds or fails, leaves no pipe end or ring
-mapped behind, and the children flush and run nothing of the parent's on
-exit and hold none of their siblings' pipe ends.  The suite's
+children decide each block from there.  Each child holds two pipes, "go"
+in and one of pickled messages out, a None a block and then its outcome,
+and writes its decisions in place, in pages it shares with the parent.
+The parent raises a child's error with its type and message, also after
+the ring has wrapped, names a child that ends early or sends an error that
+does not pickle, reaps every child whether the comparison succeeds or
+fails, and leaves no pipe end or ring mapped behind, without a garbage
+collection; the children flush and run nothing of the parent's on exit
+and hold none of their siblings' pipe ends.  The suite's
 ``conftest.py`` fails any test that leaves a child process behind.
 """
 import atexit
@@ -14,6 +19,7 @@ import contextlib
 import gc
 import mmap
 import os
+import pickle
 import re
 import time
 import warnings
@@ -53,28 +59,30 @@ def split_cases(draw):
                     seed=draw(st.integers(0, 50)), placement=draw(st.sampled_from(["equal_spacing", "uniform_ring"])),
                     tc_mode=draw(st.sampled_from(TC_MODES)),
                     vpfa=VpfaParams(s_fi=draw(st.integers(1, 60)), l_sc=draw(st.integers(1, 4))))
-    return comparison_configs(cfg, policies), draw(st.sampled_from([1, 64, BLOCK_ELEMENTS]))
+    # below len(policies) CPUs, a child decides two or more of them
+    count = draw(st.integers(min(2, len(policies)), len(policies)))
+    return comparison_configs(cfg, policies), draw(st.sampled_from([1, 64, BLOCK_ELEMENTS])), count
 
 
 @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
 @settings(max_examples=40, deadline=None, database=None)
 @given(split_cases())
 @example((comparison_configs(SimConfig(n_users=20, total_slots=300, seed=3, vpfa=VpfaParams(s_fi=7, l_sc=2)),
-                             ["vpfa", "pfa", "dpfa"]), 64))  # vpfa switches at slot 71, inside the run
+                             ["pfa", "vpfa", "dpfa", "rr"]), 64, 2))  # vpfa switches at slot 71, in a child with rr
 @example((comparison_configs(SimConfig(n_users=3, total_slots=10, vpfa=VpfaParams(s_fi=10, l_sc=1)),
-                             ["pfa", "vpfa"]), 1))  # vpfa switches at slot 11, the run's last evaluation
+                             ["pfa", "vpfa"]), 1, 2))  # vpfa switches at slot 11, the run's last evaluation
 @example((comparison_configs(SimConfig(n_users=3, total_slots=10, vpfa=VpfaParams(s_fi=60, l_sc=1)),
-                             list(POLICIES)), BLOCK_ELEMENTS))  # vpfa never evaluates
+                             list(POLICIES)), BLOCK_ELEMENTS, 5))  # vpfa never evaluates
 def test_a_split_comparison_is_the_one_process_comparison(case):
-    configs, elements = case
+    configs, elements, count = case
     compare = lambda: run_comparison(configs, reference=configs[0].policy).results  # noqa: E731
     with mock.patch.object(engine, "BLOCK_ELEMENTS", elements):
         with cpus(1) as forks:
             one = outcome(compare)
         assert forks == []
-        with cpus(len(configs)) as forks:
+        with cpus(count) as forks:
             split = outcome(compare)
-        assert len(forks) == len(configs) - 1
+        assert len(forks) == count - 1
     assert_same_outcome(split, one)
 
 
@@ -129,6 +137,12 @@ def boom(self, rates, snrs):
     raise MemoryError("boom")
 
 
+class Unpicklable(MemoryError):
+    def __init__(self):
+        super().__init__("boom")
+        self.hook = lambda: None  # a lambda does not pickle, so neither does the error
+
+
 class TestErrors:
     # with two CPUs, pfa and vpfa are decided in the parent and dpfa in a child
     CONFIGS = comparison_configs(SimConfig(total_slots=500), ["pfa", "dpfa", "vpfa"])
@@ -165,6 +179,17 @@ class TestErrors:
         monkeypatch.setattr(Scheduler, "_choose_dpfa", die)
         with cpus(2), pytest.raises(ChildProcessError, match="^a decide process for dpfa ended before it sent"):
             run_comparison(self.CONFIGS)
+
+    def test_a_childs_error_that_does_not_pickle_is_named(self, monkeypatch):
+        def unpicklable(self, rates, snrs):
+            raise Unpicklable
+
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", unpicklable)
+        fds = len(os.listdir("/proc/self/fd"))
+        with cpus(2) as forks, \
+                pytest.raises(ChildProcessError, match="^a decide process for dpfa ended before it sent"):
+            run_comparison(self.CONFIGS)
+        assert (len(forks), len(os.listdir("/proc/self/fd"))) == (1, fds)
 
 
 def at_third_block(act):
@@ -218,18 +243,19 @@ class TestAfterTheRingWraps:
 def test_a_child_acks_each_block_and_stops_at_the_end_of_its_go_pipe():
     cfg = SimConfig(total_slots=5000)  # two blocks of 3,276 and 1,724 slots
     go_r, go_w = os.pipe()
-    ack_r, ack_w = os.pipe()
-    try:
-        os.write(go_w, b"\0")  # one block, then the parent is gone
-        os.close(go_w)
-        blocks = engine._ring_blocks(cfg, engine._heap_slots(cfg) * 2, go_r, ack_w)
-        assert next(blocks)[0] == 0
-        with pytest.raises(EOFError, match="the parent stopped sending blocks"):
-            next(blocks)
-        assert os.read(ack_r, 2) == b"\0"
-    finally:
-        for fd in (go_r, ack_r, ack_w):
-            os.close(fd)
+    msg_r, msg_w = os.pipe()
+    with open(msg_r, "rb") as messages:
+        try:
+            os.write(go_w, b"\0")  # one block, then the parent is gone
+            os.close(go_w)
+            blocks = engine._ring_blocks(cfg, engine._heap_slots(cfg) * 2, go_r, msg_w)
+            assert next(blocks)[0] == 0
+            with pytest.raises(EOFError, match="the parent stopped sending blocks"):
+                next(blocks)
+        finally:
+            os.close(go_r)
+            os.close(msg_w)
+        assert pickle.load(messages) is None and messages.read() == b""  # one pickled None: the one block decided
 
 
 def pipes(pid="self"):
@@ -262,11 +288,24 @@ class TestNothingLeaks:
         with cpus(3), pytest.raises(MemoryError) as info:
             run_comparison(self.CONFIGS)
         del info  # its traceback's frames hold views of the ring, as they would of heap blocks
-        gc.collect()
         assert (len(os.listdir("/proc/self/fd")), ring_mappings()) == (fds, rings)
 
+    def test_a_childs_error_unmaps_the_ring_without_a_collection(self, monkeypatch):
+        # the error's traceback holds views of the ring, and only a cycle would keep it past the error
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 1000)
+        monkeypatch.setattr(Scheduler, "_choose_dpfa", at_third_block(boom_now))
+        gc.disable()
+        try:
+            rings = ring_mappings()
+            with cpus(3), pytest.raises(MemoryError) as info:
+                run_comparison(self.CONFIGS)
+            del info
+            assert ring_mappings() == rings
+        finally:
+            gc.enable()
+
     def test_a_child_holds_none_of_its_siblings_pipe_ends(self, monkeypatch):
-        # by the parent's third block it has taken every child's ack of the first, which each
+        # by the parent's third block it has taken every child's None for the first, which each
         # child sends after closing what it inherited; the children wait for the fourth block
         before, held, choose_pfa = pipes(), {}, Scheduler._choose_pfa
 
@@ -281,7 +320,7 @@ class TestNothingLeaks:
         with cpus(3) as forks:
             run_comparison(self.CONFIGS)
         parent, first, second = held["parent"][2], held[forks[0]], held[forks[1]]
-        assert len(first) == len(second) == 3  # its "go", "ack" and result pipes
+        assert len(first) == len(second) == 2  # its "go" and message pipes
         assert not first & second and first | second == parent
 
 
