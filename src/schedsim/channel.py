@@ -168,14 +168,12 @@ def instantaneous_rate(snr_linear, params: ChannelParams, out=None):
 
     rate = bandwidth * log2(1 + SNR) * slot_duration.  Accepts scalars or
     arrays; strictly increasing in SNR, and 0 at an SNR of 0, as a deep fade
-    gives.  A negative SNR is a ValueError; a rate past the float range is
-    inf, with no warning.  ``out``, an array of the SNRs' shape, receives
-    the rates in place of a fresh one.
+    gives.  The SNRs are taken as >= 0, which the trace source proves before
+    its first draw (a gain >= 0 times a link-budget SNR > 0); a rate past the
+    float range is inf, with no warning.  ``out``, an array of the SNRs'
+    shape, receives the rates in place of a fresh one.
     """
     arr = np.asarray(snr_linear, dtype=float)
-    # fmin skips nan, so this is np.any(arr < 0) without a bool array of the trace
-    if arr.size and np.fmin.reduce(arr, axis=None) < 0:
-        raise ValueError("SNR must be >= 0")
     rate = np.add(arr, 1.0, out=np.empty(arr.shape) if out is None else out)  # one buffer, scaled in place
     np.log2(rate, out=rate)
     with np.errstate(over="ignore"):

@@ -2,7 +2,7 @@
 charts out.
 
 Subcommands: ``run`` (one policy), ``compare`` (several policies over one
-channel trace, drawn once from the shared seed, plus a summary table),
+channel trace, plus a summary table),
 ``figures`` (compare plus the four charts).  All outputs are
 byte-deterministic for a given config.  Every file is streamed: its writer
 formats and writes at most ``svgplot.CHUNK`` rows or marks at a time, so the

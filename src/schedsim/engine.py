@@ -6,19 +6,16 @@ fixed order from one generator, so the rate trace never depends on the
 policy under test.  Every trace comes from one source, which draws and
 scales it in blocks of at most ``BLOCK_ELEMENTS`` (slot, user) elements in
 stream order.  A run, or a comparison of policies, decides each block for
-every policy as it is drawn and then drops it.  A comparison splits its
-policies round-robin over one process per usable CPU (``os.fork``); the
-calling process draws the trace once, into a shared ring of two block
-slots, from which every process decides, so the results are bit-identical
-at any CPU count.  Each child has two pipes, "go" in, a byte a block, and
-one of pickled messages out, and writes its decisions and served rates in
-place, in pages it shares with the caller.  Each decided run is accounted for in one
-pass: it is credited once, and its fairness-index series is read off
-per-user ledger rows built a block of evaluations at a time.  A config is a frozen value,
-checked when it is made.  Before the first draw, :func:`_trace_links` raises
-every error that follows from the links and the link budget (``channel``
-only computes it) and :func:`_decide` each config's own; :func:`run` raises
-"fairness index undefined at slot s", the only error that depends on the draw.
+every policy as it is drawn and then drops it; a comparison splits its
+policies over one process per usable CPU, as :func:`_decide` sets out.
+Each decided run is accounted for in one pass: it is credited once, and its
+fairness-index series is read off per-user ledger rows built a block of
+evaluations at a time.  A config is a frozen value, checked when it is made.
+Before the first draw, :func:`_trace_links` raises every error that follows
+from the links and the link budget (``channel`` only computes it) and
+:func:`_decide` each config's own; :func:`run` raises "fairness index
+undefined at slot s", the only error that depends on the draw.  What those
+checks prove of every block, the scheduler layer below takes unchecked.
 """
 from __future__ import annotations
 
@@ -186,6 +183,9 @@ def _trace_links(config: SimConfig, links: list[UserLink] | None):
     link-budget SNR of 0, an SNR or rate bound past the float range, a rate
     bound of 0 (no draw delivers a bit) and bits past the float range, at
     twice the slots times the rate bound, which covers the rounding of sums.
+    A config that passes has finite SNRs and rates >= 0 in every block, and
+    averages and sums of bits that stay finite: what ``sched``,
+    ``instantaneous_rate`` and ``metrics`` take unchecked.
     """
     rng = np.random.default_rng(config.seed)
     channel, caller = config.channel, links is not None
@@ -234,8 +234,8 @@ def _trace_blocks(config: SimConfig, rng, base, slots):
     the generator's stream, so the blocks join to one whole draw bit for bit.
     It is scaled by the link-budget SNRs and mapped to rates, in place, into
     the slot's SNR and rate buffers, so a block is valid until its slot is
-    drawn over.  :func:`_trace_links` has bounded every SNR and rate, so no
-    block fails a check.
+    drawn over.  :func:`_trace_links` has bounded every SNR and rate, so
+    no block needs a check.
     """
     channel = config.channel
     for start, snrs, rates in _slot_blocks(config, slots):
@@ -341,25 +341,30 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     :func:`_trace_links`' checks, then each config's default ``dpfa_delta``
     (by :func:`resolved_config`) and ``dpfa_alpha``, in config order.
 
-    The shares are then split round-robin into one group per usable CPU, at
-    most one per share.  One group decides from heap block buffers.  More
-    are decided from a ring of two block slots in anonymous shared memory,
+    The split: the shares are split round-robin into one group per usable
+    CPU, at most one per share.  One group decides from heap block buffers;
+    a single run has one share, forks nothing and maps no ring.  More are
+    decided from a ring of two block slots in anonymous shared memory,
     mapped before the children are forked: this process draws the trace
     once, block i into slot i % 2, decides the first group and computes the
     first-nonzero vector, which belongs to the trace; each other group is
-    decided in a forked process, which reads each block from its slot, so
-    the results are the same at any CPU count.  Each child has two pipes.
-    Per block, the parent sends it one byte down its "go" pipe once the
-    block is drawn, which is before it decides the block before it, and
-    before it draws over a slot it takes the child's pickled None for the
-    block there, from its message pipe; the child's last message is its
-    outcome, its error or its shares' vpfa switches.  A child writes its
-    shares' decisions and served rates in place, in shared pages, 12 bytes
-    a slot.  The ring costs one block more than the heap buffers, and its
-    pages, like the shared results, count once in this process's
-    ``ru_maxrss``; it is unmapped with its last view, as the pass returns
-    or its error is dropped.  A single run has one share, forks nothing and
-    maps no ring.
+    decided in a forked process, which reads each block from its slot and
+    never draws, so the results are the same at any CPU count.  Each child
+    has two pipes.  Per block, the parent sends it one byte down its "go"
+    pipe once the block is drawn, which is before it decides the block
+    before it, and before it draws over a slot it takes the child's pickled
+    None for the block there, from its message pipe.  A child closes the
+    pipe ends it inherits from its siblings, so it sees the end of its "go"
+    pipe, and stops, when the parent does.  It writes its shares' decisions
+    and served rates in place, in shared pages mapped before the fork, 12
+    bytes a slot; its last message is its outcome, its error or its shares'
+    vpfa switches, and it ends in ``os._exit``.  The parent raises a child's
+    error with its type and message, and a child's end without one as a
+    ``ChildProcessError`` naming its policies, and reaps every child,
+    killing them first if it fails itself.  The ring costs one block more
+    than the heap buffers, and its pages, like the shared results, count
+    once in this process's ``ru_maxrss``; it is unmapped with its last view,
+    as the pass returns or its error is dropped.
 
     dpfa's numerator r^alpha grows with r, so where the rate bound to the
     alpha is finite, so is every numerator; a dpfa config where it is not
@@ -462,10 +467,9 @@ class _Child:
 
 def _fan_out(blocks, children: list[_Child]):
     """The parent's ``blocks``, each drawn and sent to every child one block
-    ahead of this process: block i + 1 is drawn, and every child has its
-    "go", before this process decides block i.  The ring has two slots, so
-    block i + 2 is drawn over block i's once this process has decided it
-    and taken every child's None for it.  A trace has at least one block."""
+    ahead of this process, in :func:`_decide`'s order: every child's None
+    for block i is taken before block i + 2 is drawn over it.  A trace has
+    at least one block."""
     held = None
     for block in blocks:
         for child in children:
@@ -479,9 +483,9 @@ def _fan_out(blocks, children: list[_Child]):
 
 
 def _ring_blocks(first: SimConfig, ring, go: int, messages: int):
-    """A child's blocks: each ring slot's block once the parent's "go" for it
-    comes, and a pickled None down ``messages`` once it is decided.  An end
-    of "go" means the parent stopped."""
+    """A child's blocks, in :func:`_decide`'s order: each once the parent's
+    "go" for it comes, with a pickled None down ``messages`` once it is
+    decided.  An end of "go" means the parent stopped."""
     for block in _slot_blocks(first, ring):
         if not os.read(go, 1):
             raise EOFError("the parent stopped sending blocks")
@@ -491,18 +495,12 @@ def _ring_blocks(first: SimConfig, ring, go: int, messages: int):
 
 def _fork_decide(first: SimConfig, ring, group: list[Decided], siblings: list[_Child]) -> _Child:
     """Decide ``group`` in a forked process, from the blocks the parent
-    draws into ``ring``, and return it as a :class:`_Child`.
-
-    The shares' decisions and served rates are first moved to anonymous
-    shared memory, 12 bytes a slot, where the child writes them in place.
-    The child closes the pipe ends it inherits from its ``siblings``, so a
-    pipe's ends live in the parent and in its own child only, and each "go"
-    ends with the parent.  Down its message pipe it sends a pickled None
-    for each block it decides, then its outcome: its error, or each share's
-    switch slot and warm-up bits.  The outcome is pickled whole before it
-    is written, so an error that does not pickle ends the child having sent
-    none of it.  The child always ends in ``os._exit``, so it runs no exit
-    handler and flushes none of the parent's buffered output."""
+    draws into ``ring``, by :func:`_decide`'s protocol, and return it as a
+    :class:`_Child`.  The shares' decisions and served rates are first moved
+    to anonymous shared memory.  The outcome is pickled whole before it is
+    written, so an error that does not pickle ends the child having sent
+    none of it; ``os._exit`` runs no exit handler and flushes none of the
+    parent's buffered output."""
     total = first.total_slots
     for share in group:  # the float64 rates first, so that both arrays are aligned
         pages = mmap.mmap(-1, 12 * total)
@@ -589,19 +587,13 @@ def comparison_configs(base: SimConfig, policies: list[str]) -> list[SimConfig]:
 def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> ComparisonResult:
     """Run several policies over one channel trace and tabulate them.
 
-    The policies are decided by :func:`_decide`, round-robin over one
-    process per usable CPU.  The calling process draws the trace once, a
-    block at a time, into a shared ring of two block slots; each process
-    decides each block for its policies in config order, then drops it, and
-    the slot is drawn over once every process has decided it.  A forked
-    process writes its policies' decisions into pages it shares with this
-    one, 12 bytes a slot a policy, and sends its vpfa switches, or its
-    error, as one pickle down its one message pipe; each policy's :func:`run`
-    accounts for its share in this process.  The results are bit-identical at
-    any CPU count (``taskset -c 0`` gives one process).  Results are those of a run
-    per policy over ``channel_trace(configs[0])``, and so is the only error
-    that depends on the draw; the configs' own were raised when they were
-    made, and any other is raised before the first draw.
+    The policies are decided by :func:`_decide`, over one process per
+    usable CPU, bit-identically at any CPU count (``taskset -c 0`` gives
+    one process), and each policy's :func:`run` accounts for its share in
+    this process.  Results are those of a run per policy over
+    ``channel_trace(configs[0])``, and so is the only error that depends on
+    the draw; the configs' own were raised when they were made, and any
+    other is raised before the first draw.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.

@@ -100,10 +100,9 @@ def fi_stability_update(
     A zero counter restarts at 1 unconditionally; otherwise it increments
     while the FI change since the previous evaluation stays below 0.01 and
     resets to 0 as soon as it does not.  ``signed`` switches the change test
-    from |last - fi| to the raw difference (last - fi).
+    from |last - fi| to the raw difference (last - fi).  ``c_s`` is >= 0:
+    vpfa's counter starts at 0 and this only returns 0, 1 or ``c_s + 1``.
     """
-    if c_s < 0:
-        raise ValueError("c_s must be >= 0")
     if c_s == 0:
         return 1, fi
     delta = (last_fi - fi) if signed else abs(last_fi - fi)

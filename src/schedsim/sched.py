@@ -19,9 +19,10 @@ State carries across calls, so any split of a trace gives the same result.
   index on ties.
 
 Only what depends on earlier decisions runs slot by slot: the PF family's
-EWMA and vpfa's variance-phase ledger.  ``step`` checks a block's rates
-once, before any policy decides, and the PF loop its own state once per
-block; a block that fails raises ``ValueError`` and changes no state.  A PF
+EWMA and vpfa's variance-phase ledger.  Nothing here checks a block: the
+trace source proves every block before its first draw (finite SNRs and
+rates >= 0, averages that stay finite, see ``engine._trace_links``), and
+each run's scheduler is built from a validated, resolved config.  A PF
 slot runs the metric's ufuncs, bound once per block, into one preallocated
 buffer, one argmax and the EWMA update; a variance slot one ``heapreplace``
 on a heap of (delivered bits, user) tuples, whose order is the least-served
@@ -36,7 +37,6 @@ run's state.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,13 +158,9 @@ def update_beta(center, snrs, params: DpfaParams) -> np.ndarray:
 def select(priorities):
     """Argmax over the per-user metric, the last axis; ties go to the lowest
     user index.  A 1-D metric gives an int, a (slots x users) block one
-    decision per slot.  Any non-finite entry raises."""
+    decision per slot.  The program's one metric here is maxci's block of
+    rates, which the trace source has proved finite, so nothing is checked."""
     arr = np.asarray(priorities, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty priority list")
-    finite = np.isfinite(arr)
-    if not finite.flat[finite.argmin()]:  # the first non-finite entry, if any; cheaper than .all()
-        raise ValueError("non-finite priority; upstream state is corrupt")
     return int(arr.argmax()) if arr.ndim < 2 else arr.argmax(axis=-1)
 
 
@@ -176,9 +172,9 @@ def least_served(heap: list, rates) -> np.ndarray:
     updated in place.  Tuple order, fewest bits and then lowest index, is
     the rule itself, so each slot serves ``heap[0]`` and puts it back at
     ``bits + r``, the IEEE addition the run's per-user bits make, with no
-    guard against rounding.  ``Scheduler.step`` has checked the rates
-    finite and >= 0, so a credit that rounds up to inf stays inf, as
-    ``inf + r`` is never nan, and tuple order stays total."""
+    guard against rounding.  The trace source has proved the rates finite
+    and >= 0, so a credit that rounds up to inf stays inf, as ``inf + r``
+    is never nan, and tuple order stays total."""
     replace, item, chosen = heapq.heapreplace, rates.item, []
     for t in range(len(rates)):
         b, c = heap[0]
@@ -232,15 +228,8 @@ class Scheduler:
     def step(self, rates, snrs) -> np.ndarray:
         """Decide a (slots x users) block in slot order and return its
         decisions; every piece of state carries over to the next call.  The
-        rates must be finite and >= 0, checked once before any policy decides,
-        so a block without them raises ``ValueError`` and changes no state."""
-        rates = np.asarray(rates, dtype=float)
-        snrs = np.asarray(snrs, dtype=float)
-        if rates.ndim != 2 or rates.shape[1] != self.n_users or snrs.shape != rates.shape:
-            raise ValueError("rates/snrs must be (slots, %d) blocks, got %s/%s"
-                             % (self.n_users, rates.shape, snrs.shape))
-        if rates.size and not (lowest(rates) >= 0 and highest(rates) < math.inf):
-            raise ValueError("a block needs finite rates >= 0, got a negative or non-finite one")
+        block is one the trace source has proved, float64 SNRs and finite
+        rates >= 0 of shape (slots, ``n_users``), and is not checked again."""
         pieces = [np.empty(0, dtype=np.int64)]  # so an empty block concatenates
         while len(rates):
             # a policy decides the whole block, vpfa's warm-up up to its next FI evaluation
@@ -254,14 +243,17 @@ class Scheduler:
         """Serve each slot's argmax of num / max(R, EPS_RATE)^beta (exponent
         1 when ``beta`` is None), then update the EWMA R in place.
 
-        Precondition: finite rates >= 0, which ``step`` checks, and, checked
-        here once per block, a first T_c >= 1, finite averages and, for dpfa,
-        a finite numerator and exponents >= 0; a block without it raises
-        before its first slot and changes no state.  With it each denominator
-        lies in [1, inf] and no priority is nan or inf: an update
-        (1 - 1/T_c) R + r/T_c can round an average up to inf but not to nan,
-        which takes 0 * inf, and a decay of 0 (T_c = 1) comes only at a
-        growing run's first slot or in every slot of a fixed T_c = 1, where
+        Every input is proved before the trace's first draw: finite rates
+        >= 0 (by ``engine._trace_links``), a first T_c >= 1 (by
+        ``SimConfig.validate`` in fixed mode; k + 1 in growing mode), finite
+        averages (each an EWMA of rates under a bound that the trace source
+        keeps below float max / (2 ``total_slots``)) and, for dpfa, a finite
+        numerator (``engine._decide`` bounds r^alpha) and exponents >= 0
+        (SNR / delta with delta > 0, or a validated ``beta_override``).  So
+        each denominator lies in [1, inf] and no priority is nan or inf: an
+        update (1 - 1/T_c) R + r/T_c could round an average up to inf but not
+        to nan, which takes 0 * inf, and a decay of 0 (T_c = 1) comes only at
+        a growing run's first slot or in every slot of a fixed T_c = 1, where
         each update leaves 0 or r; so only an infinite start average could,
         and a slot serves the plain argmax.
 
@@ -277,10 +269,6 @@ class Scheduler:
         t_cs = [first + t for t in range(len(rates))] if growing else [first] * len(rates)
         decays = [1.0 - 1.0 / t_c for t_c in t_cs]
         lo = lowest(avg)
-        if not (t_cs[0] >= 1 and lo > -math.inf and highest(avg) < math.inf
-                and (beta is None or (highest(num) < math.inf and lowest(beta) >= 0))):
-            raise ValueError("a PF block needs T_c >= 1, finite averages"
-                             " and, for dpfa, a finite numerator and exponents >= 0")
         for d in decays[:-1]:
             lo *= d
         direct = lo >= EPS_RATE
@@ -352,10 +340,9 @@ def make_scheduler(policy: str, n_users: int, dpfa: DpfaParams | None = None, vp
                    tc_mode: str = "fixed", tc_slots: float = 1000.0) -> Scheduler:
     """Fresh state for one run of ``policy``, one of ``POLICIES``.
 
-    The policy and the parameter ranges are checked by ``SimConfig.validate``;
-    this only rejects what a config cannot express.
+    The policy and the parameter ranges are checked by ``SimConfig.validate``,
+    and a dpfa ``delta`` is resolved by ``engine.resolved_config``; nothing
+    here checks them again.
     """
     dpfa = dpfa or DpfaParams()
-    if policy == "dpfa" and dpfa.delta is None:
-        raise ConfigError("dpfa_delta must be resolved before scheduling")
     return Scheduler(policy, n_users, dpfa, vpfa or VpfaParams(), tc_mode, tc_slots)

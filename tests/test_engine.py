@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import schedsim
 import schedsim.engine as engine
 from schedsim.channel import ChannelParams, UserLink, snr
 from schedsim.engine import (
@@ -17,6 +18,16 @@ from schedsim.engine import (
 from schedsim.errors import ConfigError
 from schedsim.sched import DpfaParams, VpfaParams
 from test_properties import least_served_oracle
+
+
+def test_exported_names_are_pinned():
+    # the scheduler layer and the rate map take their inputs unchecked, from
+    # the trace source; exporting one of them must be a deliberate change
+    assert schedsim.__all__ == ["ChannelParams", "ConfigError", "DpfaParams", "MetricsLog", "SimConfig", "SimResult",
+                                "UserLink", "VpfaParams", "jain_index", "run", "run_comparison"]
+    for name in ("Scheduler", "make_scheduler", "select", "instantaneous_rate", "fi_stability_update"):
+        assert name not in schedsim.__all__
+    assert all(hasattr(schedsim, name) for name in schedsim.__all__)
 
 
 def small_config(**kw):

@@ -109,10 +109,6 @@ class TestFiStability:
             assert nxt <= c_s + 1
             c_s = nxt
 
-    def test_negative_counter_rejected(self):
-        with pytest.raises(ValueError):
-            fi_stability_update(-1, 0.5, 0.5)
-
 
 class TestMetricsLog:
     def test_first_record(self):

@@ -1,24 +1,27 @@
 """Invariants of whole runs over random small configs (N <= 8, T <= 400), of
-deciding one trace in different block splits, of a vpfa scheduler driven by
-``step`` alone against ``run``, of dpfa's one-timer exponent against the
-paper's two-timer rule, of the PF family's block-checked slot loop against
-its per-slot rules, and of vpfa's variance phase against a plain least-served
+the blocks a run hands its schedulers at link budgets near each pre-draw
+bound, of deciding one trace in different block splits, of a vpfa scheduler
+driven by ``step`` alone against ``run``, of dpfa's one-timer exponent
+against the paper's two-timer rule, of the PF family's slot loop against its
+per-slot rules, and of vpfa's variance phase against a plain least-served
 scan."""
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
 from schedsim.engine import SimConfig, channel_trace, run
+from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
     POLICIES,
     DpfaParams,
+    Scheduler,
     VpfaParams,
     center_timer,
     least_served,
@@ -102,6 +105,82 @@ def test_config_file_round_trip(config):
 def test_written_config_parses_back_to_the_run(config):
     resolved = run(config).config  # what config.txt holds: dpfa_delta filled in
     assert parse_config(render_config(resolved)) == resolved
+
+
+def log_floats(lo, hi):
+    """Floats from 10^lo to 10^hi, uniform in the exponent."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# link budgets from SNRs and rates that underflow to 0 to ones past the float
+# range, so that most configs fail a check of the trace source's and the rest
+# lie near its bounds
+edge_configs = st.builds(
+    SimConfig,
+    channel=st.builds(
+        ChannelParams,
+        tx_power_dbm=st.floats(-3300.0, 3200.0),
+        bandwidth_hz=log_floats(-300.0, 305.0),
+        slot_duration_s=log_floats(-300.0, 305.0),
+        shadowing_sigma_db=st.floats(0.0, 300.0),
+        fast_fading_enabled=st.booleans(),
+    ),
+    n_users=st.integers(1, 6),
+    placement=st.sampled_from(PLACEMENT_MODES),
+    policy=st.sampled_from(POLICIES),
+    total_slots=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+    tc_mode=st.sampled_from(("fixed", "growing")),
+    tc_slots=st.floats(1.0, 50.0),
+    dpfa=st.builds(
+        DpfaParams,
+        alpha=st.floats(0.0, 30.0),
+        delta=st.none() | log_floats(-300.0, 300.0),
+        theta=st.integers(1, 10),
+        beta_override=st.none() | st.floats(0.0, 30.0),
+    ),
+    vpfa=st.builds(VpfaParams, s_fi=st.integers(1, 20), l_sc=st.integers(1, 4)),
+)
+
+_step = Scheduler.step
+
+
+def proved_step(self, rates, snrs):
+    """``Scheduler.step``, asserting before the block what the trace source
+    and the config's checks prove for it, and after it that the averages
+    stayed finite."""
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+    assert np.all(np.isfinite(snrs)) and np.all(snrs >= 0)
+    assert self.t_c >= 1 and self.c_s >= 0
+    if self.name == "dpfa":
+        p = self.dpfa
+        assert p.delta is not None and 0 < p.delta < math.inf
+        with np.errstate(over="ignore"):
+            assert np.all(np.power(rates, p.alpha) < math.inf)
+        assert np.all(update_beta(center_timer(self.center_slots, snrs, p.delta), snrs, p) >= 0)
+    chosen = _step(self, rates, snrs)
+    assert np.all(np.isfinite(self.avg_throughput))
+    return chosen
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edge_configs)
+def test_trace_source_proves_every_block(config):
+    """Every block a run decides holds what the scheduler layer takes
+    unchecked; a config whose link budget cannot give such blocks is refused
+    before the first draw."""
+    blocks = []
+
+    def step(self, rates, snrs):
+        blocks.append(len(rates))
+        return proved_step(self, rates, snrs)
+
+    with mock.patch.object(Scheduler, "step", step):
+        try:
+            run(config)
+        except ConfigError as exc:
+            # refused before the draw, or the one error that depends on it
+            assert not blocks or str(exc).startswith("fairness index undefined at slot")
 
 
 PF_STATE = ("avg_throughput", "center_slots")
@@ -292,18 +371,10 @@ def pf_slot_reference(rates, num, beta, avg, t_cs):
     return np.array(out, dtype=np.int64)
 
 
-def pf_block_valid(rates, num, beta, avg, t_c):
-    """The PF loop's precondition: finite rates >= 0, a first T_c >= 1,
-    finite averages and, for dpfa, a finite numerator and exponents >= 0."""
-    valid = np.all((rates >= 0) & (rates < math.inf)) and t_c >= 1 and np.all(np.isfinite(avg))
-    return bool(valid and (beta is None or (np.all(np.isfinite(num)) and np.all(beta >= 0))))
-
-
 # zero and subnormal rates and averages near EPS_RATE let the floor bind and
 # unbind inside a block
 PF_RATES = np.array([0.0, TINY, 1e-310, 0.5, 1.0, 2.0, 1e3, 2e5])
 PF_AVERAGES = [EPS_RATE, 0.0, 0.3, 1.2, 2.0, 3.0, 10.0, 1e3, 1e300]
-BAD = [math.nan, math.inf, -math.inf]
 
 
 @st.composite
@@ -317,16 +388,8 @@ def pf_cases(draw):
     snrs = rng.exponential(1.0, size=(total, n))
     avg = np.array(draw(st.lists(st.sampled_from(PF_AVERAGES), min_size=n, max_size=n)))
     p = DpfaParams(delta=1.0, theta=draw(st.integers(1, 4)), alpha=draw(st.sampled_from([1.0, 0.8, 0.0])),
-                   beta_override=draw(st.sampled_from([None, None, 1.0, 0.0, -0.5, -300.0])))
-    # one bad value, if any: a non-finite rate or SNR, or a non-finite average
-    where = draw(st.sampled_from(["none", "none", "rates", "snrs", "avg"]))
-    bad, t, k = draw(st.sampled_from(BAD)), draw(st.integers(0, total - 1)), draw(st.integers(0, n - 1))
-    if where == "avg":
-        avg[k] = bad
-    elif where != "none":
-        {"rates": rates, "snrs": snrs}[where][t, k] = bad
-    # 0.5 is no valid config, but a scheduler takes it: its decay is negative
-    tc = draw(st.sampled_from([1.5, 7.0, 1000.0, "growing", 0.5]))
+                   beta_override=draw(st.sampled_from([None, None, 1.0, 0.0])))
+    tc = draw(st.sampled_from([1.0, 1.5, 7.0, 1000.0, "growing"]))
     elapsed = draw(st.sampled_from([0, 0, 5]))
     cuts = draw(st.lists(st.integers(1, total), max_size=8))
     return policy, rates, snrs, avg, p, tc, elapsed, cuts
@@ -342,23 +405,9 @@ def pf_example(policy, rates, avg, tc=7.0, **dpfa):
 # the floor binds at the last slot only: min(avg) 3 decays by 1/3 to 1 after
 # one slot and below it after two, where user 1 is boosted 3x without the floor
 @example(pf_example("pfa", [[10.0, 0.0], [10.0, 0.0], [20.0, 1.0]], [3.0, 3.0], tc=1.5))
-# a negative exponent, rejected
-@example(pf_example("dpfa", [[1e5, 1e5], [1e5, 1e5]], [EPS_RATE, EPS_RATE], beta_override=-300.0))
-# a nan average, rejected
-@example(pf_example("pfa", [[1.0, 2.0]], [math.nan, EPS_RATE]))
-# an infinite average, rejected: the first slot of a growing run would decay it by 0 to nan
-@example(pf_example("pfa", [[1.0, 1.0], [1.0, 1.0]], [math.inf, EPS_RATE], tc="growing"))
-# an infinite rate, pfa's numerator, rejected
-@example(pf_example("pfa", [[1.0, math.inf]], [EPS_RATE, EPS_RATE]))
-# a negative decay (T_c < 1), rejected: min(avg) 2 times (-1)^2 is 2, but
-# user 0's average would be 0.5 at the last slot
-@example(pf_example("pfa", [[1.0, 0.0], [0.25, 0.0], [1.0, 2.5]], [2.0, 2.0], tc=0.5))
-# a nan rate in dpfa's last slot: the rejected block leaves the center timer at 0
-@example(pf_example("dpfa", [[1.0, 2.0], [1.0, math.nan]], [EPS_RATE, EPS_RATE]))
 def test_pf_loop_matches_slot_rules(case):
-    """A block that breaks the PF loop's precondition raises and changes no
-    state; any other block gives the per-slot rules' decisions and averages
-    bit for bit."""
+    """Any block of the kind the trace source proves, in any split, gives the
+    per-slot rules' decisions and averages bit for bit."""
     policy, rates, snrs, avg, p, tc, elapsed, cuts = case
     growing = tc == "growing"
     sched = make_scheduler(policy, rates.shape[1], dpfa=p, tc_mode="growing" if growing else "fixed",
@@ -368,21 +417,12 @@ def test_pf_loop_matches_slot_rules(case):
     t_cs = [float(elapsed + 1 + t) if growing else tc for t in range(len(rates))]
     avg = avg.copy()
     edges = sorted({0, len(rates), *cuts})
-    with np.errstate(all="ignore"):
-        num = np.power(rates, p.alpha) if policy == "dpfa" else rates
-        # the reference's own exponents: a nan SNR before B passes theta gives beta 1
-        beta = (update_beta(center_timer(np.zeros(rates.shape[1], dtype=np.int64), snrs, p.delta), snrs, p)
-                if policy == "dpfa" else None)
+    num = np.power(rates, p.alpha) if policy == "dpfa" else rates
+    beta = (update_beta(center_timer(np.zeros(rates.shape[1], dtype=np.int64), snrs, p.delta), snrs, p)
+            if policy == "dpfa" else None)
+    with np.errstate(over="ignore"):  # a large average to a large exponent is inf, as in the PF loop
         for a, b in zip(edges, edges[1:]):
             block_beta = None if beta is None else beta[a:b]
-            if not pf_block_valid(rates[a:b], num[a:b], block_beta, avg, t_cs[a]):
-                state = {attr: getattr(sched, attr).copy() for attr in PF_STATE}
-                with pytest.raises(ValueError):
-                    sched.step(rates[a:b], snrs[a:b])
-                for attr, value in state.items():
-                    assert np.array_equal(getattr(sched, attr), value, equal_nan=True), attr
-                assert sched.slots_elapsed == elapsed + a
-                break
             got = sched.step(rates[a:b], snrs[a:b])
             want = pf_slot_reference(rates[a:b], num[a:b], block_beta, avg, t_cs[a:b])
             assert np.array_equal(got, want)

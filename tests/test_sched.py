@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from schedsim.engine import SimConfig
+from schedsim.engine import SimConfig, _decide, resolve_delta
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
-    POLICIES,
     ROW_MAX_USERS_PER_SLOT,
     DpfaParams,
     VpfaParams,
@@ -221,21 +220,10 @@ class TestSelect:
         with pytest.raises(ValueError):
             select([])
 
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            select([1.0, float("nan")])
-
     def test_block_gives_each_rows_decision(self):
         rng = np.random.default_rng(32)
         block = rng.choice([0.0, 1.0, 2.0], size=(50, 4))  # ties in most rows
         assert select(block).tolist() == [select(row) for row in block]
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_entry_of_a_block_rejected(self, bad):
-        block = np.ones((3, 4))
-        block[2, 1] = bad
-        with pytest.raises(ValueError):
-            select(block)
 
 
 class TestPowerIdentities:
@@ -274,15 +262,6 @@ class TestStep:
         assert sched.step(rates[:4], snrs[:4]).tolist() == [0, 1, 2, 0]
         assert sched.step(rates[4:], snrs[4:]).tolist() == [1, 2]
 
-    def test_length_mismatch_rejected(self):
-        sched = make_scheduler("pfa", 3)
-        with pytest.raises(ValueError):
-            sched.step(np.ones((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            sched.step(np.ones((2, 3)), np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            sched.step(arr(1.0, 2.0, 3.0), arr(1.0, 2.0, 3.0))
-
     @pytest.mark.parametrize("policy", ["pfa", "dpfa", "maxci", "rr", "vpfa"])
     def test_empty_block_changes_nothing(self, policy):
         sched = make_scheduler(policy, 3, dpfa=DpfaParams(delta=3.0))
@@ -290,34 +269,6 @@ class TestStep:
         assert sched.slots_elapsed == 0
         rates, snrs = random_stream(3, 1, 0)
         assert sched.step(rates, snrs).shape == (1,)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
-    def test_rejected_block_changes_no_state(self, policy, bad):
-        # the bad rate is in the block's last slot, slot 8; vpfa's warm-up decides
-        # the block in two pieces, cut at the FI evaluation after slot 6
-        rates, snrs = random_stream(3, 12, 11)
-        sched, twin = (make_scheduler(policy, 3, dpfa=DpfaParams(delta=3.0), vpfa=VpfaParams(s_fi=2)) for _ in range(2))
-        sched.step(rates[:4], snrs[:4])
-        twin.step(rates[:4], snrs[:4])
-        block = rates[4:8].copy()
-        block[3, 1] = bad
-        with pytest.raises(ValueError, match="finite rates >= 0"):
-            sched.step(block, snrs[4:8])
-        for attr in ("slots_elapsed", "c_s", "last_fi", "switch_slot"):
-            assert getattr(sched, attr) == getattr(twin, attr), attr
-        for attr in ("avg_throughput", "center_slots", "_ledger"):
-            assert np.array_equal(getattr(sched, attr), getattr(twin, attr)), attr
-        # and it decides on as if the block had never come
-        assert np.array_equal(sched.step(rates[4:], snrs[4:]), twin.step(rates[4:], snrs[4:]))
-        assert np.array_equal(sched.avg_throughput, twin.avg_throughput)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_maxci_rejects_non_finite_rates(self, bad):
-        rates, snrs = random_stream(3, 4, 0)
-        rates[2, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            make_scheduler("maxci", 3).step(rates, snrs)
 
     def test_exactly_one_user_per_slot(self):
         rates, snrs = random_stream(5, 400, 1)
@@ -394,8 +345,10 @@ class TestStep:
             assert step1(sched, stream[t], snrs[t]) == argmax_oracle(want)
 
     def test_dpfa_requires_resolved_delta(self):
-        with pytest.raises(ConfigError):
-            dpfa(3, delta=None)
+        # make_scheduler takes the delta it is given; the engine builds each
+        # scheduler from the resolved config, so a default delta arrives resolved
+        (share,) = _decide([SimConfig(policy="dpfa", total_slots=5)])
+        assert share.scheduler.dpfa.delta == resolve_delta(SimConfig().channel)
 
     def test_dpfa_timers_stay_exclusive(self):
         # the carried B is 0 after an edge slot and counts on after a center slot
@@ -498,27 +451,6 @@ class TestVpfaPhases:
         rates = np.tile(arr(1e5, 5e4, 2e4, 1e4), (20_000, 1))
         led = ledger_after(np.zeros(4), rates, least_served(ledger_heap(np.zeros(4)), rates))
         assert led.max() - led.min() <= rates.max()
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
-    def test_non_finite_served_rate_raises(self, bad):
-        # switched at slot 2 with the ledger [1, 0, 0]
-        sched = vpfa(3, s_fi=1, l_sc=1)
-        sched.step(np.eye(3)[:1], np.ones((1, 3)))
-        start = np.array([1.0, 0.0, 0.0])
-        assert sched.warmup_bits.tolist() == start.tolist()
-        rates = np.array([[1e3, bad, 1e3], [1e3, 1e3, 1e3]])  # user 1 is served first
-        with pytest.raises(ValueError):
-            sched.step(rates, rates)
-        # the block is rejected before its first slot
-        assert sched._ledger_heap == ledger_heap(start)
-        assert (sched.switch_slot, sched.c_s, sched.slots_elapsed) == (2, 1, 1)
-        # and the next blocks are served from the unchanged ledger
-        good = np.random.default_rng(7).uniform(0.0, 1e4, (6, 3))
-        want_decisions, want_bits = least_served_oracle(start, good)
-        got = np.concatenate([sched.step(good[:3], good[:3]), sched.step(good[3:], good[3:])])
-        assert np.array_equal(got, want_decisions)
-        assert np.array_equal(ledger_after(start, good, got), want_bits)
-        assert sorted(sched._ledger_heap) == ledger_heap(want_bits)
 
     def test_cumulative_ledger_is_nondecreasing(self):
         # through the warm-up, the switch the first evaluation fires at slot 101, and the variance phase
