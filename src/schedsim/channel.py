@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_bools, check_floats
 
 # The Hata-family formulas degenerate at very short range; distances below
 # this are clamped (with a warning) instead of extrapolated.
@@ -50,14 +50,9 @@ class ChannelParams:
     fast_fading_enabled: bool = True
 
     def validate(self) -> None:
-        check_finite(
-            tx_power_dbm=self.tx_power_dbm,
-            bandwidth_hz=self.bandwidth_hz,
-            cell_radius_m=self.cell_radius_m,
-            shadowing_sigma_db=self.shadowing_sigma_db,
-            noise_figure_db=self.noise_figure_db,
-            slot_duration_s=self.slot_duration_s,
-        )
+        # every float field, by its annotation; each one's name is its config key
+        check_floats(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
+        check_bools(fast_fading=self.fast_fading_enabled)
         if self.bandwidth_hz <= 0:
             raise ConfigError("bandwidth_hz must be > 0")
         if self.cell_radius_m <= 0:

@@ -146,7 +146,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 writes a float64 as "np.float64(...)"
     return str(value)
 
 

@@ -44,7 +44,7 @@ from .channel import (
     place_users,
     snr,
 )
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_floats
 from .metrics import MetricsLog, highest, ledger_fi
 from .sched import POLICIES, TC_MODES, DpfaParams, Scheduler, VpfaParams, make_scheduler
 
@@ -92,7 +92,7 @@ class SimConfig:
             raise ConfigError("policy must be one of %s" % (POLICIES,))
         if self.tc_mode not in TC_MODES:
             raise ConfigError("tc_mode must be one of %s" % (TC_MODES,))
-        check_finite(tc_slots=self.tc_slots)
+        check_floats(tc_slots=self.tc_slots)
         if self.tc_mode == "fixed" and self.tc_slots < 1:
             raise ConfigError("tc_slots must be >= 1")
         self.dpfa.validate()
@@ -124,15 +124,6 @@ class SimResult:
 TRACE_FIELDS = ("channel", "n_users", "placement", "seed", "total_slots")
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelTrace:
-    """One drawn channel trace: its links and its (slots x users) matrices."""
-
-    links: list[UserLink]
-    snrs: np.ndarray   # (slots x users) linear SNR
-    rates: np.ndarray  # (slots x users) bits per slot
-
-
 def resolve_delta(channel: ChannelParams) -> float:
     """Default edge/center SNR threshold: the deterministic link-budget SNR
     at 60% of the cell radius (shadowing and fading excluded)."""
@@ -151,25 +142,6 @@ def resolved_config(config: SimConfig) -> SimConfig:
         raise ConfigError("SNR %s: tx_power_dbm %g takes the default dpfa_delta, the SNR at %g x cell_radius_m, %s the"
                           " float range" % (what, config.channel.tx_power_dbm, DELTA_REFERENCE_RADIUS_FRACTION, where))
     return dataclasses.replace(config, dpfa=dataclasses.replace(config.dpfa, delta=delta))
-
-
-def channel_trace(config: SimConfig, links: list[UserLink] | None = None) -> ChannelTrace:
-    """Links plus the (slots x users) SNR and rate matrices for a config.
-
-    Depends only on the fields in ``TRACE_FIELDS``; running it for two
-    configs that differ only in policy gives identical matrices.
-    Caller-supplied ``links`` (custom geometries) skip the placement and
-    shadowing draws, so their fading starts at the head of the seed's stream.
-    The config and links are checked as by :func:`run`, and the matrices are
-    a run's blocks in slot order, so they hold finite rates >= 0.
-    """
-    rng, links, base, _ = _trace_links(config, links)
-    shape = (config.total_slots, len(links))
-    snrs, rates = np.empty(shape), np.empty(shape)
-    for start, block_snrs, block_rates in _trace_blocks(config, rng, base, _heap_slots(config)):
-        snrs[start:start + len(block_snrs)] = block_snrs
-        rates[start:start + len(block_rates)] = block_rates
-    return ChannelTrace(links, snrs, rates)
 
 
 @np.errstate(over="ignore")  # an SNR bound past the float range is inf, which the checks reject
@@ -247,16 +219,14 @@ def _trace_blocks(config: SimConfig, rng, base, slots):
         yield start, snrs, instantaneous_rate(snrs, channel, rates)
 
 
-def _block_shape(config: SimConfig) -> tuple[int, int]:
-    """A block buffer's (slots, users): ``max(1, BLOCK_ELEMENTS // n_users)``
-    slots, or the whole trace where it is shorter."""
-    return min(max(1, BLOCK_ELEMENTS // config.n_users), config.total_slots), config.n_users
-
-
-def _heap_slots(config: SimConfig):
-    """One slot of (SNRs, rates) block buffers, which every block overwrites."""
-    shape = _block_shape(config)
-    return [(np.empty(shape), np.empty(shape))]
+def _block_slots(config: SimConfig, count: int):
+    """``count`` slots of (SNRs, rates) block buffers, each of
+    ``max(1, BLOCK_ELEMENTS // n_users)`` slots of the trace, or the whole
+    trace where it is shorter: one on the heap, which every block
+    overwrites, or more in anonymous shared memory, which forked children
+    inherit."""
+    shape = (count, 2, min(max(1, BLOCK_ELEMENTS // config.n_users), config.total_slots), config.n_users)
+    return np.empty(shape) if count == 1 else np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _slot_blocks(config: SimConfig, slots):
@@ -297,12 +267,13 @@ class Decided:
 def run(config: SimConfig, links: list[UserLink] | None = None, decided: Decided | None = None) -> SimResult:
     """Execute one simulation; deterministic in (config, seed, links).
 
-    ``links`` replaces the drawn geometry as in :func:`channel_trace`.  The
-    run draws its trace a block at a time and decides each block as it is
-    drawn, so it holds one block and what it keeps per slot and per user,
-    not the (slots x users) matrices; its decisions, results and errors are
-    the same bit for bit at any ``BLOCK_ELEMENTS``, one slot a block or the
-    whole trace in one.  ``decided`` is this config's share of
+    Caller-supplied ``links`` (custom geometries) skip the placement and
+    shadowing draws, so their fading starts at the head of the seed's
+    stream.  The run draws its trace a block at a time and decides each
+    block as it is drawn, so it holds one block and what it keeps per slot
+    and per user, not the (slots x users) matrices; its decisions, results
+    and errors are the same bit for bit at any ``BLOCK_ELEMENTS``, one slot
+    a block or the whole trace in one.  ``decided`` is this config's share of
     :func:`run_comparison`'s pass, already decided, so the run only
     accounts for it.  It raises "fairness index undefined at slot s", the only
     error that depends on the draw; the config raised its own when it was made, and :func:`_decide` the rest.
@@ -385,11 +356,9 @@ def _decide(configs: list[SimConfig], links: list[UserLink] | None = None) -> li
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     k = min(len(shares), cpus)
     if k == 1:
-        _decide_blocks(_trace_blocks(first, rng, base, _heap_slots(first)), shares)
+        _decide_blocks(_trace_blocks(first, rng, base, _block_slots(first, 1)), shares)
         return shares
-    # two slots of (SNRs, rates) block buffers in anonymous shared memory, which the children inherit
-    shape = _block_shape(first)
-    ring = np.frombuffer(mmap.mmap(-1, 4 * 8 * shape[0] * shape[1])).reshape(2, 2, *shape)
+    ring = _block_slots(first, 2)
     children = []
     try:
         for i in range(1, k):
@@ -501,10 +470,9 @@ def _fork_decide(first: SimConfig, ring, group: list[Decided], siblings: list[_C
     written, so an error that does not pickle ends the child having sent
     none of it; ``os._exit`` runs no exit handler and flushes none of the
     parent's buffered output."""
-    total = first.total_slots
-    for share in group:  # the float64 rates first, so that both arrays are aligned
-        pages = mmap.mmap(-1, 12 * total)
-        share.served, share.decisions = np.frombuffer(pages, count=total), np.frombuffer(pages, np.int32, offset=8 * total)
+    for share in group:  # each in its own pages, so that a result's decisions do not keep the served rates mapped
+        share.served = np.frombuffer(mmap.mmap(-1, share.served.nbytes))
+        share.decisions = np.frombuffer(mmap.mmap(-1, share.decisions.nbytes), np.int32)
     fds = go_r, go_w, msg_r, msg_w = (*os.pipe(), *os.pipe())
     try:
         pid = os.fork()
@@ -590,10 +558,9 @@ def run_comparison(configs: list[SimConfig], reference: str = "pfa") -> Comparis
     The policies are decided by :func:`_decide`, over one process per
     usable CPU, bit-identically at any CPU count (``taskset -c 0`` gives
     one process), and each policy's :func:`run` accounts for its share in
-    this process.  Results are those of a run per policy over
-    ``channel_trace(configs[0])``, and so is the only error that depends on
-    the draw; the configs' own were raised when they were made, and any
-    other is raised before the first draw.
+    this process.  Results are those of a run per policy, and so is the
+    only error that depends on the draw; the configs' own were raised when
+    they were made, and any other is raised before the first draw.
 
     All configs must agree on the channel, placement, user count, seed and
     slot count; only the policy (and its private knobs) may differ.

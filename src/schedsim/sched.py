@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_bools, check_floats
 from .metrics import fi_stability_update, highest, jain_index, lowest
 
 # Cold-start floor for the average-throughput denominator, in bits/slot.
@@ -80,7 +80,7 @@ class DpfaParams:
     beta_override: float | None = None
 
     def validate(self) -> None:
-        check_finite(dpfa_alpha=self.alpha, dpfa_delta=self.delta, dpfa_beta_override=self.beta_override)
+        check_floats(dpfa_alpha=self.alpha, dpfa_delta=self.delta, dpfa_beta_override=self.beta_override)
         if self.alpha < 0:
             raise ConfigError("dpfa_alpha must be >= 0")
         if self.beta_override is not None and self.beta_override < 0:
@@ -104,6 +104,7 @@ class VpfaParams:
     signed_stability: bool = False
 
     def validate(self) -> None:
+        check_bools(vpfa_signed_stability=self.signed_stability)
         if self.s_fi < 1:
             raise ConfigError("vpfa_s_fi must be >= 1")
         if self.l_sc < 1:

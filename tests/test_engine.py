@@ -6,9 +6,9 @@ import pytest
 import schedsim
 import schedsim.engine as engine
 from schedsim.channel import ChannelParams, UserLink, snr
+from schedsim.cli import parse_config, render_config
 from schedsim.engine import (
     SimConfig,
-    channel_trace,
     comparison_configs,
     resolve_delta,
     resolved_config,
@@ -18,6 +18,7 @@ from schedsim.engine import (
 from schedsim.errors import ConfigError
 from schedsim.sched import DpfaParams, VpfaParams
 from test_properties import least_served_oracle
+from whole_trace import whole_trace
 
 
 def test_exported_names_are_pinned():
@@ -87,7 +88,7 @@ class TestValidation:
     def test_config_that_puts_the_snr_out_of_range_is_named_with_caller_links(self, tx_power_dbm, message):
         cfg = SimConfig(n_users=2, total_slots=10, channel=ChannelParams(tx_power_dbm=tx_power_dbm))
         with pytest.raises(ConfigError) as err:
-            channel_trace(cfg, links=[UserLink(0, 500.0, 0.0), UserLink(1, 500.0, 0.0)])
+            run(cfg, links=[UserLink(0, 500.0, 0.0), UserLink(1, 500.0, 0.0)])
         assert str(err.value) == message
 
     @pytest.mark.parametrize("key", ["n_users", "total_slots", "seed", "dpfa_theta", "vpfa_s_fi", "vpfa_l_sc"])
@@ -98,6 +99,33 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^%s must be an integer, got " % key):
             small_config(**part)
 
+    @pytest.mark.parametrize("part, key", [
+        (dict(channel=ChannelParams(fast_fading_enabled="false")), "fast_fading"),
+        (dict(channel=ChannelParams(fast_fading_enabled=1)), "fast_fading"),
+        (dict(channel=ChannelParams(fast_fading_enabled=np.bool_(True))), "fast_fading"),
+        (dict(vpfa=VpfaParams(signed_stability=1)), "vpfa_signed_stability"),
+        (dict(tc_slots=True), "tc_slots"),
+        (dict(channel=ChannelParams(tx_power_dbm=True)), "tx_power_dbm"),
+        (dict(channel=ChannelParams(ue_height_m=True)), "ue_height_m"),
+        (dict(channel=ChannelParams(carrier_freq_mhz="2000")), "carrier_freq_mhz"),
+        (dict(dpfa=DpfaParams(delta=True)), "dpfa_delta"),
+        (dict(channel=ChannelParams(tx_power_dbm=np.float32(46.3))), "tx_power_dbm"),
+        (dict(channel=ChannelParams(tx_power_dbm=10 ** 400)), "tx_power_dbm"),
+        (dict(tc_slots=10 ** 400), "tc_slots"),
+    ], ids=["fading str", "fading int", "fading numpy bool", "signed stability int", "tc_slots bool",
+            "tx_power bool", "ue_height bool", "carrier str", "delta bool", "tx_power float32", "tx_power 10**400",
+            "tc_slots 10**400"])
+    def test_field_of_the_wrong_type_rejected(self, part, key):
+        # each would run, and write a config.txt line that does not parse back or runs differently
+        with pytest.raises(ConfigError, match="^%s must be (true or false|a float or an int|finite), got " % key):
+            small_config(**part)
+
+    def test_float_fields_take_ints_and_float64(self):
+        cfg = small_config(tc_slots=np.float64(500.0), channel=ChannelParams(tx_power_dbm=46, ue_height_m=np.float64(2)),
+                           dpfa=DpfaParams(alpha=1, delta=np.float64(3.5)))
+        assert parse_config(render_config(cfg)) == cfg
+        assert run(cfg).decisions.tobytes() == run(parse_config(render_config(cfg))).decisions.tobytes()
+
     def test_numpy_int_counts_accepted(self):
         cfg = small_config(n_users=np.int64(4), total_slots=np.int32(50), seed=np.uint8(3),
                            dpfa=DpfaParams(theta=np.int64(20)), vpfa=VpfaParams(s_fi=np.int16(10), l_sc=np.int64(5)))
@@ -106,11 +134,12 @@ class TestValidation:
 
     @pytest.mark.filterwarnings("ignore:distance .* below the 20 m model floor")
     def test_trace_validates_the_channel_once(self, monkeypatch):
-        calls = []
+        # the trace source checks no field again; resolved_config's dataclasses.replace, which fills in the
+        # default dpfa_delta, is the one validation a run makes
+        cfg, calls = SimConfig(n_users=1000, total_slots=2), []
         validate = ChannelParams.validate
         monkeypatch.setattr(ChannelParams, "validate", lambda self: calls.append(1) or validate(self))
-        trace = channel_trace(SimConfig(n_users=1000, total_slots=2))
-        assert trace.rates.shape == (2, 1000)
+        assert run(cfg).decisions.shape == (2,)
         assert len(calls) == 1
 
 
@@ -129,7 +158,7 @@ class TestNoBitsDelivered:
         # 1e-300 s slots deliver at most ~1.5e-292 bits a slot, so every square, and their sum, is 0
         res = run(SimConfig(policy=policy, total_slots=300, channel=ChannelParams(slot_duration_s=1e-300)))
         bits = np.zeros(res.config.n_users)
-        served = channel_trace(res.config).rates[np.arange(300), res.decisions]
+        served = whole_trace(res.config)[2][np.arange(300), res.decisions]
         for (stop, fi), start in zip(res.fi_series, (0, 100, 200)):
             np.add.at(bits, res.decisions[start:stop], served[start:stop])
             assert 0 < bits.max() and np.dot(bits, bits) == 0
@@ -140,7 +169,7 @@ class TestNoBitsDelivered:
         # user 1's rate is 0 in slots 1 and 2 and > 0 in slot 3; users 0 and 2 have none
         links = [UserLink(0, 500.0, -400.0), UserLink(1, 500.0, -170.0), UserLink(2, 500.0, -400.0)]
         cfg = SimConfig(policy="rr", n_users=3, total_slots=30, seed=25, vpfa=VpfaParams(s_fi=2))
-        rates = channel_trace(cfg, links).rates[:3, 1]
+        rates = whole_trace(cfg, links)[2][:3, 1]
         assert rates[0] == rates[1] == 0 < rates[2]
         with pytest.raises(ConfigError, match=r"^fairness index undefined at slot 2: no bits were delivered yet; "
                                               r"users with rate 0 in every slot so far: 0, 1, 2$"):
@@ -168,43 +197,46 @@ class TestDeterminism:
 
 
 class TestChannelIsolation:
+    # each test reads the engine's own output, the rate each decision served, against a whole draw;
+    # maxci serves each slot's largest rate and round robin each user in turn
     def test_rate_matrix_is_policy_independent(self):
-        base = small_config(policy="pfa")
-        other = dataclasses.replace(base, policy="maxci")
-        a, b = channel_trace(base), channel_trace(other)
-        assert [l.distance_m for l in a.links] == [l.distance_m for l in b.links]
-        assert [l.shadowing_db for l in a.links] == [l.shadowing_db for l in b.links]
-        assert np.array_equal(a.snrs, b.snrs)
-        assert np.array_equal(a.rates, b.rates)
+        links, _, rates = whole_trace(small_config())
+        for policy in ("pfa", "maxci", "rr"):
+            (share,) = engine._decide([small_config(policy=policy)])
+            assert share.links == links
+            assert share.served.tobytes() == rates[np.arange(500), share.decisions].tobytes()
 
     def test_caller_links_fading_starts_at_stream_head(self):
         # no placement or shadowing draws precede the fading matrix
-        cfg = small_config()
+        cfg = small_config(policy="maxci")
         links = [UserLink(k, 300.0 + 100.0 * k, 0.0) for k in range(4)]
-        trace = channel_trace(cfg, links)
         gains = np.random.default_rng(cfg.seed).exponential(1.0, size=(cfg.total_slots, 4))
-        base = np.array([snr(cfg.channel, link, 1.0) for link in links])
-        assert np.array_equal(trace.snrs, gains * base)
+        snrs = gains * np.array([snr(cfg.channel, link, 1.0) for link in links])
+        ch = cfg.channel
+        (share,) = engine._decide([cfg], links)
+        assert np.array_equal(share.decisions, snrs.argmax(axis=1))
+        assert np.array_equal(share.served, (ch.bandwidth_hz * np.log2(1.0 + snrs) * ch.slot_duration_s).max(axis=1))
 
     @pytest.mark.parametrize("fading", [True, False])
     def test_matrices_match_out_of_place_formulas(self, fading):
-        # the trace is built in place; it must equal the plain expressions
-        cfg = small_config(channel=ChannelParams(fast_fading_enabled=fading))
-        trace = channel_trace(cfg)
-        rng = np.random.default_rng(cfg.seed)
+        # the trace is built in place, a block at a time; it must equal the plain expressions
+        rng = np.random.default_rng(3)
         rng.normal(0.0, 8.0, size=4)  # the shadowing draws (equal_spacing draws no placement)
         gains = rng.exponential(1.0, size=(500, 4)) if fading else np.ones((500, 4))
-        base = np.array([snr(cfg.channel, link, 1.0) for link in trace.links])
-        ch = cfg.channel
-        assert np.array_equal(trace.snrs, gains * base)
-        assert np.array_equal(
-            trace.rates, ch.bandwidth_hz * np.log2(1.0 + gains * base) * ch.slot_duration_s
-        )
+        for policy in ("maxci", "rr"):
+            cfg = small_config(policy=policy, channel=ChannelParams(fast_fading_enabled=fading))
+            (share,) = engine._decide([cfg])
+            ch = cfg.channel
+            base = np.array([snr(ch, link, 1.0) for link in share.links])
+            rates = ch.bandwidth_hz * np.log2(1.0 + gains * base) * ch.slot_duration_s
+            assert np.array_equal(share.served, rates[np.arange(500), share.decisions])
 
     def test_per_slot_snr_positive(self):
-        trace = channel_trace(small_config())
-        assert np.all(trace.snrs > 0)
-        assert np.all(trace.rates > 0)
+        _, snrs, rates = whole_trace(small_config())
+        assert np.all(snrs > 0)
+        assert np.all(rates > 0)
+        (share,) = engine._decide([small_config(policy="rr")])
+        assert np.array_equal(share.served, rates[np.arange(500), share.decisions])
 
 
 class TestSharedTrace:
@@ -232,11 +264,6 @@ class TestSharedTrace:
         # a comparison shares one trace, so a config that trace was not drawn for is rejected
         with pytest.raises(ConfigError, match="compared configs must share '%s'" % field):
             run_comparison([small_config(), small_config(policy="rr", **{field: value})])
-
-    def test_trace_fields_are_frozen(self):
-        trace = channel_trace(small_config())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            trace.rates = np.zeros_like(trace.rates)
 
     def test_assigning_a_config_field_raises(self):
         # compared configs share the base's parts, which no config can change
@@ -417,7 +444,7 @@ class TestVpfaPhaseMachine:
         assert res.phase_switch_slot is not None
         served = res.decisions[:res.phase_switch_slot - 1]
         bits = np.zeros(cfg.n_users)
-        np.add.at(bits, served, channel_trace(cfg).rates[np.arange(len(served)), served])
+        np.add.at(bits, served, whole_trace(cfg)[2][np.arange(len(served)), served])
         assert res.vpfa_warmup_bits.tobytes() == bits.tobytes()
 
     @pytest.mark.parametrize("seed,users", [(0, None), (1, None), (2, None), (0, 200)],
@@ -430,7 +457,7 @@ class TestVpfaPhaseMachine:
         res = run(cfg)
         switch = res.phase_switch_slot
         assert switch is not None
-        decisions, bits = least_served_oracle(res.vpfa_warmup_bits, channel_trace(cfg).rates[switch - 1:])
+        decisions, bits = least_served_oracle(res.vpfa_warmup_bits, whole_trace(cfg)[2][switch - 1:])
         assert np.array_equal(res.decisions[switch - 1:], decisions)
         assert bits.tobytes() == res.metrics.per_user_bits.tobytes()
 

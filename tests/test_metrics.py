@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from schedsim.engine import SimConfig, channel_trace, run
+from schedsim.engine import SimConfig, run
 from schedsim.metrics import MetricsLog, fi_stability_update, jain_index
 from schedsim.sched import VpfaParams
+from whole_trace import whole_trace
 
 
 def jain_oracle(values):
@@ -205,7 +206,7 @@ class TestRecordSlotBlocks:
         # 1037 slots: the last FI segment is a partial one
         cfg = SimConfig(policy=policy, n_users=6, total_slots=1037, seed=2, vpfa=VpfaParams(s_fi=50))
         res = run(cfg)
-        rates = channel_trace(cfg).rates
+        rates = whole_trace(cfg)[2]
         bits = rates[np.arange(cfg.total_slots), res.decisions]
         cadence = set(range(50, 1038, 50)) | {1037}
         per_user, counts, system, samples = per_slot_reference(6, res.decisions, bits, cadence)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from schedsim.channel import ENV_CLASSES, PLACEMENT_MODES, ChannelParams
 from schedsim.cli import parse_config, render_config
-from schedsim.engine import SimConfig, channel_trace, run
+from schedsim.engine import SimConfig, run
 from schedsim.errors import ConfigError
 from schedsim.sched import (
     EPS_RATE,
@@ -29,6 +29,7 @@ from schedsim.sched import (
     select,
     update_beta,
 )
+from whole_trace import whole_trace
 
 channels = st.builds(
     ChannelParams,
@@ -241,11 +242,11 @@ def test_vpfa_step_alone_matches_run(config, data):
     ``run``'s decisions and switches where it does, on the same ledger; a
     switch at the run's last evaluation is none for the run."""
     res = run(config)
-    trace = channel_trace(config)
+    _, snrs, rates = whole_trace(config)
     cuts = data.draw(st.lists(st.integers(1, config.total_slots), max_size=12))
     sched = make_scheduler("vpfa", config.n_users, vpfa=config.vpfa, tc_mode=config.tc_mode,
                            tc_slots=config.tc_slots)
-    assert np.array_equal(decide(sched, trace.rates, trace.snrs, cuts), res.decisions)
+    assert np.array_equal(decide(sched, rates, snrs, cuts), res.decisions)
     if sched.switch_slot is not None and sched.switch_slot > config.total_slots:  # at the run's last evaluation
         assert res.phase_switch_slot is res.vpfa_warmup_bits is None
     else:

@@ -1,7 +1,12 @@
 """Every python code block in README.md runs as written, so the library
-example keeps step with the API, and every config README.md cites as
-failing before the first fading draw fails so, with one error line."""
+example keeps step with the API, every config README.md cites as
+failing before the first fading draw fails so, with one error line, and
+every dotted name it cites from schedsim (`engine._decide`,
+`MetricsLog.per_user_bits`) still names something."""
+import dataclasses
+import importlib
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,15 @@ from schedsim.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+
+MODULES = {name: importlib.import_module("schedsim." + name)
+           for name in ("channel", "cli", "engine", "errors", "metrics", "sched", "svgplot")}
+CLASSES = {name: obj for module in MODULES.values() for name, obj in vars(module).items()
+           if isinstance(obj, type) and obj.__module__.startswith("schedsim.")}
+# a backticked dotted name whose first part is a schedsim module or class, with a call's arguments or not:
+# `engine._decide`, `Scheduler.step(rates, snrs)`
+REFERENCES = sorted({ref for ref in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`", TEXT)
+                     if ref.split(".")[0] in MODULES.keys() | CLASSES.keys()})
 
 # the configs README.md's notes cite as range errors
 FAILING = [
@@ -46,3 +60,18 @@ def test_readme_failing_config_fails_before_the_draw(overrides, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("schedsim: error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_readme_names_are_read():
+    assert {"engine._decide", "svgplot.CHUNK", "MetricsLog.per_user_bits", "Scheduler.step"} <= set(REFERENCES)
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_readme_name_resolves(reference):
+    # each part is an attribute or a dataclass field, which a class holds only as an annotation; a field's
+    # annotated type is what the next part is looked up on
+    first, *rest = reference.split(".")
+    owner = MODULES.get(first) or CLASSES[first]
+    for part in rest:
+        fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else set()
+        owner = typing.get_type_hints(owner)[part] if part in fields else getattr(owner, part)

@@ -25,6 +25,7 @@ import time
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from schedsim.cli import main
 from schedsim.engine import BLOCK_ELEMENTS, SimConfig, comparison_configs, run, run_comparison
 from schedsim.sched import POLICIES, TC_MODES, Scheduler, VpfaParams
 from test_stream import assert_same_outcome, outcome
+from whole_trace import whole_trace
 
 
 @contextlib.contextmanager
@@ -84,6 +86,31 @@ def test_a_split_comparison_is_the_one_process_comparison(case):
             split = outcome(compare)
         assert len(forks) == count - 1
     assert_same_outcome(split, one)
+
+
+@pytest.mark.parametrize("elements", [1, 64, BLOCK_ELEMENTS])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_every_policys_bits_are_the_whole_traces_rates_at_its_decisions(count, elements):
+    # an oracle that shares no code with the block source; vpfa switches at slot 71, decided in this
+    # process at 1 and 2 CPUs and in a child, with dpfa, at 3
+    cfg = SimConfig(n_users=20, total_slots=300, seed=3, vpfa=VpfaParams(s_fi=7, l_sc=2))
+    rates = whole_trace(cfg)[2]
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", elements), cpus(count) as forks:
+        results = run_comparison(comparison_configs(cfg, list(POLICIES))).results
+    assert len(forks) == count - 1 and results["vpfa"].phase_switch_slot == 71
+    for policy, res in results.items():
+        bits = np.zeros(cfg.n_users)
+        np.add.at(bits, res.decisions, rates[np.arange(cfg.total_slots), res.decisions])
+        assert bits.tobytes() == res.metrics.per_user_bits.tobytes(), policy
+
+
+def test_a_child_decided_results_decisions_map_4_bytes_a_slot():
+    # the served rates have pages of their own, so a result keeps no more than its decisions mapped
+    with cpus(2):
+        results = run_comparison(comparison_configs(SimConfig(total_slots=500), ["pfa", "dpfa", "vpfa"])).results
+    pages = results["dpfa"].decisions.base.obj
+    assert isinstance(pages, mmap.mmap) and len(pages) == 4 * 500
+    assert results["pfa"].decisions.base is None
 
 
 def test_more_processes_than_cores_wrap_the_ring_many_times():
@@ -248,7 +275,7 @@ def test_a_child_acks_each_block_and_stops_at_the_end_of_its_go_pipe():
         try:
             os.write(go_w, b"\0")  # one block, then the parent is gone
             os.close(go_w)
-            blocks = engine._ring_blocks(cfg, engine._heap_slots(cfg) * 2, go_r, msg_w)
+            blocks = engine._ring_blocks(cfg, engine._block_slots(cfg, 2), go_r, msg_w)
             assert next(blocks)[0] == 0
             with pytest.raises(EOFError, match="the parent stopped sending blocks"):
                 next(blocks)

@@ -1,7 +1,7 @@
 """One trace path, checked before the draw.  A run draws its trace a block
 at a time and decides each block as it is drawn: at one slot a block, or
-with the whole trace in one block (one ``draw_fast_fading`` call, the
-trace ``channel_trace`` holds), it gives the same results and the same
+with the whole trace in one block (one ``draw_fast_fading`` call, as
+the whole-trace reference draws it), it gives the same results and the same
 errors bit for bit, and it holds one block, not the trace.  So does a
 comparison, which decides each block for every policy before it draws the
 next: it gives what a run per policy gives, except that every config's own
@@ -20,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schedsim.engine as engine
-from schedsim.channel import ChannelParams, UserLink, draw_fast_fading, snr
+from schedsim.channel import ChannelParams, UserLink, draw_fast_fading, instantaneous_rate, snr
 from schedsim.cli import parse_config
-from schedsim.engine import BLOCK_ELEMENTS, SimConfig, channel_trace, comparison_configs, run, run_comparison
+from schedsim.engine import BLOCK_ELEMENTS, SimConfig, comparison_configs, run, run_comparison
 from schedsim.errors import ConfigError
 from schedsim.sched import POLICIES, DpfaParams, VpfaParams
+from whole_trace import whole_trace
 
 
 def outcome(fn, *args, **kwargs):
@@ -90,15 +91,21 @@ def test_fading_drawn_in_blocks_is_one_whole_draw(n_users):
 
 @pytest.mark.parametrize("fading", [True, False])
 def test_a_trace_of_many_blocks_matches_the_whole_draw(fading):
+    # 819 slots a block: two whole blocks and a part.  maxci serves each slot's largest rate and round robin
+    # each user in turn, so between them every block's rates are read
     cfg = SimConfig(n_users=40, total_slots=2000, seed=5, channel=ChannelParams(fast_fading_enabled=fading))
-    trace = channel_trace(cfg)  # 819 slots a block: two whole blocks and a part
+    links, snrs, rates = whole_trace(cfg)
     rng = np.random.default_rng(cfg.seed)
     rng.normal(0.0, 8.0, size=40)  # the shadowing draws (equal_spacing draws no placement)
     gains = rng.standard_exponential(size=(2000, 40)) if fading else np.ones((2000, 40))
-    base = np.array([snr(cfg.channel, link, 1.0) for link in trace.links])
+    base = np.array([snr(cfg.channel, link, 1.0) for link in links])
     ch = cfg.channel
-    assert trace.snrs.tobytes() == (gains * base).tobytes()
-    assert trace.rates.tobytes() == (ch.bandwidth_hz * np.log2(1.0 + gains * base) * ch.slot_duration_s).tobytes()
+    assert snrs.tobytes() == (gains * base).tobytes()
+    assert rates.tobytes() == (ch.bandwidth_hz * np.log2(1.0 + gains * base) * ch.slot_duration_s).tobytes()
+    for policy in ("maxci", "rr"):
+        (share,) = engine._decide([dataclasses.replace(cfg, policy=policy)])
+        assert share.links == links
+        assert share.served.tobytes() == rates[np.arange(2000), share.decisions].tobytes()
 
 
 @st.composite
@@ -326,7 +333,7 @@ class TestSameErrorsInLockstep:
 
     def test_one_config_names_one_link(self):
         cfg, _ = ERROR_CASES["budget overflows at a user"]
-        errors = {outcome(fn) for fn in (lambda: run(cfg), lambda: channel_trace(cfg),
+        errors = {outcome(fn) for fn in (lambda: run(cfg),
                                          lambda: run_comparison(comparison_configs(cfg, list(POLICIES))))}
         assert errors == {(ConfigError, "SNR overflows a float: tx_power_dbm 4000 takes user 0's link-budget SNR"
                                         " past the float range")}
@@ -343,18 +350,20 @@ class TestDeepFades:
 
         monkeypatch.setattr(engine, "draw_fast_fading", one_deep_fade)
         cfg = SimConfig(n_users=4, total_slots=500, policy="rr")  # one block, one draw
-        trace = channel_trace(cfg)
-        assert trace.snrs[1, 1] == trace.rates[1, 1] == 0
+        rates = whole_trace(cfg)[2]
+        rates[1, 1] = instantaneous_rate(0.0, cfg.channel)
+        assert rates[1, 1] == 0
+        (share,) = engine._decide([cfg])
+        assert share.decisions[1] == 1 and share.served[1] == 0
         res = run(cfg)
-        assert res.decisions[1] == 1
         bits = np.zeros(4)
-        np.add.at(bits, res.decisions, trace.rates[np.arange(500), res.decisions])
+        np.add.at(bits, res.decisions, rates[np.arange(500), res.decisions])
         assert bits.tobytes() == res.metrics.per_user_bits.tobytes()
 
     def test_a_link_whose_fades_reach_snr_0_runs(self):
         # user 1's link-budget SNR is 5e-324, the least float above 0, and a fade below 1/2 takes it to 0
         cfg, links = links_config([(500.0, 0.0), (500.0, -3244.0)], n_users=2, total_slots=10)
-        assert 0 in channel_trace(cfg, links).snrs[:, 1]
+        assert 0 in whole_trace(cfg, links)[1][:, 1]
         res = run(cfg, links=links)
         assert res.metrics.per_user_bits[1] == 0 < res.metrics.per_user_bits[0]
         for elements in block_sizes(cfg):
